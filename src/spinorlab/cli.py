@@ -10,12 +10,13 @@ input order.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import bilinear, homotopy, io, lounesto, mdo, plane, rim, spinor
+from . import bilinear, homotopy, io, lounesto, mdo, plane, rim, rng, spinor
 from .errors import IntegrabilityViolation, SpinorlabError
 from .spinor import DEFAULT_TOL
 from .suites import SuiteConfig, run_suites
@@ -37,6 +38,18 @@ def _tol_default() -> float:
     if tol <= 0:
         raise io.InputError("SPINORLAB_TOL must be positive")
     return tol
+
+
+def _int_range(lo: int, hi: float = math.inf):
+    """argparse type: an int in [lo, hi), else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi})")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["clifford", "fpk", "rim", "plane", "homotopy", "mdo", "props", "all"],
     )
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_range(1), default=1000)
+    p.add_argument("--seed", type=_int_range(0, rng.SEED_LIMIT), default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", default=None)
     return parser
@@ -98,36 +111,43 @@ def _emit(report: dict, output: str | None) -> None:
 def _cmd_classify(args) -> int:
     tol = args.tol if args.tol is not None else _tol_default()
     opt = lounesto.ClassifyOptions(tol=tol)
-    psis = io.load_spinors(args.input)
+    cov = bilinear.compute_batch(io.load_spinors(args.input))
+    classes, errors, near = lounesto.classify_batch(cov, opt)
+    residuals = bilinear.fpk_residuals_batch(cov)
+    columns = zip(
+        classes.tolist(),
+        errors.tolist(),
+        near.tolist(),
+        np.real(cov["A"]).tolist(),
+        np.real(cov["B"]).tolist(),
+        np.real(cov["J"]).tolist(),
+        np.real(cov["K"]).tolist(),
+        np.real(cov["S"]).tolist(),
+        np.real(residuals).tolist(),
+    )
     rows = []
-    flagged = False
-    for i in range(psis.shape[0]):
-        b = bilinear.compute(psis[i])
-        try:
-            cls = lounesto.classify(b, opt)
-        except SpinorlabError as exc:
-            rows.append({"id": i, "error": type(exc).__name__, "detail": str(exc)})
+    for i, (cls, err, flag, a_val, b_val, j, k, s, res) in enumerate(columns):
+        if err:
+            exc, detail = lounesto.ROW_ERRORS[err - 1]
+            rows.append({"id": i, "error": exc.__name__, "detail": detail})
             continue
-        res = bilinear.fpk_residuals(b)
-        near = lounesto.bilinears_near_degenerate(b, opt)
         rows.append(
             {
                 "id": i,
-                "lounesto_class": int(cls),
-                "regular": cls.regular,
-                "near_degenerate": near,
-                "A": float(np.real(b.A)),
-                "B": float(np.real(b.B)),
-                "J": [float(x) for x in np.real(b.J)],
-                "K": [float(x) for x in np.real(b.K)],
-                "S": [[float(x) for x in row] for row in np.real(b.S)],
-                "fpk_residuals": [float(x) for x in res],
+                "lounesto_class": cls,
+                "regular": lounesto.LounestoClass(cls).regular,
+                "near_degenerate": flag,
+                "A": a_val,
+                "B": b_val,
+                "J": j,
+                "K": k,
+                "S": s,
+                "fpk_residuals": res,
             }
         )
-        flagged = flagged or near
     report = {"command": "classify", "config": {"tol": tol, "input": str(args.input)}, "rows": rows}
     _emit(report, args.output)
-    return EXIT_FLAGGED if flagged else EXIT_OK
+    return EXIT_FLAGGED if near.any() else EXIT_OK
 
 
 def _cmd_decompose(args) -> int:

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import spinor
+from .errors import SpinorlabError
 
 
-class InputError(Exception):
+class InputError(SpinorlabError):
     """Malformed input file; the CLI maps this to exit code 2."""
 
 
@@ -56,6 +57,9 @@ def _load_csv(path: Path) -> np.ndarray:
         raise _fail(path, f"cannot parse CSV ({exc})") from exc
     if raw.shape[1] != 8:
         raise _fail(path, f"CSV needs 8 columns (re/im interleaved), got {raw.shape[1]}")
+    finite = np.isfinite(raw).all(axis=1)
+    if not finite.all():
+        raise _fail(path, f"data row {int(np.argmin(finite)) + 1} has a non-finite value")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
@@ -108,26 +112,24 @@ def load_momentum(path: str | Path) -> dict:
         raise _fail(path, f"momentum needs m, p [, theta, phi] ({exc})") from exc
 
 
-def _pythonify(obj):
-    if isinstance(obj, dict):
-        return {k: _pythonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pythonify(v) for v in obj]
+def _json_default(obj):
+    """Encode what json cannot: numpy arrays and scalars, complex numbers.
+    np.float64 and IntEnum subclass float and int, so json writes those."""
     if isinstance(obj, np.ndarray):
-        return [_pythonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return {"re": float(np.real(obj)), "im": float(np.imag(obj))}
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(_pythonify(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
 def write_report(report: dict, path: str | Path | None) -> str:

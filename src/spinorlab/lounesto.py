@@ -1,7 +1,9 @@
 """Lounesto classification from covariants, and the fast coefficient rules.
 
 Classes 1-3 are regular (A or B nonzero), 4-6 singular (A = B = 0, told
-apart by which of K, S vanish).  J must never vanish.  The coefficient route
+apart by which of K, S vanish).  J must never vanish.  One decision table
+serves the scalar ``classify``, which raises, and ``classify_batch``, which
+returns per-row class and error codes.  The coefficient route
 classifies psi = r1*block1(base) + r2*block2(base) straight from (r1, r2)
 and the base scalars (A, B) without building any covariant.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,34 +43,84 @@ class ClassifyOptions:
             raise ValueError("tol must be positive")
 
 
+_AMBIGUOUS_SCALE = (AmbiguousScale, "spinor norm below threshold")
+_NULL_CURRENT = (NullCurrent, "all current components below threshold")
+_REGULAR_KS = (InconsistentBilinears, "regular class requires K != 0 and S != 0")
+_SINGULAR_KS = (InconsistentBilinears, "A = B = 0 with K = S = 0 but J != 0")
+
+# The Lounesto decision, indexed by 8*(A=0) + 4*(B=0) + 2*(K=0) + (S=0);
+# each entry is a class or the (exception type, message) that row raises.
+# AmbiguousScale and then NullCurrent take precedence over the table.
+DECISION = (
+    LounestoClass.TYPE1, _REGULAR_KS, _REGULAR_KS, _REGULAR_KS,  # A != 0, B != 0
+    LounestoClass.TYPE2, _REGULAR_KS, _REGULAR_KS, _REGULAR_KS,  # A != 0, B = 0
+    LounestoClass.TYPE3, _REGULAR_KS, _REGULAR_KS, _REGULAR_KS,  # A = 0, B != 0
+    LounestoClass.TYPE4, LounestoClass.TYPE6, LounestoClass.TYPE5, _SINGULAR_KS,  # A = B = 0
+)
+
+# Row error codes of classify_batch: 0 is no error, code c is ROW_ERRORS[c - 1].
+ROW_ERRORS = (_AMBIGUOUS_SCALE, _NULL_CURRENT, _REGULAR_KS, _SINGULAR_KS)
+_CLASS_CODES = np.array([0 if isinstance(e, tuple) else int(e) for e in DECISION])
+_ERROR_CODES = np.array([1 + ROW_ERRORS.index(e) if isinstance(e, tuple) else 0 for e in DECISION])
+
+
+def _raise(entry: tuple[type, str]) -> NoReturn:
+    exc, message = entry
+    raise exc(message)
+
+
 def classify(b: Bilinears, opt: ClassifyOptions = ClassifyOptions()) -> LounestoClass:
     """Assign the unique class; covariants must come from the Dirac dual."""
     if b.dual is not DualKind.DIRAC:
         raise ValueError("classification is defined for the Dirac dual only")
     if b.scale < opt.tol:
-        raise AmbiguousScale("spinor norm below threshold")
+        _raise(_AMBIGUOUS_SCALE)
     thr = opt.tol * max(1.0, b.scale)
-    if np.max(np.abs(b.J)) < thr:
-        raise NullCurrent("all current components below threshold")
+    if np.abs(b.J).max() < thr:
+        _raise(_NULL_CURRENT)
+    entry = DECISION[
+        8 * (abs(b.A) < thr)
+        + 4 * (abs(b.B) < thr)
+        + 2 * (float(np.abs(b.K).max()) < thr)
+        + (float(np.abs(b.S).max()) < thr)
+    ]
+    if isinstance(entry, tuple):
+        _raise(entry)
+    return entry
 
-    a_zero = abs(b.A) < thr
-    b_zero = abs(b.B) < thr
-    k_zero = np.max(np.abs(b.K)) < thr
-    s_zero = np.max(np.abs(b.S)) < thr
 
-    if not a_zero or not b_zero:
-        if k_zero or s_zero:
-            raise InconsistentBilinears("regular class requires K != 0 and S != 0")
-        if not a_zero and not b_zero:
-            return LounestoClass.TYPE1
-        return LounestoClass.TYPE2 if not a_zero else LounestoClass.TYPE3
-    if not k_zero and not s_zero:
-        return LounestoClass.TYPE4
-    if k_zero and not s_zero:
-        return LounestoClass.TYPE5
-    if not k_zero and s_zero:
-        return LounestoClass.TYPE6
-    raise InconsistentBilinears("A = B = 0 with K = S = 0 but J != 0")
+def _magnitudes(cov: dict[str, np.ndarray]) -> np.ndarray:
+    """|A|, |B|, max|K|, max|S| per row: the inputs of the four zero-tests."""
+    return np.stack(
+        [
+            np.abs(cov["A"]),
+            np.abs(cov["B"]),
+            np.max(np.abs(cov["K"]), axis=1),
+            np.max(np.abs(cov["S"]), axis=(1, 2)),
+        ],
+        axis=1,
+    )
+
+
+def classify_batch(
+    cov: dict[str, np.ndarray],
+    opt: ClassifyOptions = ClassifyOptions(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify every row of a Dirac-dual ``bilinear.compute_batch`` dict.
+
+    Returns (n,) arrays: class codes (1-6, 0 on an error row), error codes
+    (0, or c for ``ROW_ERRORS[c - 1]``, the exception ``classify`` would
+    raise) and near-degenerate flags (False on error rows).
+    """
+    scale = cov["scale"]
+    thr = opt.tol * np.maximum(1.0, scale)
+    index = (_magnitudes(cov) < thr[:, None]) @ np.array([8, 4, 2, 1])
+    classes = _CLASS_CODES[index]
+    errors = _ERROR_CODES[index]
+    errors[np.max(np.abs(cov["J"]), axis=1) < thr] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
+    errors[scale < opt.tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
+    classes[errors != 0] = 0
+    return classes, errors, bilinears_near_degenerate(cov, opt) & (errors == 0)
 
 
 def _check_base_scalars(A: float, B: float, tol: float) -> None:
@@ -131,17 +184,15 @@ def coefficient_margins(r1: complex, r2: complex, A: float, B: float) -> dict[st
 
 
 def bilinears_near_degenerate(
-    b: Bilinears,
+    cov: dict[str, np.ndarray],
     opt: ClassifyOptions = ClassifyOptions(),
     band: float = 10.0,
-) -> bool:
-    """True when a zero-test input sits just above its threshold, i.e. the
+) -> np.ndarray:
+    """(n,) flags: a zero-test input sits just above its threshold, i.e. the
     assigned class would flip under a ``band``-fold tolerance change."""
-    thr = opt.tol * max(1.0, b.scale)
-    for value in (abs(b.A), abs(b.B), float(np.max(np.abs(b.K))), float(np.max(np.abs(b.S)))):
-        if thr < value <= band * thr:
-            return True
-    return False
+    thr = opt.tol * np.maximum(1.0, cov["scale"])[:, None]
+    mags = _magnitudes(cov)
+    return np.any((thr < mags) & (mags <= band * thr), axis=1)
 
 
 def near_degenerate(

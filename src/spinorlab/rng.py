@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SEED_LIMIT = 1 << 112  # seed << 16 must fit the 128-bit Philox key
+
 STREAMS = {
     "general": 0,
     "clifford": 1,

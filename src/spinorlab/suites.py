@@ -172,22 +172,9 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
 # props (classification rules vs brute force, base validation)
 
 
-def _classify_rows(cov: dict, opt: lounesto.ClassifyOptions) -> list[lounesto.LounestoClass]:
-    out = []
-    for i in range(cov["A"].shape[0]):
-        rec = bilinear.Bilinears(
-            A=complex(cov["A"][i]),
-            B=complex(cov["B"][i]),
-            J=cov["J"][i],
-            K=cov["K"][i],
-            S=cov["S"][i],
-            A1=complex(cov["A1"][i]),
-            A2=complex(cov["A2"][i]),
-            dual=DualKind.DIRAC,
-            scale=float(cov["scale"][i]),
-        )
-        out.append(lounesto.classify(rec, opt))
-    return out
+def _classes(psis: np.ndarray, opt: lounesto.ClassifyOptions) -> np.ndarray:
+    """Brute-force class codes of a spinor stack; 0 where classify would raise."""
+    return lounesto.classify_batch(bilinear.compute_batch(psis), opt)[0]
 
 
 def _decomposed(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -199,6 +186,8 @@ def suite_props(cfg: SuiteConfig) -> dict:
     opt = lounesto.ClassifyOptions(tol=cfg.tol)
     n = cfg.trials
     checks = []
+    by_coefficients = lounesto.classify_by_coefficients
+    T1, T2, T3, T4, T5, T6 = lounesto.LounestoClass
 
     bases = generators.random_rim_bases(gen, n)
     base_cov = bilinear.compute_batch(bases)
@@ -207,62 +196,56 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    brute = _classify_rows(bilinear.compute_batch(_decomposed(bases, r1, r2)), opt)
+    brute = _classes(_decomposed(bases, r1, r2), opt).tolist()
     mism = bad45 = 0
     for i in range(n):
-        fastc = lounesto.classify_by_coefficients(r1[i], r2[i], a_vals[i], b_vals[i], opt)
+        fastc = by_coefficients(r1[i], r2[i], a_vals[i], b_vals[i], opt)
         mism += fastc != brute[i]
-        bad45 += fastc in (lounesto.LounestoClass.TYPE4, lounesto.LounestoClass.TYPE5)
+        bad45 += fastc in (T4, T5)
     checks.append(_check("coefficient_vs_brute", n, mism, 0))
     checks.append(_check("no_type4_type5", n, bad45, 0))
 
     rr1 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
     rr2 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
-    brute = _classify_rows(bilinear.compute_batch(_decomposed(bases, rr1 + 0j, rr2 + 0j)), opt)
+    brute = _classes(_decomposed(bases, rr1 + 0j, rr2 + 0j), opt).tolist()
     bad = 0
     for i in range(n):
-        fastc = lounesto.classify_by_coefficients(rr1[i], rr2[i], a_vals[i], b_vals[i], opt)
-        bad += fastc != lounesto.LounestoClass.TYPE1 or brute[i] != lounesto.LounestoClass.TYPE1
+        fastc = by_coefficients(rr1[i], rr2[i], a_vals[i], b_vals[i], opt)
+        bad += fastc != T1 or brute[i] != T1
     checks.append(_check("real_pairs_type1", n, bad, 0))
 
-    zero_side = _decomposed(bases, r1, np.zeros(n, dtype=complex))
-    cov6 = bilinear.compute_batch(zero_side)
-    brute6 = _classify_rows(cov6, opt)
+    cov6 = bilinear.compute_batch(_decomposed(bases, r1, np.zeros(n, dtype=complex)))
+    thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
+    lemma4 = (
+        (lounesto.classify_batch(cov6, opt)[0] == T6)
+        & (np.max(np.abs(cov6["K"]), axis=1) > thr6)
+        & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6)
+    ).tolist()
     bad = 0
     for i in range(n):
-        fastc = lounesto.classify_by_coefficients(r1[i], 0.0, a_vals[i], b_vals[i], opt)
-        k_nonzero = np.max(np.abs(cov6["K"][i])) > cfg.tol * max(1.0, cov6["scale"][i])
-        s_zero = np.max(np.abs(cov6["S"][i])) <= cfg.tol * max(1.0, cov6["scale"][i])
-        ok = fastc == brute6[i] == lounesto.LounestoClass.TYPE6 and k_nonzero and s_zero
-        bad += not ok
+        bad += not (by_coefficients(r1[i], 0.0, a_vals[i], b_vals[i], opt) == T6 and lemma4[i])
     checks.append(_check("one_zero_type6_lemma4", n, bad, 0))
 
     # constructed boundary solutions: z = r1 conj(r2) with A y = -B x (type 2)
     # or A x = B y (type 3)
     m = min(n, 200)
+    A, B = a_vals[:m], b_vals[:m]
+    s = 1.0 + gen.uniform(0.0, 1.0, m)
+    ones = np.ones(m, dtype=complex)
+    r2sol = np.conj(-A * s + 1j * B * s)  # r1 = 1, z on the surface A*Im(z) = -B*Re(z)
+    r3sol = np.conj(B * s + 1j * A * s)  # z on the surface A*Re(z) = B*Im(z)
+    cov2 = bilinear.compute_batch(_decomposed(bases[:m], ones, r2sol))
+    cov3 = bilinear.compute_batch(_decomposed(bases[:m], ones, r3sol))
+    brute2 = lounesto.classify_batch(cov2, opt)[0]
+    brute3 = lounesto.classify_batch(cov3, opt)[0]
+    ok2 = ((brute2 == T2) & (np.abs(cov2["A"]) > cfg.tol)).tolist()
+    ok3 = ((brute3 == T3) & (np.abs(cov3["B"]) > cfg.tol)).tolist()
     bad2 = bad3 = 0
-    worst2 = worst3 = 0.0
     for i in range(m):
-        A, B = a_vals[i], b_vals[i]
-        s = 1.0 + gen.uniform(0.0, 1.0)
-        z2 = complex(-A * s, B * s)  # on the surface A*Im(z) = -B*Re(z)
-        r2sol = np.conj(z2)  # r1 = 1
-        cls2 = lounesto.classify_by_coefficients(1.0, r2sol, A, B, opt)
-        psi2 = _decomposed(bases[i : i + 1], np.array([1.0 + 0j]), np.array([r2sol]))
-        cov2 = bilinear.compute_batch(psi2)
-        rel_b = abs(cov2["B"][0]) / max(1.0, cov2["scale"][0])
-        worst2 = max(worst2, rel_b)
-        brute2 = _classify_rows(cov2, opt)[0]
-        bad2 += not (cls2 == brute2 == lounesto.LounestoClass.TYPE2 and abs(cov2["A"][0]) > cfg.tol)
-        z3 = complex(B * s, A * s)  # on the surface A*Re(z) = B*Im(z)
-        r3sol = np.conj(z3)
-        cls3 = lounesto.classify_by_coefficients(1.0, r3sol, A, B, opt)
-        psi3 = _decomposed(bases[i : i + 1], np.array([1.0 + 0j]), np.array([r3sol]))
-        cov3 = bilinear.compute_batch(psi3)
-        rel_a = abs(cov3["A"][0]) / max(1.0, cov3["scale"][0])
-        worst3 = max(worst3, rel_a)
-        brute3 = _classify_rows(cov3, opt)[0]
-        bad3 += not (cls3 == brute3 == lounesto.LounestoClass.TYPE3 and abs(cov3["B"][0]) > cfg.tol)
+        bad2 += not (by_coefficients(1.0, r2sol[i], A[i], B[i], opt) == T2 and ok2[i])
+        bad3 += not (by_coefficients(1.0, r3sol[i], A[i], B[i], opt) == T3 and ok3[i])
+    worst2 = np.max(np.abs(cov2["B"]) / np.maximum(1.0, cov2["scale"]))
+    worst3 = np.max(np.abs(cov3["A"]) / np.maximum(1.0, cov3["scale"]))
     checks.append(_check("constructed_type2", m, bad2, 0))
     checks.append(_check("constructed_type2_Bpsi", m, worst2, 1e-10))
     checks.append(_check("constructed_type3", m, bad3, 0))
@@ -270,11 +253,10 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     nb = min(n, max(cfg.trials // 10, 100))
     vbases = generators.random_rim_bases(gen, nb)
+    vclasses = _classes(vbases, opt).tolist()
     bad = 0
     for i in range(nb):
-        val = rim.validate_rim_base(vbases[i], opt)
-        cls = lounesto.classify(bilinear.compute(vbases[i]), opt)
-        bad += not (val.ok and cls == lounesto.LounestoClass.TYPE1)
+        bad += not (rim.validate_rim_base(vbases[i], opt).ok and vclasses[i] == T1)
     checks.append(_check("valid_bases_type1", nb, bad, 0))
 
     bad = 0

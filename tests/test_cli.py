@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from spinorlab import bilinear, cli, plane, rim, spinor
+from spinorlab import bilinear, cli, io, plane, rim, spinor
+from spinorlab.errors import SpinorlabError
 from spinorlab.generators import random_rim_bases
+from spinorlab.lounesto import LounestoClass
 
 
 def write_json(path, obj):
@@ -242,3 +244,66 @@ def test_report_order_matches_input_order(tmp_path, capsys, rng):
     code, rep = run_cli(["classify", "--input", path], capsys)
     assert code == 0
     assert [r["id"] for r in rep["rows"]] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_classify_rejects_non_finite_csv(tmp_path, capsys, bad):
+    path = tmp_path / "corpus.csv"
+    path.write_text("1,0,0,0,0,0,0,0\n1,0,0,0,%s,0,0.2,0\n" % bad)
+    code = cli.main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert str(path) in lines[0] and "row 2" in lines[0] and "non-finite" in lines[0]
+
+
+def test_report_refuses_nan():
+    with pytest.raises(ValueError):
+        io.dumps_report({"value": float("nan")})
+
+
+def test_report_encodes_numpy_and_complex_like_python():
+    report = {
+        "arr": np.array([[1.5, -0.0], [2.0, 3.25]]),
+        "flag": np.bool_(True),
+        "count": np.int64(7),
+        "f32": np.float32(0.5),
+        "f64": np.float64(0.1),
+        "z": 1 - 2j,
+        "zs": np.array([0.5j]),
+        "cls": LounestoClass.TYPE3,
+    }
+    plain = {
+        "arr": [[1.5, -0.0], [2.0, 3.25]],
+        "flag": True,
+        "count": 7,
+        "f32": 0.5,
+        "f64": 0.1,
+        "z": {"re": 1.0, "im": -2.0},
+        "zs": [{"re": 0.0, "im": 0.5}],
+        "cls": 3,
+    }
+    assert io.dumps_report(report) == io.dumps_report(plain)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--trials", "0"], ["--trials", "-5"], ["--trials", "x"], ["--seed", "-1"], ["--seed", str(2**112)]],
+)
+def test_verify_rejects_out_of_range_arguments(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "clifford"] + flags)
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_accepts_range_edges(capsys):
+    code, rep = run_cli(["verify", "--suite", "clifford", "--trials", "1", "--seed", str(2**112 - 1)], capsys)
+    assert code == 0
+    assert rep["config"]["seed"] == 2**112 - 1
+
+
+def test_input_error_is_a_spinorlab_error():
+    assert issubclass(io.InputError, SpinorlabError)
