@@ -15,8 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import build, levi_civita, minkowski_dot
-from .errors import DegenerateXi
-from .spinor import DualKind
+from .spinor import DualKind, dirac_dual, mdo_dual
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -84,15 +83,11 @@ def _form_stack() -> np.ndarray:
 
 
 def _duals_for(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None) -> np.ndarray:
-    g0 = build().gamma[0]
     if dual is DualKind.DIRAC:
-        return np.conj(psis) @ g0
+        return dirac_dual(psis)
     if xi is None:
         raise ValueError("MDO dual requires the Xi operator")
-    xi = np.asarray(xi, dtype=complex)
-    if np.max(np.abs(xi @ xi - np.eye(4))) > 1e-9:
-        raise DegenerateXi("Xi^2 != 1 beyond tolerance")
-    return np.conj(psis @ xi.T) @ g0
+    return mdo_dual(psis, xi)
 
 
 def compute_batch(

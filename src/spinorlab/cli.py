@@ -35,8 +35,8 @@ def _tol_default() -> float:
         tol = float(env)
     except ValueError as exc:
         raise io.InputError(f"SPINORLAB_TOL={env!r} is not a number") from exc
-    if tol <= 0:
-        raise io.InputError("SPINORLAB_TOL must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise io.InputError("SPINORLAB_TOL must be positive and finite")
     return tol
 
 
@@ -52,44 +52,51 @@ def _int_range(lo: int, hi: float = math.inf):
     return integer
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite float, else a usage error (exit 2)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinorlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
+    tol = argparse.ArgumentParser(add_help=False, parents=[output])
+    tol.add_argument("--tol", type=_positive_float, default=None)
 
-    p = sub.add_parser("classify", help="Lounesto class of each input spinor")
+    p = sub.add_parser("classify", parents=[tol], help="Lounesto class of each input spinor")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("decompose", help="plane coordinates against a base spinor")
+    decompose_help = (
+        "plane coordinates against a base spinor; --tol sets the classification "
+        f"tolerance only; plane membership always uses DECOMPOSE_TOL = {plane.DECOMPOSE_TOL:g}"
+    )
+    p = sub.add_parser("decompose", parents=[tol], help=decompose_help, description=decompose_help)
     p.add_argument("--input", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("map", help="block-scalar map between Dirac and MDO images")
+    p = sub.add_parser("map", parents=[tol], help="block-scalar map between Dirac and MDO images")
     p.add_argument("--direction", required=True, choices=["dirac-to-mdo", "mdo-to-dirac"])
     p.add_argument("--params", required=True)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("homotopy", help="straight-line path between two spinors")
+    p = sub.add_parser("homotopy", parents=[tol], help="straight-line path between two spinors")
     p.add_argument("--from", dest="from_path", required=True)
     p.add_argument("--to", dest="to_path", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--steps", type=_int_range(1), default=10)
 
-    p = sub.add_parser("mdo", help="construct a dual-helicity spinor and its residuals")
+    p = sub.add_parser("mdo", parents=[output], help="construct a dual-helicity spinor and its residuals")
     p.add_argument("--momentum", required=True)
     p.add_argument("--conj", choices=["S", "A"], default="S")
     p.add_argument("--helicity", choices=["+", "-"], default="+")
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("verify", help="run the randomized identity suites")
+    p = sub.add_parser("verify", parents=[tol], help="run the randomized identity suites")
     p.add_argument(
         "--suite",
         required=True,
@@ -97,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_int_range(1), default=1000)
     p.add_argument("--seed", type=_int_range(0, rng.SEED_LIMIT), default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--output", default=None)
     return parser
 
 
@@ -109,8 +114,7 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
-    opt = lounesto.ClassifyOptions(tol=tol)
+    opt = lounesto.ClassifyOptions(tol=args.tol)
     cov = bilinear.compute_batch(io.load_spinors(args.input))
     classes, errors, near = lounesto.classify_batch(cov, opt)
     residuals = bilinear.fpk_residuals_batch(cov)
@@ -145,14 +149,13 @@ def _cmd_classify(args) -> int:
                 "fpk_residuals": res,
             }
         )
-    report = {"command": "classify", "config": {"tol": tol, "input": str(args.input)}, "rows": rows}
+    report = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}, "rows": rows}
     _emit(report, args.output)
     return EXIT_FLAGGED if near.any() else EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
-    opt = lounesto.ClassifyOptions(tol=tol)
+    opt = lounesto.ClassifyOptions(tol=args.tol)
     psis = io.load_spinors(args.input)
     base = io.load_spinors(args.base)[0]
     base_cov = bilinear.compute(base)
@@ -185,7 +188,7 @@ def _cmd_decompose(args) -> int:
         rows.append(row)
     report = {
         "command": "decompose",
-        "config": {"tol": tol, "input": str(args.input), "base": str(args.base)},
+        "config": {"tol": args.tol, "input": str(args.input), "base": str(args.base)},
         "base": {"A": a_val, "B": b_val},
         "rows": rows,
     }
@@ -194,16 +197,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
     a, b = io.load_params(args.params)
-    params = rim.validate(a, b, tol)
+    params = rim.validate(a, b, args.tol)
     inputs = io.load_coeff_inputs(args.coeffs)
     psi = io.load_spinors(args.input)[0]
     cov = bilinear.from_scalars(
         inputs["A"], inputs["B"], [0.0] * 4, [0.0] * 4, np.zeros((4, 4))
     )
     c = plane.coefficient_set(
-        params, cov, inputs["M"], inputs["m"], inputs["theta"], inputs["sign"], tol
+        params, cov, inputs["M"], inputs["m"], inputs["theta"], inputs["sign"], args.tol
     )
     mapped = plane.map_dirac_mdo(psi, c, args.direction)
     reverse = "mdo-to-dirac" if args.direction == "dirac-to-mdo" else "dirac-to-mdo"
@@ -213,7 +215,7 @@ def _cmd_map(args) -> int:
     report = {
         "command": "map",
         "config": {
-            "tol": tol,
+            "tol": args.tol,
             "direction": args.direction,
             "params": str(args.params),
             "coeffs": str(args.coeffs),
@@ -229,8 +231,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_homotopy(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
-    opt = lounesto.ClassifyOptions(tol=tol)
+    opt = lounesto.ClassifyOptions(tol=args.tol)
     psi = io.load_spinors(args.from_path)[0]
     phi = io.load_spinors(args.to_path)[0]
     base = io.load_spinors(args.base)[0]
@@ -240,7 +241,7 @@ def _cmd_homotopy(args) -> int:
     psi_c = plane.decompose(psi, base)
     phi_c = plane.decompose(phi, base)
     path = homotopy.spinor_homotopy(psi_c, phi_c)
-    steps = max(args.steps, 1)
+    steps = args.steps
     rows = []
     for i in range(steps + 1):
         t = i / steps
@@ -267,7 +268,7 @@ def _cmd_homotopy(args) -> int:
     report = {
         "command": "homotopy",
         "config": {
-            "tol": tol,
+            "tol": args.tol,
             "from": str(args.from_path),
             "to": str(args.to_path),
             "base": str(args.base),
@@ -321,8 +322,7 @@ def _cmd_mdo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
-    cfg = SuiteConfig(trials=args.trials, seed=args.seed, tol=tol)
+    cfg = SuiteConfig(trials=args.trials, seed=args.seed, tol=args.tol)
     report = run_suites([args.suite], cfg)
     report = {"command": "verify", **report}
     _emit(report, args.output)
@@ -343,8 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "tol", DEFAULT_TOL) is None:
+            args.tol = _tol_default()
         return _COMMANDS[args.command](args)
-    except (io.InputError, IntegrabilityViolation) as exc:
+    # ValueError: a report with a non-finite value (json allow_nan=False)
+    except (io.InputError, IntegrabilityViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SpinorlabError as exc:

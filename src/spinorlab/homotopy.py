@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import BasisMismatch, DegenerateParameter
 from .lounesto import ClassifyOptions, LounestoClass, classify_by_coefficients
-from .plane import PlaneCoords, decompose
-from .spinor import DEFAULT_TOL, assemble, block1, block2, chiral_parts
+from .plane import PlaneCoords, block_scale, decompose
+from .spinor import DEFAULT_TOL, chiral_parts
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def sample_basis(
     wscale = max(1.0, abs(path.f.w), abs(path.g.w))
     if abs(wt) <= tol * wscale:
         raise DegenerateParameter(f"vanishing block coefficient at t={t!r}")
-    tracked = assemble(x * np.asarray(block1(base)), (wt * x) * np.asarray(block2(base)))
+    tracked = block_scale(base, x, wt * x)
     pair = chiral_parts(tracked)
     coords = decompose(tracked, tracked)
     return pair, coords

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +27,19 @@ def _fail(path, msg: str) -> InputError:
     return InputError(f"{path}: {msg}")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _fail(path, f"cannot parse JSON ({exc})") from exc
+
+
 def load_spinors(path: str | Path) -> np.ndarray:
     """Load one spinor or a corpus; always returns shape (n, 4)."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(path, f"cannot parse JSON ({exc})") from exc
+    obj = _read_json(path)
     if isinstance(obj, dict) and "spinors" in obj:
         obj = obj["spinors"]
     if isinstance(obj, dict):
@@ -65,10 +70,7 @@ def _load_csv(path: Path) -> np.ndarray:
 
 def load_params(path: str | Path) -> tuple[complex, complex]:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(path, f"cannot parse JSON ({exc})") from exc
+    obj = _read_json(path)
     try:
         a = spinor.complex_from_json(obj["a"])
         b = spinor.complex_from_json(obj["b"])
@@ -80,10 +82,7 @@ def load_params(path: str | Path) -> tuple[complex, complex]:
 def load_coeff_inputs(path: str | Path) -> dict:
     """Map inputs {A, B, M, m, theta, sign} for the coefficient set."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(path, f"cannot parse JSON ({exc})") from exc
+    obj = _read_json(path)
     try:
         sign = obj.get("sign", "+")
         return {
@@ -94,22 +93,28 @@ def load_coeff_inputs(path: str | Path) -> dict:
             "theta": float(obj.get("theta", 0.0)),
             "sign": +1 if sign in ("+", 1, +1) else -1,
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"coefficient inputs need A, B [, M, m, theta, sign] ({exc})") from exc
 
 
 def load_momentum(path: str | Path) -> dict:
+    """Momentum {m > 0, p >= 0, theta, phi}, all finite."""
     path = Path(path)
+    obj = _read_json(path)
     try:
-        obj = json.loads(path.read_text())
-        return {
+        mom = {
             "m": float(obj["m"]),
             "p": float(obj["p"]),
             "theta": float(obj.get("theta", 0.0)),
             "phi": float(obj.get("phi", 0.0)),
         }
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"momentum needs m, p [, theta, phi] ({exc})") from exc
+    if not all(math.isfinite(v) for v in mom.values()):
+        raise _fail(path, "momentum values must be finite")
+    if mom["m"] <= 0 or mom["p"] < 0:
+        raise _fail(path, f"momentum needs m > 0 and p >= 0, got m={mom['m']!r}, p={mom['p']!r}")
+    return mom
 
 
 def _json_default(obj):

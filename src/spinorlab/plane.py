@@ -24,7 +24,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .rim import RimParams
-from .spinor import DEFAULT_TOL, assemble, block1, block2
+from .spinor import DEFAULT_TOL, block1, block2
 
 DECOMPOSE_TOL = 1e-8
 
@@ -139,8 +139,17 @@ def make_operator(c1: complex, c2: complex) -> MOperator:
     return MOperator(c1=complex(c1), c2=complex(c2))
 
 
+def block_scale(psi: np.ndarray, c1, c2) -> np.ndarray:
+    """c1*block1(psi) + c2*block2(psi) for a (4,) spinor, or row by row for
+    an (n, 4) stack with scalar or (n,) coefficients."""
+    psi = np.asarray(psi)
+    c1 = np.asarray(c1)[..., None]
+    c2 = np.asarray(c2)[..., None]
+    return np.concatenate([c1 * psi[..., :2], c2 * psi[..., 2:]], axis=-1, dtype=complex)
+
+
 def apply_operator(op: MOperator, psi: np.ndarray) -> np.ndarray:
-    return assemble(op.c1 * block1(psi), op.c2 * block2(psi))
+    return block_scale(psi, op.c1, op.c2)
 
 
 def operator_matrix(op: MOperator) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import Bilinears, compute
+from .bilinear import Bilinears, compute, compute_batch
 from .clifford import build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent
 from .lounesto import ClassifyOptions
@@ -32,6 +32,8 @@ _QUARTERS = (
 )
 # admissible (W_i, Z_j) quarter pairs, numbered domains 1..6
 DOMAIN_PAIRS = {(1, 1): 1, (4, 1): 2, (4, 4): 3, (2, 2): 4, (3, 2): 5, (3, 3): 6}
+# lowers the index of a stored contravariant current
+_ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class OmegaDomain(enum.Enum):
@@ -148,13 +150,8 @@ def rim_derivative(psi: np.ndarray, params: RimParams) -> np.ndarray:
     are lowered with eta here.  The axial coupling enters with -gamma5 (see
     module docstring).
     """
-    b = compute(psi)
-    g5 = build().gamma5
-    eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
-    jl = eta_diag * b.J
-    kl = eta_diag * b.K
-    g5psi = g5 @ psi
-    return np.stack([params.a * jl[mu] * psi - params.b * kl[mu] * g5psi for mu in range(4)])
+    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
+    return _derivative_batch(psis, compute_batch(psis), [params.a], [params.b])[0]
 
 
 def heisenberg_residual(psi: np.ndarray, params: RimParams) -> float:
@@ -164,12 +161,7 @@ def heisenberg_residual(psi: np.ndarray, params: RimParams) -> float:
     the pointwise statement that condition solutions solve the cubic
     equation.
     """
-    b = compute(psi)
-    g = build()
-    d = rim_derivative(psi, params)
-    lhs = 1j * sum(g.gamma[mu] @ d[mu] for mu in range(4))
-    rhs = 2.0 * params.s * (b.A * psi + 1j * b.B * (g.gamma5 @ psi))
-    return float(np.linalg.norm(lhs - rhs))
+    return float(heisenberg_residual_batch(psi, [params.a], [params.b], [params.s])[0])
 
 
 def del_ab_residuals(psi: np.ndarray, params: RimParams) -> tuple[float, float]:
@@ -180,25 +172,8 @@ def del_ab_residuals(psi: np.ndarray, params: RimParams) -> tuple[float, float]:
     the B identity is the one that closes algebraically in this
     representation.  The dual derivative is (D_mu psi)^dag gamma0.
     """
-    b = compute(psi)
-    g0 = build().gamma[0]
-    g5 = build().gamma5
-    eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
-    jl = eta_diag * b.J
-    kl = eta_diag * b.K
-    d = rim_derivative(psi, params)
-    dual = np.conj(psi) @ g0
-    a, bb = params.a, params.b
-    worst_a = worst_b = 0.0
-    for mu in range(4):
-        dbar = np.conj(d[mu]) @ g0
-        da = dbar @ psi + dual @ d[mu]
-        db = 1j * (dbar @ g5 @ psi + dual @ g5 @ d[mu])
-        rhs_a = (a + np.conj(a)) * b.A * jl[mu] + 1j * (bb - np.conj(bb)) * b.B * kl[mu]
-        rhs_b = (a + np.conj(a)) * b.B * jl[mu] - 1j * (bb - np.conj(bb)) * b.A * kl[mu]
-        worst_a = max(worst_a, abs(da - rhs_a))
-        worst_b = max(worst_b, abs(db - rhs_b))
-    return worst_a, worst_b
+    res_a, res_b = del_ab_residuals_batch(psi, [params.a], [params.b])
+    return float(res_a[0]), float(res_b[0])
 
 
 def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions()) -> BaseValidation:
@@ -254,6 +229,16 @@ def restriction_operator(bil: Bilinears, tol: float = DEFAULT_TOL) -> np.ndarray
     return g_comm
 
 
+def _derivative_batch(psis: np.ndarray, cov: dict, a, b) -> np.ndarray:
+    """(n, 4mu, 4) stack of D_mu psi = (a J_mu - b K_mu gamma5) psi."""
+    jl = cov["J"] * _ETA
+    kl = cov["K"] * _ETA
+    g5psi = psis @ build().gamma5.T
+    a = np.asarray(a, dtype=complex)[:, None, None]
+    b = np.asarray(b, dtype=complex)[:, None, None]
+    return a * jl[:, :, None] * psis[:, None, :] - b * kl[:, :, None] * g5psi[:, None, :]
+
+
 def heisenberg_residual_batch(
     psis: np.ndarray,
     a: np.ndarray,
@@ -261,20 +246,12 @@ def heisenberg_residual_batch(
     s: np.ndarray,
 ) -> np.ndarray:
     """Vectorized residuals for stacks of spinors and coupling pairs."""
-    from .bilinear import compute_batch
-
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
     cov = compute_batch(psis)
     g = build()
-    eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
-    jl = cov["J"] * eta_diag
-    kl = cov["K"] * eta_diag
+    d = _derivative_batch(psis, cov, a, b)
     g5psi = psis @ g.gamma5.T
-    a = np.asarray(a, dtype=complex)[:, None, None]
-    b_ = np.asarray(b, dtype=complex)[:, None, None]
-    d = a * jl[:, :, None] * psis[:, None, :] - b_ * kl[:, :, None] * g5psi[:, None, :]
-    gammas = np.stack(g.gamma)
-    lhs = 1j * np.einsum("mij,nmj->ni", gammas, d)
+    lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
     rhs = 2.0 * np.asarray(s)[:, None] * (
         cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi
     )
@@ -287,21 +264,15 @@ def del_ab_residuals_batch(
     b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (max over mu) residuals of the A and B identities."""
-    from .bilinear import compute_batch
-
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
     cov = compute_batch(psis)
     g = build()
-    eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
-    jl = cov["J"] * eta_diag
-    kl = cov["K"] * eta_diag
+    jl = cov["J"] * _ETA
+    kl = cov["K"] * _ETA
     g5psi = psis @ g.gamma5.T
+    d = _derivative_batch(psis, cov, a, b)
     a = np.asarray(a, dtype=complex)
     b_ = np.asarray(b, dtype=complex)
-    d = (
-        a[:, None, None] * jl[:, :, None] * psis[:, None, :]
-        - b_[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
-    )
     g0 = g.gamma[0]
     dbar = np.conj(d) @ g0  # (n, 4mu, 4)
     dual = np.conj(psis) @ g0

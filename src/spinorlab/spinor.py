@@ -29,32 +29,34 @@ def as_spinor(values) -> np.ndarray:
     return psi
 
 
-def norm_sq(psi: np.ndarray) -> float:
-    """Sum of |c_i|^2; the quadratic scale of every bilinear."""
-    return float(np.sum(np.abs(np.asarray(psi)) ** 2))
+def norm_sq(psi: np.ndarray) -> float | np.ndarray:
+    """Sum of |c_i|^2 over the last axis; the quadratic scale of every
+    bilinear.  A (4,) spinor gives a scalar, an (n, 4) stack an (n,) array."""
+    return np.sum(np.abs(np.asarray(psi)) ** 2, axis=-1)
 
 
-def quad_scale(psi: np.ndarray) -> float:
+def quad_scale(psi: np.ndarray) -> float | np.ndarray:
     """Floor-at-one scale for zero-testing quantities quadratic in psi."""
-    return max(1.0, norm_sq(psi))
+    return np.maximum(1.0, norm_sq(psi))
 
 
-def quartic_scale(psi: np.ndarray) -> float:
+def quartic_scale(psi: np.ndarray) -> float | np.ndarray:
     """Floor-at-one scale for residuals quartic in psi (identity checks)."""
-    return max(1.0, norm_sq(psi) ** 2)
+    return np.maximum(1.0, norm_sq(psi) ** 2)
 
 
 def dirac_dual(psi: np.ndarray) -> np.ndarray:
-    """psi^dag gamma^0 as a row."""
+    """psi^dag gamma^0 as a row, or one row per spinor of an (n, 4) stack."""
     return np.conj(psi) @ build().gamma[0]
 
 
 def mdo_dual(psi: np.ndarray, xi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(Xi psi)^dag gamma^0; Xi must square to the identity."""
+    """(Xi psi)^dag gamma^0 as a row, or one row per spinor of an (n, 4)
+    stack; Xi must square to the identity."""
     xi = np.asarray(xi, dtype=complex)
     if np.max(np.abs(xi @ xi - np.eye(4))) > tol:
         raise DegenerateXi("Xi^2 != 1 beyond tolerance")
-    return np.conj(xi @ psi) @ build().gamma[0]
+    return np.conj(np.asarray(psi) @ xi.T) @ build().gamma[0]
 
 
 def block1(psi: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bilinear, clifford, generators, homotopy, lounesto, mdo, plane, rim, rng
 from .errors import DegenerateParameter
-from .spinor import DEFAULT_TOL, DualKind, assemble, block1, block2, dirac_dual
+from .spinor import DEFAULT_TOL, DualKind, assemble, block1, block2, dirac_dual, quad_scale, quartic_scale
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ def _report(suite: str, checks: list[dict]) -> dict:
     return {"suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _scaled(psis: np.ndarray, power: int = 2) -> np.ndarray:
-    ns = np.sum(np.abs(psis) ** 2, axis=1)
-    return np.maximum(1.0, ns ** (power / 2.0))
+def _worst_rel(diffs: list[np.ndarray], scale: np.ndarray) -> float:
+    """Largest |diff| / scale over arrays whose first axis runs over trials."""
+    return max(np.max(np.abs(d) / scale.reshape(-1, *[1] * (d.ndim - 1))) for d in diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +101,14 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
 
     psis = generators.random_spinors(gen, n)
     cov = bilinear.compute_batch(psis)
-    quartic = _scaled(psis, 4)
-    quad = _scaled(psis, 2)
+    quartic = quartic_scale(psis)
+    quad = quad_scale(psis)
 
     res = bilinear.fpk_residuals_batch(cov) / quartic[:, None]
     for i, name in enumerate(["fpk_j2_ab", "fpk_axial_tensor", "fpk_jk_orthogonal", "fpk_j2_k2"]):
         checks.append(_check(name, n, np.max(res[:, i]), 1e-10))
 
-    reality = max(
-        np.max(np.abs(cov["A"].imag) / quad),
-        np.max(np.abs(cov["B"].imag) / quad),
-        np.max(np.abs(cov["J"].imag) / quad[:, None]),
-        np.max(np.abs(cov["K"].imag) / quad[:, None]),
-        np.max(np.abs(cov["S"].imag) / quad[:, None, None]),
-    )
+    reality = _worst_rel([cov[k].imag for k in "ABJKS"], quad)
     checks.append(_check("dirac_dual_reality", n, reality, 1e-10))
 
     a_split = np.max(np.abs(cov["A"] - (cov["A1"] + cov["A2"])) / quad)
@@ -124,21 +118,16 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
     bases = generators.random_spinors(gen, n)
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    psis2 = np.concatenate([r1[:, None] * bases[:, :2], r2[:, None] * bases[:, 2:]], axis=1)
+    psis2 = plane.block_scale(bases, r1, r2)
     oracle = bilinear.compute_batch(psis2)
     fast = bilinear.compute_fast_batch(bases, r1, r2)
-    scale2 = _scaled(psis2, 2)
-    worst = max(
-        np.max(np.abs(fast["A"] - oracle["A"]) / scale2),
-        np.max(np.abs(fast["B"] - oracle["B"]) / scale2),
-        np.max(np.abs(fast["J"] - oracle["J"]) / scale2[:, None]),
-        np.max(np.abs(fast["K0"] - oracle["K"][:, 0]) / scale2),
+    scale2 = quad_scale(psis2)
+    worst = _worst_rel(
+        [fast[k] - oracle[k] for k in "ABJ"]
+        + [fast["K0"] - oracle["K"][:, 0]]
+        + [fast[f"S{mu}{nu}"] - oracle["S"][:, mu, nu] for mu in range(4) for nu in range(mu + 1, 4)],
+        scale2,
     )
-    for (mu, nu), key in zip(
-        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-        ("S01", "S02", "S03", "S12", "S13", "S23"),
-    ):
-        worst = max(worst, np.max(np.abs(fast[key] - oracle["S"][:, mu, nu]) / scale2))
     checks.append(_check("fast_vs_matrix", n, worst, 1e-10))
 
     m = min(n, 2000)
@@ -146,14 +135,8 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
     theta = gen.uniform(0.0, 2.0 * np.pi, m)
     rotated = bilinear.compute_batch(np.exp(1j * theta)[:, None] * sub)
     base_cov = bilinear.compute_batch(sub)
-    subquad = _scaled(sub, 2)
-    worst = max(
-        np.max(np.abs(rotated["A"] - base_cov["A"]) / subquad),
-        np.max(np.abs(rotated["B"] - base_cov["B"]) / subquad),
-        np.max(np.abs(rotated["J"] - base_cov["J"]) / subquad[:, None]),
-        np.max(np.abs(rotated["K"] - base_cov["K"]) / subquad[:, None]),
-        np.max(np.abs(rotated["S"] - base_cov["S"]) / subquad[:, None, None]),
-    )
+    subquad = quad_scale(sub)
+    worst = _worst_rel([rotated[k] - base_cov[k] for k in "ABJKS"], subquad)
     checks.append(_check("phase_invariance", m, worst, 1e-10))
 
     c = gen.uniform(0.3, 2.5, m)
@@ -177,10 +160,6 @@ def _classes(psis: np.ndarray, opt: lounesto.ClassifyOptions) -> np.ndarray:
     return lounesto.classify_batch(bilinear.compute_batch(psis), opt)[0]
 
 
-def _decomposed(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    return np.concatenate([r1[:, None] * bases[:, :2], r2[:, None] * bases[:, 2:]], axis=1)
-
-
 def suite_props(cfg: SuiteConfig) -> dict:
     gen = rng.stream(cfg.seed, "props")
     opt = lounesto.ClassifyOptions(tol=cfg.tol)
@@ -196,7 +175,7 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    brute = _classes(_decomposed(bases, r1, r2), opt).tolist()
+    brute = _classes(plane.block_scale(bases, r1, r2), opt).tolist()
     mism = bad45 = 0
     for i in range(n):
         fastc = by_coefficients(r1[i], r2[i], a_vals[i], b_vals[i], opt)
@@ -207,14 +186,14 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     rr1 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
     rr2 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
-    brute = _classes(_decomposed(bases, rr1 + 0j, rr2 + 0j), opt).tolist()
+    brute = _classes(plane.block_scale(bases, rr1 + 0j, rr2 + 0j), opt).tolist()
     bad = 0
     for i in range(n):
         fastc = by_coefficients(rr1[i], rr2[i], a_vals[i], b_vals[i], opt)
         bad += fastc != T1 or brute[i] != T1
     checks.append(_check("real_pairs_type1", n, bad, 0))
 
-    cov6 = bilinear.compute_batch(_decomposed(bases, r1, np.zeros(n, dtype=complex)))
+    cov6 = bilinear.compute_batch(plane.block_scale(bases, r1, np.zeros(n, dtype=complex)))
     thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
     lemma4 = (
         (lounesto.classify_batch(cov6, opt)[0] == T6)
@@ -234,8 +213,8 @@ def suite_props(cfg: SuiteConfig) -> dict:
     ones = np.ones(m, dtype=complex)
     r2sol = np.conj(-A * s + 1j * B * s)  # r1 = 1, z on the surface A*Im(z) = -B*Re(z)
     r3sol = np.conj(B * s + 1j * A * s)  # z on the surface A*Re(z) = B*Im(z)
-    cov2 = bilinear.compute_batch(_decomposed(bases[:m], ones, r2sol))
-    cov3 = bilinear.compute_batch(_decomposed(bases[:m], ones, r3sol))
+    cov2 = bilinear.compute_batch(plane.block_scale(bases[:m], ones, r2sol))
+    cov3 = bilinear.compute_batch(plane.block_scale(bases[:m], ones, r3sol))
     brute2 = lounesto.classify_batch(cov2, opt)[0]
     brute3 = lounesto.classify_batch(cov3, opt)[0]
     ok2 = ((brute2 == T2) & (np.abs(cov2["A"]) > cfg.tol)).tolist()
@@ -318,7 +297,7 @@ def suite_rim(cfg: SuiteConfig) -> dict:
     psis = generators.random_spinors(gen, n)
     a_arr, b_arr = generators.random_valid_params(gen, n)
     s_arr = 0.5 * (b_arr.imag - a_arr.imag)
-    quartic = _scaled(psis, 4)
+    quartic = quartic_scale(psis)
     res = rim.heisenberg_residual_batch(psis, a_arr, b_arr, s_arr) / quartic
     checks.append(_check("heisenberg_pointwise", n, np.max(res), 1e-10))
 
@@ -327,17 +306,16 @@ def suite_rim(cfg: SuiteConfig) -> dict:
     vbases = vbases / np.linalg.norm(vbases, axis=1)[:, None]  # unit scale for the margin bound
     av, bv = generators.random_valid_params(gen, m)
     sv = 0.5 * (bv.imag - av.imag) + 0.1  # broken balance
-    control = rim.heisenberg_residual_batch(vbases, av, bv, sv) / _scaled(vbases, 4)
+    control = rim.heisenberg_residual_batch(vbases, av, bv, sv) / quartic_scale(vbases)
     checks.append(_check("heisenberg_control", m, 1e-3 / max(np.min(control), 1e-300), 1.0))
 
     res_a, res_b = rim.del_ab_residuals_batch(psis, a_arr, b_arr)
     checks.append(_check("del_A_identity", n, np.max(res_a / quartic), 1e-10))
     checks.append(_check("del_B_identity", n, np.max(res_b / quartic), 1e-10))
 
-    m = min(n, 1000)
     pb = generators.random_rim_bases(gen, m)
     pa, pbb = generators.random_valid_params(gen, m)
-    worst_phase = worst_shift = 0.0
+    worst_phase = worst_shift = worst_tr = 0.0
     for i in range(m):
         params = rim.validate(pa[i], pbb[i], cfg.tol)
         bil = bilinear.compute(pb[i])
@@ -350,15 +328,11 @@ def suite_rim(cfg: SuiteConfig) -> dict:
             abs(pots_c.S - pots.S - math.log(c * c) / (2.0 * params.a.real)),
             abs(pots_c.R - pots.R),
         )
+        g = rim.restriction_operator(bil, cfg.tol)  # raises if the forms disagree
+        worst_tr = max(worst_tr, abs(np.trace(g)))
     checks.append(_check("vartheta_unit_modulus", m, worst_phase, 1e-10))
     checks.append(_check("potentials_scaling", m, worst_shift, 1e-10))
 
-    worst_tr = 0.0
-    worst_g0 = 0.0
-    for i in range(m):
-        bil = bilinear.compute(pb[i])
-        g = rim.restriction_operator(bil, cfg.tol)  # raises if the forms disagree
-        worst_tr = max(worst_tr, abs(np.trace(g)))
     zero_k = bilinear.from_scalars(1.0, 0.0, [1.0, 0, 0, 0], [0.0, 0, 0, 0], np.zeros((4, 4)))
     worst_g0 = np.max(np.abs(rim.restriction_operator(zero_k, cfg.tol)))
     checks.append(_check("restriction_trace", m, worst_tr, 1e-10))
@@ -492,10 +466,9 @@ def suite_plane(cfg: SuiteConfig) -> dict:
         type1_bad += cls != lounesto.LounestoClass.TYPE1
 
         ph = np.exp(1j * float(gen.uniform(0.0, 2.0 * np.pi)))
-        rotated = np.concatenate([coords_r[i] * (ph * base)[:2], coords_r2[i] * (ph * base)[2:]])
-        plain = np.concatenate([coords_r[i] * base[:2], coords_r2[i] * base[2:]])
+        rotated = plane.block_scale(ph * base, coords_r[i], coords_r2[i])
         c_rot = lounesto.classify(bilinear.compute(rotated), opt)
-        c_plain = lounesto.classify(bilinear.compute(plain), opt)
+        c_plain = lounesto.classify(bilinear.compute(made), opt)
         phase_bad += c_rot != c_plain
 
     checks.append(_check("chi_roundtrip", n, worst["chi_roundtrip"], 1e-12))

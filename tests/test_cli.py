@@ -307,3 +307,71 @@ def test_verify_accepts_range_edges(capsys):
 
 def test_input_error_is_a_spinorlab_error():
     assert issubclass(io.InputError, SpinorlabError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", "x.json", "--tol", "-1"],
+        ["decompose", "--input", "x.json", "--base", "b.json", "--tol", "0"],
+        ["verify", "--suite", "clifford", "--tol", "nan"],
+        ["map", "--direction", "dirac-to-mdo", "--params", "p", "--coeffs", "c", "--input", "x", "--tol", "inf"],
+        ["homotopy", "--from", "f", "--to", "t", "--base", "b", "--tol", "x"],
+    ],
+)
+def test_tol_must_be_positive_and_finite(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_homotopy_rejects_steps_below_one(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["homotopy", "--from", "f", "--to", "t", "--base", "b", "--steps", steps])
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "--steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, detail",
+    [
+        ({"m": 0, "p": 1}, "m > 0"),
+        ({"m": -1.0, "p": 1}, "m > 0"),
+        ({"m": 1.0, "p": -0.5}, "p >= 0"),
+        ({"m": float("nan"), "p": 1}, "finite"),
+        ({"m": 1.0, "p": 1, "theta": float("inf")}, "finite"),
+        ({"p": 1}, "momentum needs m, p"),
+    ],
+)
+def test_mdo_rejects_bad_momentum(tmp_path, capsys, payload, detail):
+    path = tmp_path / "mom.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["mdo", "--momentum", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and str(path) in lines[0] and detail in lines[0]
+
+
+def test_momentum_parse_failure_names_json(tmp_path):
+    path = tmp_path / "mom.json"
+    path.write_text("{not json")
+    with pytest.raises(io.InputError, match="cannot parse JSON"):
+        io.load_momentum(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_from_finite_input_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "mom.json", {"m": 1e308, "p": 1e308})
+    code = cli.main(["mdo", "--momentum", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: Out of range float values are not JSON compliant: nan"
+    ]

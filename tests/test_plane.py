@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto, plane, rim
 from spinorlab.errors import (
@@ -296,3 +298,31 @@ def test_base_phase_does_not_change_class(rng):
     assert lounesto.classify(bilinear.compute(plain), opt) == lounesto.classify(
         bilinear.compute(rotated), opt
     )
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+decades = st.floats(min_value=-3.0, max_value=3.0)
+phases = st.floats(min_value=0.0, max_value=2 * np.pi)
+
+
+@given(seed=seeds, d1=decades, d2=decades, p1=phases, p2=phases)
+@settings(deadline=None, max_examples=200)
+def test_decompose_recovers_block_scale_coordinates(seed, d1, d2, p1, p2):
+    base = random_rim_bases(np.random.default_rng(seed), 1)[0]
+    r1, r2 = 10.0**d1 * np.exp(1j * p1), 10.0**d2 * np.exp(1j * p2)
+    coords = plane.decompose(plane.block_scale(base, r1, r2), base)
+    assert abs(coords.r1 - r1) <= 1e-12 * abs(r1)
+    assert abs(coords.r2 - r2) <= 1e-12 * abs(r2)
+
+
+@given(seed=seeds, n=st.integers(min_value=1, max_value=8))
+@settings(deadline=None, max_examples=50)
+def test_block_scale_stack_matches_apply_operator_rows(seed, n):
+    gen = np.random.default_rng(seed)
+    psis = random_spinor(gen, n)
+    c1, c2 = random_spinor(gen, n)[:, :2].T
+    stacked = plane.block_scale(psis, c1, c2)
+    assert stacked.shape == (n, 4) and stacked.dtype == complex
+    for i in range(n):
+        row = plane.apply_operator(plane.make_operator(c1[i], c2[i]), psis[i])
+        assert np.array_equal(stacked[i], row)

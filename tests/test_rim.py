@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import bilinear, clifford, rim
 from spinorlab.errors import DegenerateB, IntegrabilityViolation, NullCurrent
@@ -271,3 +273,20 @@ def test_restriction_operator_null_current():
     b = bilinear.from_scalars(0.0, 0.0, [1.0, 0, 0, 1.0], [1.0, 0, 0, 1.0], np.zeros((4, 4)))
     with pytest.raises(NullCurrent):
         rim.restriction_operator(b)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decade=st.floats(min_value=-6.0, max_value=6.0),
+    phase=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+@settings(deadline=None, max_examples=200)
+def test_pointwise_identities_hold_under_scale_and_phase(seed, decade, phase):
+    gen = np.random.default_rng(seed)
+    psi = 10.0**decade * np.exp(1j * phase) * random_spinor(gen)
+    a, b = random_valid_params(gen, 1)
+    p = rim.validate(a[0], b[0])
+    scale = quartic_scale(psi)
+    assert rim.heisenberg_residual(psi, p) / scale <= 1e-10
+    ra, rb = rim.del_ab_residuals(psi, p)
+    assert max(ra, rb) / scale <= 1e-10

@@ -42,6 +42,17 @@ def test_mdo_dual_identity_xi_reduces_to_dirac(rng):
     assert np.allclose(spinor.mdo_dual(psi, np.eye(4)), spinor.dirac_dual(psi))
 
 
+def test_scales_and_mdo_dual_on_a_stack_match_each_row(rng):
+    psis = random_spinor(rng, 5)
+    xi = mdo.xi(mdo.Momentum(1.0, 0.5, np.pi / 3, np.pi / 5))
+    duals = spinor.mdo_dual(psis, xi)
+    for i, psi in enumerate(psis):
+        assert spinor.norm_sq(psis)[i] == spinor.norm_sq(psi)
+        assert spinor.quad_scale(psis)[i] == spinor.quad_scale(psi)
+        assert spinor.quartic_scale(psis)[i] == spinor.quartic_scale(psi)
+        assert np.max(np.abs(duals[i] - spinor.mdo_dual(psi, xi))) <= 1e-15 * spinor.quad_scale(psi)
+
+
 def test_mdo_dual_rejects_non_involution(rng):
     with pytest.raises(DegenerateXi):
         spinor.mdo_dual(random_spinor(rng), 2.0 * np.eye(4))
