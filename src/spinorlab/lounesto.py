@@ -5,12 +5,15 @@ apart by which of K, S vanish).  J must never vanish.  One decision table
 serves the scalar ``classify``, which raises, and ``classify_batch``, which
 returns per-row class and error codes.  The coefficient route
 classifies psi = r1*block1(base) + r2*block2(base) straight from (r1, r2)
-and the base scalars (A, B) without building any covariant.
+and the base scalars (A, B) without building any covariant; its scalar
+``classify_by_coefficients`` and ``classify_by_coefficients_batch`` do the
+same real arithmetic, on Python floats and on arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -123,10 +126,32 @@ def classify_batch(
     return classes, errors, bilinears_near_degenerate(cov, opt) & (errors == 0)
 
 
-def _check_base_scalars(A: float, B: float, tol: float) -> None:
-    s = max(1.0, abs(A), abs(B))
-    if abs(A) <= tol * s or abs(B) <= tol * s:
-        raise InvalidBase("base must have A != 0 and B != 0")
+_INVALID_BASE = (InvalidBase, "base must have A != 0 and B != 0")
+_ZERO_DECOMPOSITION = (ZeroDecomposition, "r1 = r2 = 0 is not a decomposition")
+
+# Row error codes of classify_by_coefficients_batch: 0 is no error, code c is
+# COEFFICIENT_ERRORS[c - 1].  InvalidBase takes precedence.
+COEFFICIENT_ERRORS = (_INVALID_BASE, _ZERO_DECOMPOSITION)
+
+# A row is near-degenerate when a decision input lies within this many
+# tolerances of its boundary.
+NEAR_BAND = 10.0
+
+
+def _unit_scale(rs: float) -> float:
+    """The power of two that brings rs >= 1 into [1, 2).
+
+    Every coefficient test is homogeneous in (r1, r2) and a power-of-two
+    rescale is exact, so the tests decide on the rescaled coordinates as on
+    the originals while their quartic products stay finite."""
+    return math.ldexp(1.0, 1 - math.frexp(rs)[1])
+
+
+def _conj_product(r1, r2, s):
+    """(Re z, Im z) of z = (s r1) conj(s r2), in real arithmetic, so Python
+    complex numbers and complex arrays give the same bits."""
+    x1, y1, x2, y2 = r1.real * s, r1.imag * s, r2.real * s, r2.imag * s
+    return x1 * x2 + y1 * y2, y1 * x2 - x1 * y2
 
 
 def classify_by_coefficients(
@@ -140,53 +165,108 @@ def classify_by_coefficients(
 
     Only classes 1, 2, 3 and 6 are reachable; the ratio conditions
     A = -iB (w+/w-) and A = -iB (w-/w+) with w+- = r1 r2* +- r1* r2 select
-    types 2 and 3, one vanishing coordinate selects type 6.
+    types 2 and 3, one vanishing coordinate selects type 6.  With
+    z = r1 r2* they read A + B Re z / Im z = 0 and A - B Im z / Re z = 0.
     """
     tol = opt.tol
-    _check_base_scalars(A, B, tol)
-    rs = max(1.0, abs(r1), abs(r2))
-    r1_zero = abs(r1) <= tol * rs
-    r2_zero = abs(r2) <= tol * rs
+    scale = max(abs(A), abs(B), 1.0)
+    if abs(A) <= tol * scale or abs(B) <= tol * scale:
+        _raise(_INVALID_BASE)
+    r1, r2 = complex(r1), complex(r2)
+    a1, a2 = abs(r1), abs(r2)
+    rs = max(1.0, a1, a2)
+    r1_zero = a1 <= tol * rs
+    r2_zero = a2 <= tol * rs
     if r1_zero and r2_zero:
-        raise ZeroDecomposition("r1 = r2 = 0 is not a decomposition")
+        _raise(_ZERO_DECOMPOSITION)
     if r1_zero or r2_zero:
         return LounestoClass.TYPE6
 
-    z = r1 * np.conj(r2)
-    guard = abs(z.real * z.imag) > tol * (abs(r1) * abs(r2)) ** 2
-    if guard:
-        w_plus = 2.0 * z.real
-        w_minus = 2j * z.imag
-        margin = tol * max(abs(A), abs(B), 1.0)
-        if abs(A + 1j * B * (w_plus / w_minus)) <= margin:
+    s = _unit_scale(rs)
+    zr, zi = _conj_product(r1, r2, s)
+    g = (a1 * s) * (a2 * s)
+    if abs(zr * zi) > tol * (g * g):
+        margin = tol * scale
+        if abs(A + B * (zr / zi)) <= margin:
             return LounestoClass.TYPE2
-        if abs(A + 1j * B * (w_minus / w_plus)) <= margin:
+        if abs(A - B * (zi / zr)) <= margin:
             return LounestoClass.TYPE3
     # boundary-straddling inputs fall through to the generic class
     return LounestoClass.TYPE1
 
 
+def classify_by_coefficients_batch(
+    r1: np.ndarray,
+    r2: np.ndarray,
+    A,
+    B,
+    opt: ClassifyOptions = ClassifyOptions(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``classify_by_coefficients`` and ``near_degenerate`` of every row.
+
+    r1, r2 are (n,) coordinates; A and B are scalars or (n,) arrays.
+    Returns (n,) arrays: class codes (1, 2, 3 or 6; 0 on an error row),
+    error codes (0, or c for ``COEFFICIENT_ERRORS[c - 1]``, the exception
+    ``classify_by_coefficients`` would raise) and near-degenerate flags
+    (False on error rows).  Row for row the same as the scalar route.
+    """
+    tol = opt.tol
+    r1 = np.asarray(r1, dtype=complex)
+    r2 = np.asarray(r2, dtype=complex)
+    a1, a2 = np.hypot(r1.real, r1.imag), np.hypot(r2.real, r2.imag)
+    rs = np.maximum(np.maximum(1.0, a1), a2)
+    r1_zero = a1 <= tol * rs
+    r2_zero = a2 <= tol * rs
+    s = np.ldexp(1.0, 1 - np.frexp(rs)[1])
+    zr, zi = _conj_product(r1, r2, s)
+    g = (a1 * s) * (a2 * s)
+    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        type2 = np.abs(A + B * (zr / zi))
+        type3 = np.abs(A - B * (zi / zr))
+    guard = np.abs(zr * zi) > tol * (g * g)
+    margin = tol * scale
+    classes = np.select(
+        [r1_zero | r2_zero, guard & (type2 <= margin), guard & (type3 <= margin)],
+        [LounestoClass.TYPE6, LounestoClass.TYPE2, LounestoClass.TYPE3],
+        LounestoClass.TYPE1,
+    )
+    errors = np.zeros(r1.shape, dtype=classes.dtype)
+    errors[r1_zero & r2_zero] = 1 + COEFFICIENT_ERRORS.index(_ZERO_DECOMPOSITION)
+    invalid = (np.abs(A) <= margin) | (np.abs(B) <= margin)
+    errors[np.broadcast_to(invalid, r1.shape)] = 1 + COEFFICIENT_ERRORS.index(_INVALID_BASE)
+    classes[errors != 0] = 0
+
+    small = np.minimum(a1, a2)
+    defined = (zr != 0.0) & (zi != 0.0)
+    lo = np.where(defined, np.minimum(type2 / scale, type3 / scale), np.inf)
+    near = ((tol * rs < small) & (small <= NEAR_BAND * tol * rs)) | ((tol < lo) & (lo <= NEAR_BAND * tol))
+    return classes, errors, near & (errors == 0)
+
+
 def coefficient_margins(r1: complex, r2: complex, A: float, B: float) -> dict[str, float]:
     """Distances to the type-2/3 decision surfaces (scaled like classify)."""
-    z = r1 * np.conj(r2)
+    r1, r2 = complex(r1), complex(r2)
+    a1, a2 = abs(r1), abs(r2)
+    s = _unit_scale(max(1.0, a1, a2))
+    zr, zi = _conj_product(r1, r2, s)
+    g = (a1 * s) * (a2 * s)
     scale = max(abs(A), abs(B), 1.0)
     out = {
-        "guard": abs(z.real * z.imag) / max((abs(r1) * abs(r2)) ** 2, 1e-300),
+        "guard": abs(zr * zi) / max(g * g, 1e-300),
         "type2": float("inf"),
         "type3": float("inf"),
     }
-    if z.real != 0.0 and z.imag != 0.0:
-        w_plus = 2.0 * z.real
-        w_minus = 2j * z.imag
-        out["type2"] = abs(A + 1j * B * (w_plus / w_minus)) / scale
-        out["type3"] = abs(A + 1j * B * (w_minus / w_plus)) / scale
+    if zr != 0.0 and zi != 0.0:
+        out["type2"] = abs(A + B * (zr / zi)) / scale
+        out["type3"] = abs(A - B * (zi / zr)) / scale
     return out
 
 
 def bilinears_near_degenerate(
     cov: dict[str, np.ndarray],
     opt: ClassifyOptions = ClassifyOptions(),
-    band: float = 10.0,
+    band: float = NEAR_BAND,
 ) -> np.ndarray:
     """(n,) flags: a zero-test input sits just above its threshold, i.e. the
     assigned class would flip under a ``band``-fold tolerance change."""
@@ -201,11 +281,12 @@ def near_degenerate(
     A: float,
     B: float,
     opt: ClassifyOptions = ClassifyOptions(),
-    band: float = 10.0,
+    band: float = NEAR_BAND,
 ) -> bool:
     """True when the input sits within ``band`` tolerances of a decision
     boundary (ratio conditions or a vanishing coordinate)."""
     tol = opt.tol
+    r1, r2 = complex(r1), complex(r2)
     rs = max(1.0, abs(r1), abs(r2))
     small = min(abs(r1), abs(r2))
     if tol * rs < small <= band * tol * rs:

@@ -21,6 +21,7 @@ from .errors import (
     InvalidBase,
     NonInvertible,
     NotInPlane,
+    SpinorlabError,
     ZeroCoefficient,
 )
 from .rim import RimParams
@@ -201,6 +202,15 @@ def map_dirac_mdo(psi: np.ndarray, c: CoefficientSet, direction: str = "dirac-to
     raise ValueError(f"unknown direction {direction!r}")
 
 
+_VANISHING_BLOCK = "base block vanishes; coordinate unrecoverable"
+
+
+def _not_in_plane(resid: float, denom: float, tol: float = DECOMPOSE_TOL) -> NotInPlane:
+    """The error of a row whose first failing block has residual ``resid``
+    at scale ``denom``."""
+    return NotInPlane(f"block residual {resid:.3e} exceeds {tol:.1e} x {denom:.3e}")
+
+
 def decompose(
     psi: np.ndarray,
     base: np.ndarray,
@@ -221,25 +231,73 @@ def decompose(
         bb = np.asarray(extract(base), dtype=complex)
         bb_sq = float(np.real(np.vdot(bb, bb)))
         if np.sqrt(bb_sq) <= tol * max(base_norm, 1e-300):
-            raise DegenerateBasis("base block vanishes; coordinate unrecoverable")
+            raise DegenerateBasis(_VANISHING_BLOCK)
         r = complex(np.vdot(bb, pb) / bb_sq)
         resid = float(np.linalg.norm(pb - r * bb))
         denom = max(float(np.linalg.norm(pb)), abs(r) * np.sqrt(bb_sq))
         # blocks that are negligible at the spinor's own scale count as zero
         # coordinates; only blocks that matter must be proportional
         if denom > tol * psi_norm and resid > tol * denom:
-            raise NotInPlane(f"block residual {resid:.3e} exceeds {tol:.1e} x {denom:.3e}")
+            raise _not_in_plane(resid, denom, tol)
         coords.append(r)
     return PlaneCoords(r1=coords[0], r2=coords[1], basis=basis)
 
 
-def decomposition_residuals(psi: np.ndarray, base: np.ndarray, coords: PlaneCoords) -> tuple[float, float]:
-    rebuilt1 = coords.r1 * np.asarray(block1(base))
-    rebuilt2 = coords.r2 * np.asarray(block2(base))
-    return (
-        float(np.linalg.norm(np.asarray(block1(psi)) - rebuilt1)),
-        float(np.linalg.norm(np.asarray(block2(psi)) - rebuilt2)),
-    )
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex stack, bit for bit: one dot
+    product per row, the call the 1-D norm makes, where a reduction over
+    an axis would add in another order.  The equality rests on how numpy
+    dispatches the stacked matmul of the strided ``.real``/``.imag`` views
+    (the same product on contiguous copies differs in the last ulp); it was
+    checked on numpy 2.4, and ``tests/test_plane.py`` guards it."""
+    re, im = x.real, x.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, SpinorlabError]]:
+    """``decompose`` of every row of an (n, 4) stack against one base.
+
+    Returns (coords, residuals, failures): (n, 2) coordinates (r1, r2);
+    (n, 2) block residuals ||psi_blk - r*base_blk||; and, by row index, the
+    exception ``decompose`` raises on each row that fails.  Coordinates and
+    residuals equal ``decompose``'s bit for bit; on a failed row they are
+    not meaningful.
+    """
+    tol = DECOMPOSE_TOL
+    psis = np.ascontiguousarray(psis, dtype=complex)
+    base = np.asarray(base, dtype=complex)
+    n = psis.shape[0]
+    coords = np.zeros((n, 2), dtype=complex)
+    residuals = np.zeros((n, 2))
+    failed = np.zeros(n, dtype=bool)
+    misfit = np.zeros((n, 2))
+    degenerate = False
+    base_norm = float(np.linalg.norm(base))
+    # the squares of finite rows above ~1e154 overflow to inf, as in decompose
+    with np.errstate(over="ignore"):
+        psi_norm = _row_norms(psis)
+        for k, block in enumerate((slice(0, 2), slice(2, 4))):
+            bb = base[block]
+            bb_sq = float(np.real(np.vdot(bb, bb)))
+            if np.sqrt(bb_sq) <= tol * max(base_norm, 1e-300):
+                degenerate = True
+                break
+            pb = psis[:, block]
+            r = (np.conj(bb) @ pb[:, :, None])[:, 0] / bb_sq
+            resid = _row_norms(pb - r[:, None] * bb)
+            denom = np.maximum(_row_norms(pb), np.hypot(r.real, r.imag) * np.sqrt(bb_sq))
+            bad = ~failed & (denom > tol * psi_norm) & (resid > tol * denom)
+            failed |= bad
+            misfit[bad, 0] = resid[bad]
+            misfit[bad, 1] = denom[bad]
+            coords[:, k] = r
+            residuals[:, k] = resid
+    rows = np.flatnonzero(failed)
+    failures = {i: _not_in_plane(resid, denom) for i, (resid, denom) in zip(rows.tolist(), misfit[rows].tolist())}
+    if degenerate:
+        failures.update((i, DegenerateBasis(_VANISHING_BLOCK)) for i in np.flatnonzero(~failed).tolist())
+    return coords, residuals, failures
 
 
 def basis_scalars(basis: str, c: CoefficientSet) -> tuple[complex, complex]:

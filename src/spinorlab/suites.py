@@ -165,8 +165,11 @@ def suite_props(cfg: SuiteConfig) -> dict:
     opt = lounesto.ClassifyOptions(tol=cfg.tol)
     n = cfg.trials
     checks = []
-    by_coefficients = lounesto.classify_by_coefficients
     T1, T2, T3, T4, T5, T6 = lounesto.LounestoClass
+
+    def coefficient_classes(r1, r2, A, B) -> np.ndarray:
+        """Class codes of the coefficient route, 0 on an error row."""
+        return lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)[0]
 
     bases = generators.random_rim_bases(gen, n)
     base_cov = bilinear.compute_batch(bases)
@@ -175,23 +178,16 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    brute = _classes(plane.block_scale(bases, r1, r2), opt).tolist()
-    mism = bad45 = 0
-    for i in range(n):
-        fastc = by_coefficients(r1[i], r2[i], a_vals[i], b_vals[i], opt)
-        mism += fastc != brute[i]
-        bad45 += fastc in (T4, T5)
-    checks.append(_check("coefficient_vs_brute", n, mism, 0))
-    checks.append(_check("no_type4_type5", n, bad45, 0))
+    brute = _classes(plane.block_scale(bases, r1, r2), opt)
+    fast = coefficient_classes(r1, r2, a_vals, b_vals)
+    checks.append(_check("coefficient_vs_brute", n, np.sum(fast != brute), 0))
+    checks.append(_check("no_type4_type5", n, np.sum((fast == T4) | (fast == T5)), 0))
 
     rr1 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
     rr2 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
-    brute = _classes(plane.block_scale(bases, rr1 + 0j, rr2 + 0j), opt).tolist()
-    bad = 0
-    for i in range(n):
-        fastc = by_coefficients(rr1[i], rr2[i], a_vals[i], b_vals[i], opt)
-        bad += fastc != T1 or brute[i] != T1
-    checks.append(_check("real_pairs_type1", n, bad, 0))
+    brute = _classes(plane.block_scale(bases, rr1 + 0j, rr2 + 0j), opt)
+    fast = coefficient_classes(rr1, rr2, a_vals, b_vals)
+    checks.append(_check("real_pairs_type1", n, np.sum((fast != T1) | (brute != T1)), 0))
 
     cov6 = bilinear.compute_batch(plane.block_scale(bases, r1, np.zeros(n, dtype=complex)))
     thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
@@ -199,11 +195,9 @@ def suite_props(cfg: SuiteConfig) -> dict:
         (lounesto.classify_batch(cov6, opt)[0] == T6)
         & (np.max(np.abs(cov6["K"]), axis=1) > thr6)
         & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6)
-    ).tolist()
-    bad = 0
-    for i in range(n):
-        bad += not (by_coefficients(r1[i], 0.0, a_vals[i], b_vals[i], opt) == T6 and lemma4[i])
-    checks.append(_check("one_zero_type6_lemma4", n, bad, 0))
+    )
+    fast = coefficient_classes(r1, np.zeros(n), a_vals, b_vals)
+    checks.append(_check("one_zero_type6_lemma4", n, np.sum(~((fast == T6) & lemma4)), 0))
 
     # constructed boundary solutions: z = r1 conj(r2) with A y = -B x (type 2)
     # or A x = B y (type 3)
@@ -217,17 +211,13 @@ def suite_props(cfg: SuiteConfig) -> dict:
     cov3 = bilinear.compute_batch(plane.block_scale(bases[:m], ones, r3sol))
     brute2 = lounesto.classify_batch(cov2, opt)[0]
     brute3 = lounesto.classify_batch(cov3, opt)[0]
-    ok2 = ((brute2 == T2) & (np.abs(cov2["A"]) > cfg.tol)).tolist()
-    ok3 = ((brute3 == T3) & (np.abs(cov3["B"]) > cfg.tol)).tolist()
-    bad2 = bad3 = 0
-    for i in range(m):
-        bad2 += not (by_coefficients(1.0, r2sol[i], A[i], B[i], opt) == T2 and ok2[i])
-        bad3 += not (by_coefficients(1.0, r3sol[i], A[i], B[i], opt) == T3 and ok3[i])
+    ok2 = (brute2 == T2) & (np.abs(cov2["A"]) > cfg.tol) & (coefficient_classes(ones, r2sol, A, B) == T2)
+    ok3 = (brute3 == T3) & (np.abs(cov3["B"]) > cfg.tol) & (coefficient_classes(ones, r3sol, A, B) == T3)
     worst2 = np.max(np.abs(cov2["B"]) / np.maximum(1.0, cov2["scale"]))
     worst3 = np.max(np.abs(cov3["A"]) / np.maximum(1.0, cov3["scale"]))
-    checks.append(_check("constructed_type2", m, bad2, 0))
+    checks.append(_check("constructed_type2", m, np.sum(~ok2), 0))
     checks.append(_check("constructed_type2_Bpsi", m, worst2, 1e-10))
-    checks.append(_check("constructed_type3", m, bad3, 0))
+    checks.append(_check("constructed_type3", m, np.sum(~ok3), 0))
     checks.append(_check("constructed_type3_Apsi", m, worst3, 1e-10))
 
     nb = min(n, max(cfg.trials // 10, 100))

@@ -1,8 +1,10 @@
-"""classify_batch against the scalar classify, row by row.
+"""classify_batch against the scalar classify, and
+classify_by_coefficients_batch against the scalar coefficient rules, row by
+row.
 
-Both routes read the same decision table, but classify_batch computes its
-zero-tests with array masks and reports errors as codes, so every row must
-give the same class, or the same exception type and message."""
+Each pair computes its tests once with array masks and once on Python
+numbers and reports errors as codes, so every row must give the same class
+and near flag, or the same exception type and message."""
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto
-from spinorlab.errors import AmbiguousScale, InconsistentBilinears, NullCurrent
+from spinorlab.errors import AmbiguousScale, InconsistentBilinears, InvalidBase, NullCurrent, ZeroDecomposition
+from spinorlab.generators import random_rim_bases
 from spinorlab.lounesto import ClassifyOptions, LounestoClass
 from spinorlab.spinor import DualKind
+
+from conftest import coordinate_rows
 
 OPT = ClassifyOptions()
 
@@ -204,3 +209,69 @@ def test_near_degenerate_band_edges(which, scale):
     assert near.tolist() == [flag for _, flag in cases]
     assert lounesto.bilinears_near_degenerate(cov, OPT).tolist() == near.tolist()
     assert not errors.any()
+
+
+def _base_scalars(gen, n):
+    cov = bilinear.compute_batch(random_rim_bases(gen, n))
+    return np.real(cov["A"]), np.real(cov["B"])
+
+
+def assert_coefficient_batch_matches_scalar(r1, r2, A, B, opt=OPT):
+    classes, errors, near = lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)
+    n = r1.shape[0]
+    assert classes.shape == errors.shape == near.shape == (n,)
+    A, B = np.broadcast_to(A, (n,)), np.broadcast_to(B, (n,))
+    for i in range(n):
+        try:
+            cls = lounesto.classify_by_coefficients(r1[i], r2[i], A[i], B[i], opt)
+        except (InvalidBase, ZeroDecomposition) as exc:
+            assert errors[i] != 0, f"row {i}: scalar raised {exc!r}"
+            assert lounesto.COEFFICIENT_ERRORS[errors[i] - 1] == (type(exc), str(exc))
+            assert classes[i] == 0 and not near[i]
+        else:
+            assert errors[i] == 0, f"row {i}: batch error {errors[i]}, scalar {cls!r}"
+            assert classes[i] == cls
+            assert near[i] == lounesto.near_degenerate(r1[i], r2[i], A[i], B[i], opt)
+    return classes, errors, near
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=7, max_value=35))
+@settings(deadline=None, max_examples=100)
+def test_coefficient_batch_matches_scalar(seed, n):
+    gen = np.random.default_rng(seed)
+    A, B = _base_scalars(gen, n)
+    r1, r2, kinds = coordinate_rows(gen, A, B, n)
+    classes, errors, near = assert_coefficient_batch_matches_scalar(r1, r2, A, B)
+    assert set(classes[kinds == "type2"]) == {LounestoClass.TYPE2}
+    assert set(classes[kinds == "type3"]) == {LounestoClass.TYPE3}
+    assert set(classes[kinds == "one_zero"]) == {LounestoClass.TYPE6}
+    assert near[kinds == "near_zero"].all()
+    assert set(errors[kinds == "all_zero"]) == {1 + lounesto.COEFFICIENT_ERRORS.index(
+        (ZeroDecomposition, "r1 = r2 = 0 is not a decomposition")
+    )}
+    # one base for every row, and per-row bases of which some are invalid
+    assert_coefficient_batch_matches_scalar(r1, r2, float(A[0]), float(B[0]))
+    A[::3], B[1::4] = 0.0, 1e-12
+    _, errors, _ = assert_coefficient_batch_matches_scalar(r1, r2, A, B)
+    assert errors[::3].all() and errors[1::4].all()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decade=st.floats(min_value=0.0, max_value=150.0),
+)
+@settings(deadline=None, max_examples=100)
+def test_coefficient_class_is_scale_invariant(seed, decade):
+    """Classes are homogeneous in (r1, r2): c r gives the class of r for c
+    up to 1e150, where the quartic products of c r overflow a double."""
+    gen = np.random.default_rng(seed)
+    A, B = _base_scalars(gen, 28)
+    r1, r2, kinds = coordinate_rows(gen, A, B, 28)
+    keep = np.isin(kinds, ["generic", "type2", "type3", "one_zero"])
+    r1, r2, A, B = r1[keep], r2[keep], A[keep], B[keep]
+    c = 10.0**decade
+    want, errors, _ = lounesto.classify_by_coefficients_batch(r1, r2, A, B, OPT)
+    assert not errors.any()
+    with np.errstate(over="raise", invalid="raise"):
+        got, _, _ = assert_coefficient_batch_matches_scalar(c * r1, c * r2, A, B)
+    assert got.tolist() == want.tolist()

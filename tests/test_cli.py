@@ -375,3 +375,71 @@ def test_non_finite_report_from_finite_input_exits_2(tmp_path, capsys):
     assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
         "error: Out of range float values are not JSON compliant: nan"
     ]
+
+
+def _decompose_rows(tmp_path, capsys, base, psis):
+    base_path = write_json(tmp_path / "zbase.json", spinor.to_json(base))
+    path = write_json(tmp_path / "rows.json", {"spinors": [spinor.to_json(p) for p in psis]})
+    return run_cli(["decompose", "--input", path, "--base", base_path], capsys)
+
+
+def test_decompose_against_zero_block_base_fails_every_row(tmp_path, capsys):
+    base = np.array([0.0, 0.0, 1.0, 0.5j])
+    psis = [base, 2.0 * base, np.array([1.0, 0.0, 0.0, 1.0]), np.zeros(4)]
+    code, rep = _decompose_rows(tmp_path, capsys, base, psis)
+    assert code == cli.EXIT_OK
+    assert [set(r) for r in rep["rows"]] == [{"id", "error", "detail"}] * 4
+    assert {r["error"] for r in rep["rows"]} == {"DegenerateBasis"}
+
+
+def test_decompose_with_zero_second_block_reports_first_block_misfit_first(tmp_path, capsys):
+    # the first block is tested before the second block's base is found empty
+    base = np.array([1.0, 0.5j, 0.0, 0.0])
+    psis = [base, np.array([1.0, 0.0, 0.3, 0.0])]
+    code, rep = _decompose_rows(tmp_path, capsys, base, psis)
+    assert code == cli.EXIT_OK
+    assert [r["error"] for r in rep["rows"]] == ["DegenerateBasis", "NotInPlane"]
+
+
+@pytest.mark.parametrize("bottom", [1j, 1.0], ids=["A=0", "B=0"])
+def test_decompose_against_invalid_base_keeps_coordinates(tmp_path, capsys, bottom):
+    u = np.array([0.6 - 0.2j, 0.3 + 0.9j])
+    base = spinor.assemble(u, 0.8 * bottom * u)
+    psis = [plane.block_scale(base, 2.0, -1.5j), plane.block_scale(base, 0.5, 0.0), np.zeros(4)]
+    code, rep = _decompose_rows(tmp_path, capsys, base, psis)
+    assert code == cli.EXIT_OK
+    for row, (r1, r2) in zip(rep["rows"], [(2.0, -1.5j), (0.5, 0.0), (0.0, 0.0)]):
+        assert row["error"] == "InvalidBase"
+        assert abs(complex(row["r1"]["re"], row["r1"]["im"]) - r1) < 1e-12
+        assert abs(complex(row["r2"]["re"], row["r2"]["im"]) - r2) < 1e-12
+        assert max(row["residuals"]) < 1e-12
+        assert "lounesto_class" not in row
+
+
+def test_decompose_zero_row_keeps_coordinates(base_setup, tmp_path, capsys):
+    base, *_ = base_setup
+    code, rep = _decompose_rows(tmp_path, capsys, base, [np.zeros(4)])
+    row = rep["rows"][0]
+    assert code == cli.EXIT_OK
+    assert row["error"] == "ZeroDecomposition"
+    assert row["r1"] == row["r2"] == {"re": 0.0, "im": 0.0}
+    assert row["residuals"] == [0.0, 0.0]
+
+
+def test_decompose_huge_finite_row_classifies_without_overflow(base_setup, tmp_path, capsys):
+    # |r1| |r2| = 1e160: its square overflows a double
+    base, *_ = base_setup
+    code, rep = _decompose_rows(tmp_path, capsys, base, [1e80 * base, plane.block_scale(1e80 * base, 1.0, 0.0)])
+    assert code == cli.EXIT_OK
+    assert [r["lounesto_class"] for r in rep["rows"]] == [1, 6]
+    assert rep["rows"][0]["r1"]["re"] == pytest.approx(1e80, rel=1e-12)
+
+
+def test_decompose_off_plane_row_with_near_degenerate_coordinates_is_not_flagged(base_setup, tmp_path, capsys):
+    # block 2 holds 5e-9 x the base block (a near-zero r2) plus an orthogonal part
+    base, *_ = base_setup
+    orth = np.array([-np.conj(base[3]), np.conj(base[2])])
+    psi = plane.block_scale(base, 1.0, 5e-9) + np.concatenate([[0, 0], 0.5 * orth])
+    code, rep = _decompose_rows(tmp_path, capsys, base, [psi])
+    assert rep["rows"][0]["error"] == "NotInPlane"
+    assert code == cli.EXIT_OK

@@ -15,8 +15,9 @@ from spinorlab.errors import (
     ZeroCoefficient,
 )
 from spinorlab.generators import random_rim_bases, random_valid_params
+from spinorlab.spinor import block1, block2
 
-from conftest import random_spinor
+from conftest import coordinate_rows, random_spinor
 
 PARAMS = rim.validate(0.7 + 0.4j, 0.7 - 0.9j)
 
@@ -326,3 +327,57 @@ def test_block_scale_stack_matches_apply_operator_rows(seed, n):
     for i in range(n):
         row = plane.apply_operator(plane.make_operator(c1[i], c2[i]), psis[i])
         assert np.array_equal(stacked[i], row)
+
+
+def assert_decompose_batch_matches_decompose(psis, base):
+    """Checks every row against the scalar route; returns the failed rows'
+    error types by row index."""
+    coords, residuals, failures = plane.decompose_batch(psis, base)
+    n = psis.shape[0]
+    assert coords.shape == residuals.shape == (n, 2)
+    for i in range(n):
+        try:
+            c = plane.decompose(psis[i], base)
+        except (NotInPlane, DegenerateBasis) as exc:
+            got = failures[i]
+            assert (type(got), str(got)) == (type(exc), str(exc)), f"row {i}"
+            continue
+        assert i not in failures, f"row {i}: batch error {failures[i]!r}"
+        assert coords[i].tobytes() == np.array([c.r1, c.r2]).tobytes()
+        # the block residuals the decompose report carries, computed per row
+        want = [np.linalg.norm(blk(psis[i]) - r * blk(base)) for blk, r in ((block1, c.r1), (block2, c.r2))]
+        assert residuals[i].tobytes() == np.array(want).tobytes()
+    return {i: type(exc) for i, exc in failures.items()}
+
+
+@given(seed=seeds, n=st.integers(min_value=8, max_value=35))
+@settings(deadline=None, max_examples=100)
+def test_decompose_batch_matches_decompose_bit_for_bit(seed, n):
+    gen = np.random.default_rng(seed)
+    base = random_rim_bases(gen, 1)[0]
+    cov = bilinear.compute(base)
+    r1, r2, _ = coordinate_rows(gen, float(np.real(cov.A)), float(np.real(cov.B)), n)
+    psis = plane.block_scale(base, r1, r2)
+    noise = plane.block_scale(random_spinor(gen, n), 1e-10 * np.abs(r1), 1e-10 * np.abs(r2))
+    psis[1::4] += noise[1::4]  # in the plane within DECOMPOSE_TOL, with residuals
+    psis[::4] = (random_spinor(gen, n) * 10.0 ** gen.uniform(-3, 3, (n, 1)))[::4]  # off the plane
+    failed = assert_decompose_batch_matches_decompose(psis, base)
+    assert failed == {i: NotInPlane for i in range(0, n, 4)}
+
+
+@pytest.mark.parametrize("base", [[0, 0, 1.0, 0.5j], [1.0, 0.5j, 0, 0]], ids=["block1", "block2"])
+def test_decompose_batch_on_a_base_with_a_vanishing_block(base, rng):
+    base = np.array(base, dtype=complex)
+    psis = np.concatenate([plane.block_scale(base, 2.0, 3.0)[None], random_spinor(rng, 6), np.zeros((1, 4))])
+    failed = assert_decompose_batch_matches_decompose(psis, base)
+    assert sorted(failed) == list(range(len(psis)))
+    assert failed[0] is failed[len(psis) - 1] is DegenerateBasis
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(width, rng):
+    # in-plane residuals carry few significant bits, so their squares are
+    # exact and do not tell summation orders apart; full-precision rows do
+    x = random_spinor(rng, 2000)[:, :width] * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert plane._row_norms(x).tobytes() == want.tobytes()
