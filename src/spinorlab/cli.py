@@ -6,7 +6,9 @@ Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 variable overrides the default tolerance (1e-9); report order always equals
 input order.  ``classify`` and ``decompose`` each make one vectorised pass
 over the corpus (covariants or plane coordinates, then classes) and only
-build the report rows one at a time.
+build the report rows one at a time.  ``homotopy`` searches its transition
+on the rows' own grid at the rows' x (the from-spinor's r1); a row that
+cannot be classified fails the command with exit 2.
 """
 
 from __future__ import annotations
@@ -267,6 +269,7 @@ def _cmd_homotopy(args) -> int:
         coords = homotopy.eval_path(path, psi_c.r1, t)
         wt = homotopy.multiplier_at(path, t)
         degenerate = path.degenerate_t is not None and abs(t - path.degenerate_t) <= 1.0 / (2 * steps)
+        cls = lounesto.classify_by_coefficients(coords.r1, coords.r2, a_val, b_val, opt)
         row = {
             "t": t,
             "coords": {
@@ -275,15 +278,11 @@ def _cmd_homotopy(args) -> int:
             },
             "multiplier": spinor.complex_to_json(wt),
             "degenerate": degenerate,
+            "lounesto_class": int(cls),
+            "regular": cls.regular,
         }
-        try:
-            cls = lounesto.classify_by_coefficients(coords.r1, coords.r2, a_val, b_val, opt)
-            row["lounesto_class"] = int(cls)
-            row["regular"] = cls.regular
-        except SpinorlabError as exc:
-            row["error"] = type(exc).__name__
         rows.append(row)
-    transition = homotopy.class_transition(path, a_val, b_val, opt, steps=steps)
+    transition = homotopy.class_transition(path, a_val, b_val, opt, steps=steps, x=psi_c.r1)
     report = {
         "command": "homotopy",
         "config": {

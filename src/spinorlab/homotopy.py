@@ -8,7 +8,6 @@ a spinor homotopy deforms the second coordinate in a fixed basis.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,8 @@ from .errors import BasisMismatch, DegenerateParameter
 from .lounesto import ClassifyOptions, LounestoClass, classify_by_coefficients
 from .plane import PlaneCoords, block_scale, decompose
 from .spinor import DEFAULT_TOL, chiral_parts
+
+_PARAM_TOL = 1e-12  # relative size below which Im(t) or an endpoint's r1 is zero
 
 
 @dataclass(frozen=True)
@@ -40,32 +41,26 @@ class CoordFunction:
         return self.num * (x / self.den)
 
 
-class HomotopyKind(enum.Enum):
-    BASIS = "basis"
-    SPINOR = "spinor"
-
-
 @dataclass(frozen=True)
 class HomotopyPath:
     f: CoordFunction
     g: CoordFunction
-    kind: HomotopyKind
     degenerate_t: float | None
     basis: str = "B"
 
 
-def _degenerate_t(wf: complex, wg: complex, tol: float = 1e-12) -> float | None:
+def _degenerate_t(wf: complex, wg: complex) -> float | None:
     """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1)."""
     if wf == wg:
         return None
     t = wf / (wf - wg)
-    if abs(t.imag) <= tol * max(1.0, abs(t.real)) and 0.0 < t.real < 1.0:
+    if abs(t.imag) <= _PARAM_TOL * max(1.0, abs(t.real)) and 0.0 < t.real < 1.0:
         return float(t.real)
     return None
 
 
 def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
-    return HomotopyPath(f=f, g=g, kind=HomotopyKind.BASIS, degenerate_t=_degenerate_t(f.w, g.w))
+    return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w))
 
 
 def multiplier_at(path: HomotopyPath, t: float) -> complex:
@@ -82,12 +77,10 @@ def sample_basis(
     path: HomotopyPath,
     base: np.ndarray,
     t: float,
-    x: complex = 1.0 + 0j,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[tuple[np.ndarray, np.ndarray], PlaneCoords]:
     """Intermediate basis pair at parameter t, plus the tracked coordinates.
 
-    The spinor with base-basis coordinates (x, w(t) x) supplies the new
+    The spinor with base-basis coordinates (1, w(t)) supplies the new
     basis through its own chiral blocks; re-decomposing it against itself
     must give the identity coordinates (ratio 1).  Raises at parameters
     where the interpolated multiplier vanishes (the induced basis is not
@@ -97,34 +90,24 @@ def sample_basis(
         raise ValueError("t must lie in [0, 1]")
     wt = multiplier_at(path, t)
     wscale = max(1.0, abs(path.f.w), abs(path.g.w))
-    if abs(wt) <= tol * wscale:
+    if abs(wt) <= DEFAULT_TOL * wscale:
         raise DegenerateParameter(f"vanishing block coefficient at t={t!r}")
-    tracked = block_scale(base, x, wt * x)
+    tracked = block_scale(base, 1.0, wt)
     pair = chiral_parts(tracked)
     coords = decompose(tracked, tracked)
     return pair, coords
 
 
-def spinor_homotopy(
-    psi_coords: PlaneCoords,
-    phi_coords: PlaneCoords,
-    tol: float = 1e-12,
-) -> HomotopyPath:
+def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> HomotopyPath:
     """Path between two spinors given as coordinates in one shared basis."""
     if psi_coords.basis != phi_coords.basis:
         raise BasisMismatch(f"{psi_coords.basis!r} vs {phi_coords.basis!r}")
     for c in (psi_coords, phi_coords):
-        if abs(c.r1) <= tol * max(1.0, abs(c.r1), abs(c.r2)):
+        if abs(c.r1) <= _PARAM_TOL * max(1.0, abs(c.r1), abs(c.r2)):
             raise DegenerateParameter("coordinate-function form needs r1 != 0")
     f = CoordFunction(num=psi_coords.r2, den=psi_coords.r1)
     g = CoordFunction(num=phi_coords.r2, den=phi_coords.r1)
-    return HomotopyPath(
-        f=f,
-        g=g,
-        kind=HomotopyKind.SPINOR,
-        degenerate_t=_degenerate_t(f.w, g.w),
-        basis=psi_coords.basis,
-    )
+    return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w), basis=psi_coords.basis)
 
 
 def class_transition(
@@ -134,13 +117,11 @@ def class_transition(
     opt: ClassifyOptions = ClassifyOptions(),
     steps: int = 10,
     x: complex = 1.0 + 0j,
-    iters: int = 80,
 ) -> tuple[float, LounestoClass, LounestoClass] | None:
-    """Locate the first class change along the path by grid sweep + bisection.
-
-    Returns (t_star, class_before, class_after) or None if the class is
-    constant on the inclusive grid.
-    """
+    """First class change of the points (x, y(t)): a sweep of the grid
+    t = i/steps, raising at the first point that cannot be classified, then
+    80 bisection steps.  Returns (t_star, class_before, class_after), or
+    None if the class is constant on the grid."""
 
     def klass(t: float) -> LounestoClass:
         c = eval_path(path, x, t)
@@ -156,7 +137,7 @@ def class_transition(
     if bracket is None:
         return None
     lo, hi, c_lo, c_hi = bracket
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if klass(mid) == c_lo:
             lo = mid

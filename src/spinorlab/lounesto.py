@@ -244,35 +244,15 @@ def classify_by_coefficients_batch(
     return classes, errors, near & (errors == 0)
 
 
-def coefficient_margins(r1: complex, r2: complex, A: float, B: float) -> dict[str, float]:
-    """Distances to the type-2/3 decision surfaces (scaled like classify)."""
-    r1, r2 = complex(r1), complex(r2)
-    a1, a2 = abs(r1), abs(r2)
-    s = _unit_scale(max(1.0, a1, a2))
-    zr, zi = _conj_product(r1, r2, s)
-    g = (a1 * s) * (a2 * s)
-    scale = max(abs(A), abs(B), 1.0)
-    out = {
-        "guard": abs(zr * zi) / max(g * g, 1e-300),
-        "type2": float("inf"),
-        "type3": float("inf"),
-    }
-    if zr != 0.0 and zi != 0.0:
-        out["type2"] = abs(A + B * (zr / zi)) / scale
-        out["type3"] = abs(A - B * (zi / zr)) / scale
-    return out
-
-
 def bilinears_near_degenerate(
     cov: dict[str, np.ndarray],
     opt: ClassifyOptions = ClassifyOptions(),
-    band: float = NEAR_BAND,
 ) -> np.ndarray:
     """(n,) flags: a zero-test input sits just above its threshold, i.e. the
-    assigned class would flip under a ``band``-fold tolerance change."""
+    assigned class would flip under a ``NEAR_BAND``-fold tolerance change."""
     thr = opt.tol * np.maximum(1.0, cov["scale"])[:, None]
     mags = _magnitudes(cov)
-    return np.any((thr < mags) & (mags <= band * thr), axis=1)
+    return np.any((thr < mags) & (mags <= NEAR_BAND * thr), axis=1)
 
 
 def near_degenerate(
@@ -281,16 +261,18 @@ def near_degenerate(
     A: float,
     B: float,
     opt: ClassifyOptions = ClassifyOptions(),
-    band: float = NEAR_BAND,
 ) -> bool:
-    """True when the input sits within ``band`` tolerances of a decision
-    boundary (ratio conditions or a vanishing coordinate)."""
+    """True when the input sits within ``NEAR_BAND`` tolerances of a decision
+    boundary (a vanishing coordinate or a type-2/3 ratio condition)."""
     tol = opt.tol
     r1, r2 = complex(r1), complex(r2)
-    rs = max(1.0, abs(r1), abs(r2))
-    small = min(abs(r1), abs(r2))
-    if tol * rs < small <= band * tol * rs:
+    a1, a2 = abs(r1), abs(r2)
+    rs = max(1.0, a1, a2)
+    if tol * rs < min(a1, a2) <= NEAR_BAND * tol * rs:
         return True
-    m = coefficient_margins(r1, r2, A, B)
-    lo = min(m["type2"], m["type3"])
-    return tol < lo <= band * tol
+    zr, zi = _conj_product(r1, r2, _unit_scale(rs))
+    if zr == 0.0 or zi == 0.0:
+        return False
+    scale = max(abs(A), abs(B), 1.0)
+    lo = min(abs(A + B * (zr / zi)) / scale, abs(A - B * (zi / zr)) / scale)
+    return tol < lo <= NEAR_BAND * tol

@@ -205,27 +205,45 @@ def map_dirac_mdo(psi: np.ndarray, c: CoefficientSet, direction: str = "dirac-to
 _VANISHING_BLOCK = "base block vanishes; coordinate unrecoverable"
 
 
-def _not_in_plane(resid: float, denom: float, tol: float = DECOMPOSE_TOL) -> NotInPlane:
+def _not_in_plane(resid: float, denom: float) -> NotInPlane:
     """The error of a row whose first failing block has residual ``resid``
     at scale ``denom``."""
-    return NotInPlane(f"block residual {resid:.3e} exceeds {tol:.1e} x {denom:.3e}")
+    return NotInPlane(f"block residual {resid:.3e} exceeds {DECOMPOSE_TOL:.1e} x {denom:.3e}")
 
 
-def decompose(
-    psi: np.ndarray,
-    base: np.ndarray,
-    basis: str = "B",
-    tol: float = DECOMPOSE_TOL,
-) -> PlaneCoords:
+def _unit_powers(x: np.ndarray) -> np.ndarray:
+    """Per row of x, the power of two that brings its largest real or
+    imaginary part into [1, 2), so that x divided by it has a finite norm."""
+    top = np.maximum(np.abs(x.real).max(axis=-1), np.abs(x.imag).max(axis=-1))
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
+def _in_range(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(x, ||x||, 1.0); or, when ||x|| overflows, (x / p, ||x / p||, p) for
+    p = ``_unit_powers(x)``, with each real part divided apart (exact)."""
+    x = np.asarray(x)
+    norm = float(np.linalg.norm(x))
+    if norm != np.inf:
+        return x, norm, 1.0
+    p = float(_unit_powers(x))
+    x = (np.ascontiguousarray(x, dtype=complex).view(float) / p).view(complex)
+    return x, float(np.linalg.norm(x)), p
+
+
+def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
     """Blockwise least-squares coordinates of psi against a base spinor.
 
     Each coordinate solves min_r ||psi_blk - r*base_blk||; a residual above
-    ``tol`` (relative) means psi is not in the base's plane.  A vanishing
-    base block makes that coordinate unrecoverable.
+    ``DECOMPOSE_TOL`` (relative) means psi is not in the base's plane.  A
+    vanishing base block makes that coordinate unrecoverable.  A psi or base
+    whose norm overflows is first divided by a power of two, and the results
+    are scaled back.
     """
+    tol = DECOMPOSE_TOL
     coords = []
-    base_norm = float(np.linalg.norm(np.asarray(base)))
-    psi_norm = float(np.linalg.norm(np.asarray(psi)))
+    base, base_norm, down = _in_range(base)
+    psi, psi_norm, up = _in_range(psi)
+    f = up / down  # 1 unless a norm overflowed
     for extract in (block1, block2):
         pb = np.asarray(extract(psi), dtype=complex)
         bb = np.asarray(extract(base), dtype=complex)
@@ -238,9 +256,9 @@ def decompose(
         # blocks that are negligible at the spinor's own scale count as zero
         # coordinates; only blocks that matter must be proportional
         if denom > tol * psi_norm and resid > tol * denom:
-            raise _not_in_plane(resid, denom, tol)
-        coords.append(r)
-    return PlaneCoords(r1=coords[0], r2=coords[1], basis=basis)
+            raise _not_in_plane(resid * up, denom * up)
+        coords.append(complex(r.real * f, r.imag * f))
+    return PlaneCoords(r1=coords[0], r2=coords[1])
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -261,22 +279,26 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
     Returns (coords, residuals, failures): (n, 2) coordinates (r1, r2);
     (n, 2) block residuals ||psi_blk - r*base_blk||; and, by row index, the
     exception ``decompose`` raises on each row that fails.  Coordinates and
-    residuals equal ``decompose``'s bit for bit; on a failed row they are
-    not meaningful.
+    residuals equal ``decompose``'s bit for bit, on rows and bases whose
+    norms overflow too; on a failed row they are not meaningful.
     """
     tol = DECOMPOSE_TOL
     psis = np.ascontiguousarray(psis, dtype=complex)
-    base = np.asarray(base, dtype=complex)
     n = psis.shape[0]
     coords = np.zeros((n, 2), dtype=complex)
     residuals = np.zeros((n, 2))
     failed = np.zeros(n, dtype=bool)
     misfit = np.zeros((n, 2))
     degenerate = False
-    base_norm = float(np.linalg.norm(base))
-    # the squares of finite rows above ~1e154 overflow to inf, as in decompose
+    # norms that overflow (finite rows above ~1e154) are brought into range
     with np.errstate(over="ignore"):
+        base, base_norm, down = _in_range(np.asarray(base, dtype=complex))
         psi_norm = _row_norms(psis)
+        up = np.ones(n)
+        if psi_norm.max(initial=0.0) == np.inf:
+            up = np.where(psi_norm == np.inf, _unit_powers(psis), 1.0)
+            psis = (psis.view(float) / up[:, None]).view(complex)
+            psi_norm = _row_norms(psis)
         for k, block in enumerate((slice(0, 2), slice(2, 4))):
             bb = base[block]
             bb_sq = float(np.real(np.vdot(bb, bb)))
@@ -293,6 +315,9 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
             misfit[bad, 1] = denom[bad]
             coords[:, k] = r
             residuals[:, k] = resid
+    coords = (coords.view(float) * (up / down)[:, None]).view(complex)
+    residuals *= up[:, None]
+    misfit *= up[:, None]
     rows = np.flatnonzero(failed)
     failures = {i: _not_in_plane(resid, denom) for i, (resid, denom) in zip(rows.tolist(), misfit[rows].tolist())}
     if degenerate:

@@ -509,7 +509,7 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
         for t in (0.25, 0.5, 0.75):
             x = r[0]
             fwd = homotopy.eval_path(path, x, t)
-            seg = (1.0 - t) * path.f.w + t * path.g.w
+            seg = homotopy.multiplier_at(path, t)
             worst_line = max(worst_line, abs(fwd.r2 / fwd.r1 - seg) / max(1.0, abs(seg)))
             bwd = homotopy.eval_path(rev, x, 1.0 - t)
             worst_sym = max(worst_sym, abs(fwd.r2 - bwd.r2))

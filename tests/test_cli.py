@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import bilinear, cli, io, plane, rim, spinor
 from spinorlab.errors import SpinorlabError
@@ -163,6 +166,78 @@ def test_homotopy_sweep(base_setup, tmp_path, capsys):
     assert rep["transition"]["class_before"] == 1
     assert rep["transition"]["class_after"] == 6
     assert len(rep["rows"]) == 11
+
+
+MIXED_BASE = Path(__file__).parent / "data" / "mixed" / "base.json"
+
+
+def _homotopy(tmp_path, ends, steps):
+    """Exit code and report of ``homotopy`` between block_scale(base, *ends[k])
+    of the mixed fixture's base."""
+    base = io.load_spinors(MIXED_BASE)[0]
+    files = [write_json(tmp_path / f"end{k}.json", spinor.to_json(plane.block_scale(base, *rs))) for k, rs in enumerate(ends)]
+    out = tmp_path / "report.json"
+    argv = ["homotopy", "--from", files[0], "--to", files[1], "--base", str(MIXED_BASE), "--steps", str(steps)]
+    code = cli.main(argv + ["--output", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_homotopy_transition_below_unit_r1_matches_the_rows(tmp_path):
+    # with |r1| < 1 the zero-test is absolute: r2 = 5e-10 is zero at x = r1
+    # (type 6) but not at x = 1, where the transition used to be searched
+    code, rep = _homotopy(tmp_path, [(1e-6, 5e-10), (1e-6, 5e-7)], 10)
+    assert code == cli.EXIT_OK
+    assert [r["lounesto_class"] for r in rep["rows"]] == [6] + [1] * 10
+    transition = rep["transition"]
+    assert (transition["class_before"], transition["class_after"]) == (6, 1)
+    assert 0.0 < transition["t"] <= 0.1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_homotopy_from_an_off_plane_spinor_whose_norm_overflows_exits_2(tmp_path, capsys):
+    off = write_json(tmp_path / "off.json", {"re": [1e200, 0, 0, 1e200], "im": [0, 5e199, 0, 0]})
+    code = cli.main(["homotopy", "--from", off, "--to", str(MIXED_BASE), "--base", str(MIXED_BASE)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: NotInPlane: block residual 4.473e+199 exceeds 1.0e-08 x 1.118e+200"
+    ]
+
+
+_magnitudes = st.floats(min_value=-6.0, max_value=3.0)  # log10 |r1|
+_phases = st.floats(min_value=0.0, max_value=2 * np.pi)
+
+
+@st.composite
+def _plane_endpoint(draw):
+    """(r1, r2) with |r1| in [1e-6, 1e3] and r2 generic, zero, or in the band
+    around the zero-test threshold tol * max(1, |r1|)."""
+    r1 = 10.0 ** draw(_magnitudes) * np.exp(1j * draw(_phases))
+    kind = draw(st.sampled_from(["generic", "zero", "band"]))
+    if kind == "zero":
+        return r1, 0.0
+    if kind == "band":
+        size = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.5)) * 1e-9 * max(1.0, abs(r1))
+    else:
+        size = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) * abs(r1)
+    return r1, size * np.exp(1j * draw(_phases))
+
+
+@given(ends=st.tuples(_plane_endpoint(), _plane_endpoint()), steps=st.integers(min_value=1, max_value=40))
+@settings(deadline=None, max_examples=150)
+def test_homotopy_transition_is_the_first_class_change_of_the_rows(tmp_path_factory, ends, steps):
+    code, rep = _homotopy(tmp_path_factory.mktemp("homotopy"), ends, steps)
+    assert code == cli.EXIT_OK
+    classes = [r["lounesto_class"] for r in rep["rows"]]
+    changes = [i for i in range(1, len(classes)) if classes[i] != classes[i - 1]]
+    transition = rep["transition"]
+    if not changes:
+        assert transition is None
+        return
+    i = changes[0]
+    assert (transition["class_before"], transition["class_after"]) == (classes[i - 1], classes[i])
+    assert rep["rows"][i - 1]["t"] <= transition["t"] <= rep["rows"][i]["t"]
 
 
 def test_mdo_command(tmp_path, capsys):
@@ -433,6 +508,19 @@ def test_decompose_huge_finite_row_classifies_without_overflow(base_setup, tmp_p
     assert code == cli.EXIT_OK
     assert [r["lounesto_class"] for r in rep["rows"]] == [1, 6]
     assert rep["rows"][0]["r1"]["re"] == pytest.approx(1e80, rel=1e-12)
+
+
+def test_decompose_row_whose_norm_overflows_keeps_the_corpus(base_setup, tmp_path, capsys):
+    # |psi| ~ 1e200: its squared norm overflows, its residuals must not
+    base, *_ = base_setup
+    off = np.array([1e200, 5e199j, 0.0, 1e200])
+    code, rep = _decompose_rows(tmp_path, capsys, base, [1e200 * base, off, base])
+    assert code == cli.EXIT_OK
+    huge, rejected, unit = rep["rows"]
+    assert huge["lounesto_class"] == unit["lounesto_class"] == 1
+    assert huge["r1"]["re"] == pytest.approx(1e200, rel=1e-12)
+    assert max(huge["residuals"]) <= 1e-14 * 1e200
+    assert rejected["error"] == "NotInPlane"
 
 
 def test_decompose_off_plane_row_with_near_degenerate_coordinates_is_not_flagged(base_setup, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The classify and decompose reports of the mixed fixture corpus are pinned
-byte for byte (see tests/data/mixed/README.md)."""
+"""The classify and decompose reports of the mixed fixture corpus, and one
+homotopy report against its base, are pinned byte for byte (see
+tests/data/mixed/README.md)."""
 
 from pathlib import Path
 
@@ -11,16 +12,17 @@ MIXED = Path(__file__).parent / "data" / "mixed"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["classify", "--input", "corpus.csv"],
-        ["decompose", "--input", "corpus.csv", "--base", "base.json"],
+        (["classify", "--input", "corpus.csv"], cli.EXIT_FLAGGED),
+        (["decompose", "--input", "corpus.csv", "--base", "base.json"], cli.EXIT_FLAGGED),
+        (["homotopy", "--from", "homotopy_from.json", "--to", "homotopy_to.json", "--base", "base.json"], cli.EXIT_OK),
     ],
-    ids=["classify", "decompose"],
+    ids=["classify", "decompose", "homotopy"],
 )
-def test_cli_reproduces_pinned_report(argv, tmp_path, monkeypatch):
+def test_cli_reproduces_pinned_report(argv, code, tmp_path, monkeypatch):
     monkeypatch.delenv("SPINORLAB_TOL", raising=False)
     monkeypatch.chdir(MIXED)
     out = tmp_path / "report.json"
-    assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_FLAGGED
+    assert cli.main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (MIXED / f"{argv[0]}.json").read_bytes()

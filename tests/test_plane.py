@@ -381,3 +381,63 @@ def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(width, rng):
     x = random_spinor(rng, 2000)[:, :width] * 10.0 ** rng.uniform(-3, 3, (2000, 1))
     want = np.array([np.linalg.norm(row) for row in x])
     assert plane._row_norms(x).tobytes() == want.tobytes()
+
+
+# the norm of a spinor scaled by this power of two overflows a double; the
+# scaling itself is exact, so the coordinates and residuals scale with it
+HUGE = 2.0**700
+
+
+def _routes(psi, base):
+    """(coordinates, residuals, error message) of one row from
+    decompose_batch, after checking that decompose gives the same
+    coordinates bit for bit, or raises the same error."""
+    coords, residuals, failures = plane.decompose_batch(psi[None], base)
+    try:
+        c = plane.decompose(psi, base)
+    except NotInPlane as exc:
+        assert str(failures[0]) == str(exc)
+        return coords[0], residuals[0], str(exc)
+    assert not failures
+    assert coords[0].tobytes() == np.array([c.r1, c.r2]).tobytes()
+    return coords[0], residuals[0], None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_of_an_in_plane_row_whose_norm_overflows(rng):
+    base = random_rim_bases(rng, 1)[0]
+    psi = plane.block_scale(base, 2.0 - 0.5j, 0.3 + 1.1j)
+    coords, residuals, error = _routes(psi, base)
+    big_coords, big_residuals, big_error = _routes(psi * HUGE, base)
+    assert error is big_error is None
+    assert big_coords.view(float).tolist() == (coords.view(float) * HUGE).tolist()
+    assert big_residuals.tolist() == (residuals * HUGE).tolist()
+    # a decimal scale is not exact, but the row stays in the plane
+    c, res, error = _routes(psi * 1e200, base)
+    assert error is None and np.all(np.isfinite(res))
+    assert np.allclose(c, [2e200 - 5e199j, 3e199 + 1.1e200j], rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_against_a_base_whose_norm_overflows(rng):
+    base = random_rim_bases(rng, 1)[0]
+    psi = plane.block_scale(base, 2.0 - 0.5j, 0.3 + 1.1j)
+    coords, residuals, _ = _routes(psi, base)
+    big_coords, big_residuals, error = _routes(psi, base * HUGE)
+    assert error is None
+    assert big_coords.view(float).tolist() == (coords.view(float) / HUGE).tolist()
+    assert big_residuals.tolist() == residuals.tolist()
+    c, _, error = _routes(psi, base * 1e200)
+    assert error is None
+    assert np.allclose(c, [2e-200 - 5e-201j, 3e-201 + 1.1e-200j], rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_rejects_an_off_plane_row_whose_norm_overflows():
+    base = np.array([0.6 - 0.2j, 0.3 + 0.9j, 0.1, -0.7j])
+    off = np.array([1.0, 0.5j, 0.0, 1.0])
+    _, _, error = _routes(off, base)
+    _, _, big_error = _routes(off * 1e200, base)
+    assert error.startswith("block residual") and big_error.startswith("block residual")
+    with pytest.raises(NotInPlane):
+        plane.decompose(np.array([1e200, 5e199j, 0.0, 1e200]), base)
