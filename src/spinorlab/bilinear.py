@@ -280,7 +280,7 @@ def from_scalars(
     dual: DualKind = DualKind.DIRAC,
     scale: float = 1.0,
 ) -> Bilinears:
-    """Assemble a covariant record by hand (mainly for tests and the CLI)."""
+    """Assemble a covariant record by hand (for tests and fixed examples)."""
     S = np.asarray(S, dtype=complex)
     return Bilinears(
         A=complex(A),

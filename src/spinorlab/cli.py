@@ -2,7 +2,8 @@
 
 Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 0 success, 1 classification produced but with near-degenerate flags,
-2 invalid input, 3 identity-suite failure.  The SPINORLAB_TOL environment
+2 invalid input or an --output that cannot be written, 3 identity-suite
+failure; stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
 variable overrides the default tolerance (1e-9); report order always equals
 input order.  ``classify`` and ``decompose`` each make one vectorised pass
 over the corpus (covariants or plane coordinates, then classes) and only
@@ -17,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -222,11 +224,8 @@ def _cmd_map(args) -> int:
     params = rim.validate(a, b, args.tol)
     inputs = io.load_coeff_inputs(args.coeffs)
     psi = io.load_spinors(args.input)[0]
-    cov = bilinear.from_scalars(
-        inputs["A"], inputs["B"], [0.0] * 4, [0.0] * 4, np.zeros((4, 4))
-    )
     c = plane.coefficient_set(
-        params, cov, inputs["M"], inputs["m"], inputs["theta"], inputs["sign"], args.tol
+        params, inputs["A"], inputs["B"], inputs["M"], inputs["m"], inputs["theta"], inputs["sign"], args.tol
     )
     mapped = plane.map_dirac_mdo(psi, c, args.direction)
     reverse = "mdo-to-dirac" if args.direction == "dirac-to-mdo" else "dirac-to-mdo"
@@ -360,17 +359,22 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if getattr(args, "tol", DEFAULT_TOL) is None:
-            args.tol = _tol_default()
-        return _COMMANDS[args.command](args)
-    # ValueError: a report with a non-finite value (json allow_nan=False)
-    except (io.InputError, IntegrabilityViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except SpinorlabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    # one error state and warning filter for the whole command, so stderr
+    # holds at most the one error line; no result depends on them
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            if getattr(args, "tol", DEFAULT_TOL) is None:
+                args.tol = _tol_default()
+            return _COMMANDS[args.command](args)
+        # ValueError: a report with a non-finite value (json allow_nan=False);
+        # OSError: an --output that cannot be written
+        except (io.InputError, IntegrabilityViolation, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+        except SpinorlabError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
 
 
 def entry() -> None:

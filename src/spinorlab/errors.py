@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and ``raise_first``."""
+
+import numpy as np
 
 
 class SpinorlabError(Exception):
@@ -63,3 +65,15 @@ class DegenerateParameter(SpinorlabError):
 
 class InconsistentBilinears(SpinorlabError):
     """A hand-built bilinear record violates the algebraic constraints."""
+
+
+def raise_first(bad, error: type[Exception], template: str, *values) -> None:
+    """Raise ``error`` when the boolean scalar or (n,) array ``bad`` is set
+    anywhere: with ``template`` formatted with ``values`` at the first failing
+    row, whose index starts the message of an array."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    at = int(np.argmax(bad)) if bad.ndim else ()
+    message = template.format(*(np.broadcast_to(v, bad.shape)[at].item() for v in values))
+    raise error(message if bad.ndim == 0 else f"row {at}: {message}")

@@ -60,6 +60,8 @@ def _load_csv(path: Path) -> np.ndarray:
         raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except (OSError, ValueError) as exc:
         raise _fail(path, f"cannot parse CSV ({exc})") from exc
+    if raw.shape[0] == 0:
+        raise _fail(path, "no data rows")
     if raw.shape[1] != 8:
         raise _fail(path, f"CSV needs 8 columns (re/im interleaved), got {raw.shape[1]}")
     finite = np.isfinite(raw).all(axis=1)
@@ -80,21 +82,27 @@ def load_params(path: str | Path) -> tuple[complex, complex]:
 
 
 def load_coeff_inputs(path: str | Path) -> dict:
-    """Map inputs {A, B, M, m, theta, sign} for the coefficient set."""
+    """Map inputs {A, B, M, m, theta, sign} for the coefficient set; sign is
+    "+", "-", 1 or -1, and is returned as +1 or -1."""
     path = Path(path)
     obj = _read_json(path)
     try:
-        sign = obj.get("sign", "+")
-        return {
+        inputs = {
             "A": float(obj["A"]),
             "B": float(obj["B"]),
             "M": float(obj.get("M", 0.0)),
             "m": float(obj.get("m", 0.0)),
             "theta": float(obj.get("theta", 0.0)),
-            "sign": +1 if sign in ("+", 1, +1) else -1,
+            "sign": obj.get("sign", "+"),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"coefficient inputs need A, B [, M, m, theta, sign] ({exc})") from exc
+    sign = inputs["sign"]
+    # true and 1.0 equal 1 but are not one of the four spellings
+    if type(sign) not in (str, int) or sign not in ("+", "-", 1, -1):
+        raise _fail(path, f'sign must be "+", "-", 1 or -1, got {sign!r}')
+    inputs["sign"] = -1 if sign in ("-", -1) else +1
+    return inputs
 
 
 def load_momentum(path: str | Path) -> dict:

@@ -5,6 +5,12 @@ r1*block1(base) + r2*block2(base) = (r1, r2) in the base's own basis "B".
 The Dirac- and MDO-image bases "D" and "M" are reached through block-scalar
 operators built from the six map coefficients; every change of basis is an
 invertible block-scalar operator (c1 on block 1, c2 on block 2).
+
+The coefficient set, the operators, the maps and ``convert_coords`` take
+scalars or (n,) arrays, one row each, and a scalar call has the bits of the
+same row of an array call: numpy's array loop fuses the multiply-adds of a
+complex product where its scalar multiply does not, so each complex product
+has a real factor or is taken between arrays (0-d for a scalar).
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import Bilinears
 from .errors import (
     BasisMismatch,
     DegenerateBasis,
@@ -23,6 +28,7 @@ from .errors import (
     NotInPlane,
     SpinorlabError,
     ZeroCoefficient,
+    raise_first,
 )
 from .rim import RimParams
 from .spinor import DEFAULT_TOL, block1, block2
@@ -39,7 +45,8 @@ class PlaneCoords:
 
 @dataclass(frozen=True)
 class MOperator:
-    """Block-scalar operator diag(c1, c1, c2, c2); c1 acts on block 1."""
+    """Block-scalar operator diag(c1, c1, c2, c2); c1 acts on block 1.
+    c1 and c2 are scalars, or (n,) arrays for one operator per row."""
 
     c1: complex
     c2: complex
@@ -51,7 +58,8 @@ class CoefficientSet:
 
     alpha, beta, delta depend on the base scalars and the couplings; epsilon
     is delta**rho; omega and zeta carry the mass/angle exponentials with an
-    explicit overall sign choice.
+    explicit overall sign choice.  Each field is a scalar, or an (n,) array
+    in a set for n rows.
     """
 
     alpha: complex
@@ -79,60 +87,64 @@ class ChiFactors:
 
 def coefficient_set(
     params: RimParams,
-    bil: Bilinears,
-    M_dirac: float,
-    m_mdo: float,
-    theta: float,
-    sign: int = +1,
+    A,
+    B,
+    M_dirac,
+    m_mdo,
+    theta,
+    sign=+1,
     tol: float = DEFAULT_TOL,
 ) -> CoefficientSet:
-    """Evaluate the six coefficients from a valid base's scalars.
+    """Evaluate the six coefficients from a valid base's real scalars A, B.
 
-    All powers and roots are principal-branch.  Requires A != 0, B != 0 and
-    Re(a) != 0.
+    The couplings, A, B, the masses, theta and sign are scalars or (n,)
+    arrays, and so are the fields of the set.  All powers and roots are
+    principal-branch.  Requires A != 0, B != 0 and Re(a) != 0; an array
+    raises at its first failing row.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    A = complex(bil.A)
-    B = complex(bil.B)
-    s = max(1.0, abs(A), abs(B))
-    if abs(A) <= tol * s or abs(B) <= tol * s:
-        raise InvalidBase("coefficients need a base with A != 0 and B != 0")
+    raise_first((sign != 1) & (sign != -1), ValueError, "sign must be +1 or -1")
+    s = np.fmax(1.0, np.fmax(np.abs(A), np.abs(B)))  # fmax skips a NaN, as Python's max did
+    raise_first(
+        (np.abs(A) <= tol * s) | (np.abs(B) <= tol * s),
+        InvalidBase,
+        "coefficients need a base with A != 0 and B != 0",
+    )
     re_a = params.a.real
-    if abs(re_a) <= tol * max(1.0, abs(params.a)):
-        raise DegenerateRealPart("Re(a) = 0")
-    j = np.sqrt((A - 1j * B) * (A + 1j * B)).real
-    alpha = np.exp(1j * M_dirac / (2.0 * re_a * j))
-    beta_exponent = -1j * (params.a.imag / (2.0 * re_a)) * np.log(j)
+    raise_first(np.abs(re_a) <= tol * np.fmax(1.0, np.abs(params.a)), DegenerateRealPart, "Re(a) = 0")
+    j = np.sqrt(A * A + B * B)
+    amib = A - 1j * B
+    alpha = np.exp(1j * (M_dirac / (2.0 * re_a * j)))
+    beta_exponent = -1j * (params.a.imag / (2.0 * re_a) * np.log(j))
     beta = np.exp(beta_exponent)
-    delta = np.sqrt(j / (A - 1j * B))
+    delta = np.sqrt(j / amib)
     epsilon = delta**params.rho
-    omega = np.exp(sign * m_mdo * np.sin(theta) / (4.0 * re_a * (A - 1j * B)))
+    omega = np.exp(sign * m_mdo * np.sin(theta) / (4.0 * re_a * amib))
     zeta = np.exp(sign * m_mdo * np.sin(theta) / (4.0 * re_a * (A + 1j * B)))
     return CoefficientSet(
-        alpha=complex(alpha),
-        beta=complex(beta),
-        delta=complex(delta),
-        epsilon=complex(epsilon),
-        omega=complex(omega),
-        zeta=complex(zeta),
-        M_dirac=float(M_dirac),
-        m_mdo=float(m_mdo),
-        theta=float(theta),
-        sign=int(sign),
-        rho=float(params.rho),
-        J=float(j),
-        beta_exponent=complex(beta_exponent),
+        alpha=alpha,
+        beta=beta,
+        delta=delta,
+        epsilon=epsilon,
+        omega=omega,
+        zeta=zeta,
+        M_dirac=M_dirac,
+        m_mdo=m_mdo,
+        theta=theta,
+        sign=sign,
+        rho=params.rho,
+        J=j,
+        beta_exponent=beta_exponent,
     )
 
 
 def chi_factors(c: CoefficientSet, tol: float = DEFAULT_TOL) -> ChiFactors:
     """chi1 = eps*omega/(delta*beta*alpha), chi2 = zeta*delta/(eps*beta*alpha)."""
-    coeffs = (c.alpha, c.beta, c.delta, c.epsilon, c.omega, c.zeta)
-    if any(abs(x) <= tol for x in coeffs):
-        raise ZeroCoefficient("all six coefficients must be nonzero")
-    chi1 = c.epsilon * c.omega / (c.delta * c.beta * c.alpha)
-    chi2 = c.zeta * c.delta / (c.epsilon * c.beta * c.alpha)
+    # one shape for all six: a set may mix scalar and (n,) fields
+    coeffs = np.broadcast_arrays(c.alpha, c.beta, c.delta, c.epsilon, c.omega, c.zeta)
+    raise_first(np.any(np.abs(coeffs) <= tol, axis=0), ZeroCoefficient, "all six coefficients must be nonzero")
+    alpha, beta, delta, epsilon, omega, zeta = coeffs
+    chi1 = epsilon * omega / (delta * beta * alpha)
+    chi2 = zeta * delta / (epsilon * beta * alpha)
     return ChiFactors(chi1=chi1, chi2=chi2, chi1_inv=1.0 / chi1, chi2_inv=1.0 / chi2)
 
 
@@ -158,24 +170,25 @@ def operator_matrix(op: MOperator) -> np.ndarray:
 
 
 def inverse_operator(op: MOperator, tol: float = DEFAULT_TOL) -> MOperator:
-    if abs(op.c1) <= tol or abs(op.c2) <= tol:
-        raise NonInvertible("block scalar vanishes")
+    raise_first((np.abs(op.c1) <= tol) | (np.abs(op.c2) <= tol), NonInvertible, "block scalar vanishes")
     return MOperator(c1=1.0 / op.c1, c2=1.0 / op.c2)
 
 
 def compose_operators(left: MOperator, right: MOperator) -> MOperator:
-    return MOperator(c1=left.c1 * right.c1, c2=left.c2 * right.c2)
+    c1, c2 = np.broadcast_arrays(left.c1, left.c2)
+    return MOperator(c1=c1 * right.c1, c2=c2 * right.c2)
 
 
 def l_operator(c: CoefficientSet) -> MOperator:
     """Base -> Dirac image: (alpha beta delta, alpha beta delta^-1)."""
-    abd = c.alpha * c.beta * c.delta
-    return MOperator(c1=abd, c2=c.alpha * c.beta / c.delta)
+    alpha, beta, delta = np.broadcast_arrays(c.alpha, c.beta, c.delta)
+    return MOperator(c1=alpha * beta * delta, c2=alpha * beta / delta)
 
 
 def q_operator(c: CoefficientSet) -> MOperator:
     """Base -> MDO image: (epsilon omega, epsilon^-1 zeta)."""
-    return MOperator(c1=c.epsilon * c.omega, c2=c.zeta / c.epsilon)
+    epsilon, omega = np.broadcast_arrays(c.epsilon, c.omega)
+    return MOperator(c1=epsilon * omega, c2=c.zeta / epsilon)
 
 
 def m_operator(c: CoefficientSet) -> MOperator:
@@ -339,11 +352,13 @@ def basis_scalars(basis: str, c: CoefficientSet) -> tuple[complex, complex]:
 
 
 def convert_coords(coords: PlaneCoords, to_basis: str, c: CoefficientSet) -> PlaneCoords:
-    """Re-express coordinates in another named basis of the same plane."""
+    """Re-express coordinates in another named basis of the same plane;
+    elementwise for (n,) coordinates and a set for n rows."""
     s_from = basis_scalars(coords.basis, c)
     s_to = basis_scalars(to_basis, c)
+    r1, r2 = np.broadcast_arrays(coords.r1, coords.r2)
     return PlaneCoords(
-        r1=coords.r1 * s_from[0] / s_to[0],
-        r2=coords.r2 * s_from[1] / s_to[1],
+        r1=r1 * s_from[0] / s_to[0],
+        r2=r2 * s_from[1] / s_to[1],
         basis=to_basis,
     )

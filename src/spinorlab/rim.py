@@ -18,20 +18,18 @@ import numpy as np
 
 from .bilinear import Bilinears, compute, compute_batch
 from .clifford import build, minkowski_dot, slash
-from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent
+from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, raise_first
 from .lounesto import ClassifyOptions
 from .spinor import DEFAULT_TOL
 
 _TWO_PI = 2.0 * math.pi
-# quarter-turn intervals for the polar angles of a and b (open)
-_QUARTERS = (
-    (0.0, math.pi / 2.0),
-    (math.pi / 2.0, math.pi),
-    (math.pi, 3.0 * math.pi / 2.0),
-    (3.0 * math.pi / 2.0, _TWO_PI),
-)
+# edges of the (open) quarter-turn intervals for the polar angles of a and b
+_EDGES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, _TWO_PI)
 # admissible (W_i, Z_j) quarter pairs, numbered domains 1..6
 DOMAIN_PAIRS = {(1, 1): 1, (4, 1): 2, (4, 4): 3, (2, 2): 4, (3, 2): 5, (3, 3): 6}
+# domain number by (W, Z) quarter numbers; quarter 0 (an edge) is outside
+_DOMAIN_TABLE = np.zeros((5, 5), dtype=int)
+_DOMAIN_TABLE[tuple(zip(*DOMAIN_PAIRS))] = list(DOMAIN_PAIRS.values())
 # lowers the index of a stored contravariant current
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -80,35 +78,34 @@ class BaseValidation:
     A2: complex
 
 
-def _quarter(phi: float) -> int | None:
-    for i, (lo, hi) in enumerate(_QUARTERS, start=1):
-        if lo < phi < hi:
-            return i
-    return None  # boundary angles live in no open quarter
+def _quarter(phi):
+    """Number 1..4 of the open quarter that holds an angle in [0, 2 pi), or 0
+    on a quarter edge; elementwise on arrays."""
+    return sum(i * ((lo < phi) & (phi < hi)) for i, (lo, hi) in enumerate(zip(_EDGES, _EDGES[1:]), start=1))
 
 
-def domain_of(phi1: float, phi2: float) -> OmegaDomain:
-    """Domain tag of a polar-angle pair; boundaries classify outside."""
-    w = _quarter(phi1 % _TWO_PI)
-    z = _quarter(phi2 % _TWO_PI)
-    if w is None or z is None:
-        return OmegaDomain.OUTSIDE
-    return OmegaDomain(DOMAIN_PAIRS.get((w, z), 0))
+def domain_of(phi1, phi2):
+    """Domain tag of a polar-angle pair; boundaries classify outside.
+
+    On (n,) arrays of angles it returns the (n,) array of the tags' values.
+    """
+    code = _DOMAIN_TABLE[_quarter(phi1 % _TWO_PI), _quarter(phi2 % _TWO_PI)]
+    return OmegaDomain(int(code)) if np.ndim(code) == 0 else code
 
 
-def validate(a: complex, b: complex, tol: float = DEFAULT_TOL) -> RimParams:
+def validate(a, b, tol: float = DEFAULT_TOL) -> RimParams:
     """Check the coupling pair and derive (s, rho, domain).
 
-    Raises IntegrabilityViolation when Re(a) != Re(b) and DegenerateB when
-    Im(b) = 0.  An angle pair outside every domain is a tag, not an error.
+    a and b are complex scalars or (n,) arrays; on arrays every field of the
+    result is an (n,) array (the domain holds the tags' values).  Raises
+    IntegrabilityViolation when Re(a) != Re(b) and DegenerateB when
+    Im(b) = 0, naming the first failing row of an array.  An angle pair
+    outside every domain is a tag, not an error.
     """
-    a = complex(a)
-    b = complex(b)
-    scale = max(1.0, abs(a), abs(b))
-    if abs(a.real - b.real) > tol * scale:
-        raise IntegrabilityViolation(f"Re(a)={a.real!r} != Re(b)={b.real!r}")
-    if abs(b.imag) <= tol * scale:
-        raise DegenerateB("Im(b) = 0 makes the axial potential diverge")
+    scale = np.fmax(1.0, np.fmax(np.abs(a), np.abs(b)))  # fmax skips a NaN, as Python's max did
+    unequal = np.abs(a.real - b.real) > tol * scale
+    raise_first(unequal, IntegrabilityViolation, "Re(a)={!r} != Re(b)={!r}", a.real, b.real)
+    raise_first(np.abs(b.imag) <= tol * scale, DegenerateB, "Im(b) = 0 makes the axial potential diverge")
     s = 0.5 * (b.imag - a.imag)  # real part of i(a - b)/2
     rho = (a.imag - b.imag) / b.imag
     return RimParams(a=a, b=b, s=s, rho=rho, domain=domain_of(np.angle(a) % _TWO_PI, np.angle(b) % _TWO_PI))

@@ -22,7 +22,7 @@ def base_setup(tmp_path, rng):
     base = random_rim_bases(rng, 1)[0]
     cov = bilinear.compute(base)
     params = rim.validate(0.6 + 0.2j, 0.6 - 0.7j)
-    c = plane.coefficient_set(params, cov, 1.0, 0.5, 0.7, +1)
+    c = plane.coefficient_set(params, cov.A.real, cov.B.real, 1.0, 0.5, 0.7, +1)
     files = {
         "base": write_json(tmp_path / "base.json", spinor.to_json(base)),
         "params": write_json(
@@ -193,16 +193,14 @@ def test_homotopy_transition_below_unit_r1_matches_the_rows(tmp_path):
     assert 0.0 < transition["t"] <= 0.1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
 def test_homotopy_from_an_off_plane_spinor_whose_norm_overflows_exits_2(tmp_path, capsys):
     off = write_json(tmp_path / "off.json", {"re": [1e200, 0, 0, 1e200], "im": [0, 5e199, 0, 0]})
     code = cli.main(["homotopy", "--from", off, "--to", str(MIXED_BASE), "--base", str(MIXED_BASE)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INVALID_INPUT
     assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
-        "error: NotInPlane: block residual 4.473e+199 exceeds 1.0e-08 x 1.118e+200"
-    ]
+    assert captured.err == "error: NotInPlane: block residual 4.473e+199 exceeds 1.0e-08 x 1.118e+200\n"
 
 
 _magnitudes = st.floats(min_value=-6.0, max_value=3.0)  # log10 |r1|
@@ -439,17 +437,59 @@ def test_momentum_parse_failure_names_json(tmp_path):
         io.load_momentum(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
 def test_non_finite_report_from_finite_input_exits_2(tmp_path, capsys):
     path = write_json(tmp_path / "mom.json", {"m": 1e308, "p": 1e308})
     code = cli.main(["mdo", "--momentum", path])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INVALID_INPUT
     assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
-        "error: Out of range float values are not JSON compliant: nan"
-    ]
+    assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+def test_empty_csv_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code = cli.main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: no data rows\n"
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_exits_2_with_one_line(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code = cli.main(["classify", "--input", str(MIXED_BASE), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+@pytest.mark.parametrize("sign", ["x", "+1", 0, 2, 1.0, True, None], ids=repr)
+def test_map_rejects_a_sign_that_is_not_plus_or_minus_one(sign, base_setup, capsys):
+    _, _, _, _, files, tmp_path = base_setup
+    coeffs = json.loads(Path(files["coeffs"]).read_text())
+    path = write_json(tmp_path / "bad_sign.json", {**coeffs, "sign": sign})
+    argv = ["map", "--direction", "dirac-to-mdo", "--params", files["params"], "--coeffs", path, "--input", files["base"]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err == f'error: {path}: sign must be "+", "-", 1 or -1, got {sign!r}\n'
+
+
+@pytest.mark.parametrize("sign", ["+", "-", 1, -1])
+def test_map_accepts_the_four_spellings_of_a_sign(sign, base_setup, capsys):
+    _, _, _, _, files, tmp_path = base_setup
+    coeffs = json.loads(Path(files["coeffs"]).read_text())
+    path = write_json(tmp_path / "sign.json", {**coeffs, "sign": sign})
+    argv = ["map", "--direction", "dirac-to-mdo", "--params", files["params"], "--coeffs", path, "--input", files["base"]]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert io.load_coeff_inputs(path)["sign"] == (-1 if sign in ("-", -1) else 1)
 
 
 def _decompose_rows(tmp_path, capsys, base, psis):

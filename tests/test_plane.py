@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto, plane, rim
 from spinorlab.errors import (
+    DegenerateB,
     DegenerateBasis,
     DegenerateRealPart,
+    IntegrabilityViolation,
     InvalidBase,
     NonInvertible,
     NotInPlane,
@@ -28,7 +31,8 @@ def unit_current_bilinears():
 
 
 def coefficients(M=1.0, m=0.5, theta=0.7, sign=+1, bil=None, params=PARAMS):
-    return plane.coefficient_set(params, bil or unit_current_bilinears(), M, m, theta, sign)
+    bil = bil or unit_current_bilinears()
+    return plane.coefficient_set(params, bil.A.real, bil.B.real, M, m, theta, sign)
 
 
 def test_beta_is_one_for_unit_current():
@@ -55,7 +59,7 @@ def test_omega_zeta_product_identity(rng):
         params = rim.validate(a_arr[i], b_arr[i])
         bil = bilinear.compute(base)
         sign = 1 if i % 2 == 0 else -1
-        c = plane.coefficient_set(params, bil, 1.3, 0.8, 1.1, sign)
+        c = plane.coefficient_set(params, bil.A.real, bil.B.real, 1.3, 0.8, 1.1, sign)
         expected = np.exp(sign * 0.8 * math.sin(1.1) * bil.A.real / (2 * params.a.real * c.J**2))
         assert abs(c.omega * c.zeta - expected) < 1e-12 * max(1.0, abs(expected))
 
@@ -80,7 +84,7 @@ def test_coefficient_set_rejects_degenerate_base():
 def test_coefficient_set_rejects_imaginary_coupling():
     p = rim.RimParams(a=1j, b=1j, s=0.0, rho=0.0, domain=rim.OmegaDomain.OUTSIDE)
     with pytest.raises(DegenerateRealPart):
-        plane.coefficient_set(p, unit_current_bilinears(), 1.0, 1.0, 0.5, +1)
+        plane.coefficient_set(p, 0.6, 0.8, 1.0, 1.0, 0.5, +1)
 
 
 def test_chi_factors_identity_coefficients():
@@ -118,7 +122,7 @@ def test_chi_closed_form(rng):
         bil = bilinear.compute(base)
         sign = 1 if i % 3 else -1
         M, m, theta = 0.9, 1.2, 0.8
-        c = plane.coefficient_set(params, bil, M, m, theta, sign)
+        c = plane.coefficient_set(params, bil.A.real, bil.B.real, M, m, theta, sign)
         chi = plane.chi_factors(c)
         amib = bil.A - 1j * bil.B
         closed1 = c.delta ** (params.rho - 1) * np.exp(
@@ -197,7 +201,7 @@ def test_map_roundtrip_and_consistency(rng):
     for i, base in enumerate(bases):
         params = rim.validate(a_arr[i], b_arr[i])
         bil = bilinear.compute(base)
-        c = plane.coefficient_set(params, bil, 0.9, 1.1, 0.6, -1)
+        c = plane.coefficient_set(params, bil.A.real, bil.B.real, 0.9, 1.1, 0.6, -1)
         psi_d = plane.dirac_from_base(base, c)
         lam = plane.mdo_from_base(base, c)
         mapped = plane.map_dirac_mdo(psi_d, c, "dirac-to-mdo")
@@ -441,3 +445,113 @@ def test_decompose_rejects_an_off_plane_row_whose_norm_overflows():
     assert error.startswith("block residual") and big_error.startswith("block residual")
     with pytest.raises(NotInPlane):
         plane.decompose(np.array([1e200, 5e199j, 0.0, 1e200]), base)
+
+
+# ---------------------------------------------------------------------------
+# the maps over (n,) arrays: row i of an array call is the scalar call on row i
+
+
+def _wide_rows(seed, n):
+    """n rows of map inputs: couplings as random_valid_params draws them,
+    |A|, |B| in [1e-3, 1e3] of either sign, M in [1e-3, 1e3], theta over the
+    circle, both signs, and spinors and coordinates over six decades.
+    m = u * 4 Re(a) J with u in [0, 4] keeps |ln omega| and |ln zeta| below
+    4, so chi_factors accepts every row whatever J."""
+    gen = np.random.default_rng(seed)
+    a, b = random_valid_params(gen, n)
+    A, B = 10.0 ** gen.uniform(-3, 3, (2, n)) * gen.choice([-1.0, 1.0], (2, n))
+    return {
+        "a": a,
+        "b": b,
+        "A": A,
+        "B": B,
+        "M": 10.0 ** gen.uniform(-3, 3, n),
+        "m": gen.uniform(0.0, 4.0, n) * 4.0 * a.real * np.hypot(A, B),
+        "theta": gen.uniform(0.0, 2 * np.pi, n),
+        "sign": gen.choice([-1, 1], n),
+        "psi": random_spinor(gen, n) * 10.0 ** gen.uniform(-3, 3, (n, 1)),
+        "r1": random_spinor(gen, n)[:, 0] * 10.0 ** gen.uniform(-3, 3, n),
+        "r2": random_spinor(gen, n)[:, 0] * 10.0 ** gen.uniform(-3, 3, n),
+    }
+
+
+def _row(x, i):
+    return {key: value[i] for key, value in x.items()}
+
+
+def _plane_maps(x):
+    """Every plane map of one set of inputs (scalars or (n,) arrays), by name."""
+    params = rim.validate(x["a"], x["b"])
+    c = plane.coefficient_set(params, x["A"], x["B"], x["M"], x["m"], x["theta"], x["sign"])
+    out = {f"coefficient_set.{key}": value for key, value in vars(c).items()}
+    out.update({f"chi_factors.{key}": value for key, value in vars(plane.chi_factors(c)).items()})
+    for name, op in (("l", plane.l_operator(c)), ("q", plane.q_operator(c)), ("m", plane.m_operator(c))):
+        inv = plane.inverse_operator(op)
+        for key, o in ((name, op), (f"{name}^-1", inv), (f"{name} {name}^-1", plane.compose_operators(op, inv))):
+            out[key] = np.stack([o.c1, o.c2], axis=-1)
+    out["dirac_from_base"] = plane.dirac_from_base(x["psi"], c)
+    out["mdo_from_base"] = plane.mdo_from_base(x["psi"], c)
+    for direction in ("dirac-to-mdo", "mdo-to-dirac"):
+        out[direction] = plane.map_dirac_mdo(x["psi"], c, direction)
+    for src in "BDM":
+        for dst in "BDM":
+            to = plane.convert_coords(plane.PlaneCoords(x["r1"], x["r2"], src), dst, c)
+            out[f"convert_coords {src}->{dst}"] = np.stack([to.r1, to.r2], axis=-1)
+    return out
+
+
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12))
+@settings(deadline=None, max_examples=60)
+def test_plane_maps_of_an_array_equal_the_maps_of_each_row_bit_for_bit(seed, n):
+    x = _wide_rows(seed, n)
+    batch = _plane_maps(x)
+    rows = [_plane_maps(_row(x, i)) for i in range(n)]
+    for name, value in batch.items():
+        want = np.array([row[name] for row in rows])
+        got = np.asarray(value)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _break_row(x, k, error):
+    """A copy of x whose row k fails the guard that raises ``error``."""
+    x = {key: value.copy() for key, value in x.items()}
+    if error is IntegrabilityViolation:
+        x["b"][k] += 0.25
+    elif error is DegenerateB:
+        x["b"][k] = x["b"][k].real
+    elif error is InvalidBase:
+        x["A"][k] = 0.0
+    elif error is DegenerateRealPart:
+        x["a"][k] -= x["a"][k].real
+        x["b"][k] -= x["b"][k].real
+    else:
+        x["sign"][k] = 0
+    return x
+
+
+@pytest.mark.parametrize(
+    "error",
+    [IntegrabilityViolation, DegenerateB, InvalidBase, DegenerateRealPart, ValueError],
+    ids=lambda e: e.__name__,
+)
+@given(seed=seeds, n=st.integers(min_value=3, max_value=12))
+@settings(deadline=None, max_examples=20)
+def test_an_invalid_row_in_the_middle_of_an_array_is_named(error, seed, n):
+    k = n // 2
+    x = _break_row(_wide_rows(seed, n), k, error)
+    with pytest.raises(error) as from_row:
+        _plane_maps(_row(x, k))
+    with pytest.raises(error) as from_array:
+        _plane_maps(x)
+    assert str(from_array.value) == f"row {k}: {from_row.value}"
+
+
+def test_a_zero_coefficient_or_block_scalar_names_its_row():
+    x = _wide_rows(7, 5)
+    c = plane.coefficient_set(rim.validate(x["a"], x["b"]), x["A"], x["B"], x["M"], x["m"], x["theta"], x["sign"])
+    zero_at_2 = np.arange(5) == 2
+    with pytest.raises(ZeroCoefficient, match=r"^row 2: all six coefficients must be nonzero$"):
+        plane.chi_factors(dataclasses.replace(c, omega=np.where(zero_at_2, 0.0, c.omega)))
+    with pytest.raises(NonInvertible, match=r"^row 2: block scalar vanishes$"):
+        plane.inverse_operator(plane.MOperator(c1=np.ones(5), c2=np.where(zero_at_2, 0.0, 1.0)))

@@ -290,3 +290,45 @@ def test_pointwise_identities_hold_under_scale_and_phase(seed, decade, phase):
     assert rim.heisenberg_residual(psi, p) / scale <= 1e-10
     ra, rb = rim.del_ab_residuals(psi, p)
     assert max(ra, rb) / scale <= 1e-10
+
+
+_EDGES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi])
+
+
+def _domain_by_definition(phi1, phi2):
+    """The domain number of an angle pair from the open quarter intervals."""
+    quarters = []
+    for phi in (phi1 % (2 * np.pi), phi2 % (2 * np.pi)):
+        quarters.append(next((i for i in range(1, 5) if _EDGES[i - 1] < phi < _EDGES[i]), None))
+    return rim.DOMAIN_PAIRS.get(tuple(quarters), 0)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=16))
+@settings(deadline=None, max_examples=100)
+def test_validate_and_domain_of_arrays_equal_each_row_bit_for_bit(seed, n):
+    gen = np.random.default_rng(seed)
+    # couplings in every quarter pair, over six decades
+    re = gen.uniform(0.2, 1.5, n) * gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-3, 3, n)
+    a = re + 1j * gen.uniform(-1.0, 1.0, n) * 10.0 ** gen.uniform(-3, 3, n)
+    b = re + 1j * gen.uniform(0.2, 1.5, n) * gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-3, 3, n)
+    p = rim.validate(a, b)
+    rows = [rim.validate(a[i], b[i]) for i in range(n)]
+    for name in ("a", "b", "s", "rho"):
+        assert getattr(p, name).tobytes() == np.array([getattr(r, name) for r in rows]).tobytes(), name
+    assert p.domain.tolist() == [r.domain.value for r in rows]
+    # angles over several turns, a third of them on a quarter edge
+    phi = gen.uniform(-4 * np.pi, 4 * np.pi, (2, n))
+    on_edge = gen.uniform(size=(2, n)) < 0.3
+    phi[on_edge] = gen.choice(_EDGES, on_edge.sum())
+    tags = rim.domain_of(phi[0], phi[1])
+    assert tags.tolist() == [rim.domain_of(x, y).value for x, y in zip(*phi)]
+    assert tags.tolist() == [_domain_by_definition(x, y) for x, y in zip(*phi)]
+
+
+def test_validate_names_the_first_invalid_row():
+    a = np.array([0.5 + 0.2j, 0.5 + 0.2j, 0.3 + 1j, 0.5 + 0.2j])
+    b = np.array([0.5 - 0.9j, 0.5 - 0.9j, 0.4 + 1j, 0.5 + 0j])
+    with pytest.raises(IntegrabilityViolation, match=r"^row 2: Re\(a\)=0\.3 != Re\(b\)=0\.4$"):
+        rim.validate(a, b)
+    with pytest.raises(DegenerateB, match=r"^row 3: Im\(b\) = 0 makes the axial potential diverge$"):
+        rim.validate(a[[0, 1, 0, 3]], b[[0, 1, 0, 3]])
