@@ -6,10 +6,14 @@ Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 failure; stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
 variable overrides the default tolerance (1e-9); report order always equals
 input order.  ``classify`` and ``decompose`` each make one vectorised pass
-over the corpus (covariants or plane coordinates, then classes) and only
-build the report rows one at a time.  ``homotopy`` searches its transition
-on the rows' own grid at the rows' x (the from-spinor's r1); a row that
-cannot be classified fails the command with exit 2.
+over the corpus (covariants or plane coordinates, then classes) and hand
+the report's header, numpy columns and per-row layouts to
+``io.write_rows_report``, which checks that every float is finite and then
+streams the rows through one template per layout; a non-finite value exits
+2 naming its row and field, and no report is written.  ``homotopy``
+searches its transition on the rows' own grid at the rows' x (the
+from-spinor's r1); a row that cannot be classified fails the command with
+exit 2.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ EXIT_OK = 0
 EXIT_FLAGGED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_SUITE_FAILURE = 3
-
-_ROWS_PER_SLICE = 2048
 
 
 def _tol_default() -> float:
@@ -121,101 +123,89 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+# regularity of each class code; code 0 (an error row) is never written
+_REGULAR = np.array([False] + [c.regular for c in lounesto.LounestoClass])
+
+
+def _error_texts(table, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exception names and details of error codes into ``table`` (code c is
+    ``table[c - 1]``), as object arrays; "" where the code is 0."""
+    names = np.array([""] + [exc.__name__ for exc, _ in table], dtype=object)
+    details = np.array([""] + [detail for _, detail in table], dtype=object)
+    return names[codes], details[codes]
+
+
+def _load_base(path: str) -> tuple[np.ndarray, float, float]:
+    """The base spinor and its real scalars A and B, which must be finite."""
+    base = io.load_spinors(path)[0]
+    cov = bilinear.compute(base)
+    a_val, b_val = float(np.real(cov.A)), float(np.real(cov.B))
+    if not (math.isfinite(a_val) and math.isfinite(b_val)):
+        raise io.InputError(f"{path}: the base's A or B is not finite (its norm is too large)")
+    return base, a_val, b_val
+
+
 def _cmd_classify(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
     cov = bilinear.compute_batch(io.load_spinors(args.input))
     classes, errors, near = lounesto.classify_batch(cov, opt)
     residuals = bilinear.fpk_residuals_batch(cov)
-    columns = zip(
-        classes.tolist(),
-        errors.tolist(),
-        near.tolist(),
-        np.real(cov["A"]).tolist(),
-        np.real(cov["B"]).tolist(),
-        np.real(cov["J"]).tolist(),
-        np.real(cov["K"]).tolist(),
-        np.real(cov["S"]).tolist(),
-        np.real(residuals).tolist(),
-    )
-    rows = []
-    for i, (cls, err, flag, a_val, b_val, j, k, s, res) in enumerate(columns):
-        if err:
-            exc, detail = lounesto.ROW_ERRORS[err - 1]
-            rows.append({"id": i, "error": exc.__name__, "detail": detail})
-            continue
-        rows.append(
-            {
-                "id": i,
-                "lounesto_class": cls,
-                "regular": lounesto.LounestoClass(cls).regular,
-                "near_degenerate": flag,
-                "A": a_val,
-                "B": b_val,
-                "J": j,
-                "K": k,
-                "S": s,
-                "fpk_residuals": res,
-            }
-        )
-    report = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}, "rows": rows}
-    _emit(report, args.output)
+    ids = np.arange(classes.size)
+    names, details = _error_texts(lounesto.ROW_ERRORS, errors)
+    class_row = {
+        "id": ids,
+        "lounesto_class": classes,
+        "regular": _REGULAR[classes],
+        "near_degenerate": near,
+        "A": np.real(cov["A"]),
+        "B": np.real(cov["B"]),
+        "J": np.real(cov["J"]),
+        "K": np.real(cov["K"]),
+        "S": np.real(cov["S"]),
+        "fpk_residuals": np.real(residuals),
+    }
+    error_row = {"id": ids, "error": names, "detail": details}
+    header = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}}
+    io.write_rows_report(header, [class_row, error_row], errors != 0, args.output)
     return EXIT_FLAGGED if near.any() else EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
     psis = io.load_spinors(args.input)
-    base = io.load_spinors(args.base)[0]
-    base_cov = bilinear.compute(base)
-    a_val = float(np.real(base_cov.A))
-    b_val = float(np.real(base_cov.B))
+    base, a_val, b_val = _load_base(args.base)
     coords, residuals, failures = plane.decompose_batch(psis, base)
     classes, errors, near = lounesto.classify_by_coefficients_batch(
         coords[:, 0], coords[:, 1], a_val, b_val, opt
     )
-    near[list(failures)] = False
-    rows = []
-    # a slice at a time, so the Python lists of one column never all coexist
-    for start in range(0, psis.shape[0], _ROWS_PER_SLICE):
-        part = slice(start, start + _ROWS_PER_SLICE)
-        columns = zip(
-            coords[part].real.tolist(),
-            coords[part].imag.tolist(),
-            residuals[part].tolist(),
-            classes[part].tolist(),
-            errors[part].tolist(),
-            near[part].tolist(),
-        )
-        for i, (re, im, res, cls, err, flag) in enumerate(columns, start):
-            exc = failures.get(i)
-            if exc is not None:
-                rows.append({"id": i, "error": type(exc).__name__, "detail": str(exc)})
-                continue
-            row = {
-                "id": i,
-                "r1": {"re": re[0], "im": im[0]},
-                "r2": {"re": re[1], "im": im[1]},
-                "residuals": res,
-            }
-            if err:
-                exc, detail = lounesto.COEFFICIENT_ERRORS[err - 1]
-                row.update({"error": exc.__name__, "detail": detail})
-            else:
-                row.update(
-                    {
-                        "lounesto_class": cls,
-                        "regular": lounesto.LounestoClass(cls).regular,
-                        "near_degenerate": flag,
-                    }
-                )
-            rows.append(row)
-    report = {
+    # layouts: 0 class row, 1 coefficient-error row, 2 failed row
+    layout = np.minimum(errors, 1)
+    names, details = _error_texts(lounesto.COEFFICIENT_ERRORS, errors)
+    failed = list(failures)
+    layout[failed] = 2
+    near[failed] = False
+    names[failed] = [type(exc).__name__ for exc in failures.values()]
+    details[failed] = [str(exc) for exc in failures.values()]
+    ids = np.arange(psis.shape[0])
+    r1 = {"re": coords[:, 0].real, "im": coords[:, 0].imag}
+    r2 = {"re": coords[:, 1].real, "im": coords[:, 1].imag}
+    class_row = {
+        "id": ids,
+        "r1": r1,
+        "r2": r2,
+        "residuals": residuals,
+        "lounesto_class": classes,
+        "regular": _REGULAR[classes],
+        "near_degenerate": near,
+    }
+    coefficient_error_row = {"id": ids, "r1": r1, "r2": r2, "residuals": residuals, "error": names, "detail": details}
+    error_row = {"id": ids, "error": names, "detail": details}
+    header = {
         "command": "decompose",
         "config": {"tol": args.tol, "input": str(args.input), "base": str(args.base)},
         "base": {"A": a_val, "B": b_val},
-        "rows": rows,
     }
-    _emit(report, args.output)
+    io.write_rows_report(header, [class_row, coefficient_error_row, error_row], layout, args.output)
     return EXIT_FLAGGED if near.any() else EXIT_OK
 
 
@@ -254,10 +244,7 @@ def _cmd_homotopy(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
     psi = io.load_spinors(args.from_path)[0]
     phi = io.load_spinors(args.to_path)[0]
-    base = io.load_spinors(args.base)[0]
-    base_cov = bilinear.compute(base)
-    a_val = float(np.real(base_cov.A))
-    b_val = float(np.real(base_cov.B))
+    base, a_val, b_val = _load_base(args.base)
     psi_c = plane.decompose(psi, base)
     phi_c = plane.decompose(phi, base)
     path = homotopy.spinor_homotopy(psi_c, phi_c)
@@ -367,8 +354,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, "tol", DEFAULT_TOL) is None:
                 args.tol = _tol_default()
             return _COMMANDS[args.command](args)
-        # ValueError: a report with a non-finite value (json allow_nan=False);
-        # OSError: an --output that cannot be written
+        # ValueError: a report with a non-finite value, which is never
+        # written; OSError: an --output that cannot be written
         except (io.InputError, IntegrabilityViolation, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT

@@ -4,7 +4,9 @@ Spinors serialize as {"re": [4 floats], "im": [4 floats]}; Python's float
 repr is shortest-round-trip, so load(dump(x)) is bit exact.  CSV corpora
 carry 8 real columns per row, re/im interleaved per component.  Reports are
 dumped with sorted keys and a fixed layout so identical inputs give
-byte-identical files.
+byte-identical files.  The small reports go through ``json.dumps``; the
+corpus reports are streamed from numpy columns by ``write_rows_report``,
+whose bytes equal ``json.dumps`` of the same report.
 """
 
 from __future__ import annotations
@@ -150,3 +152,125 @@ def write_report(report: dict, path: str | Path | None) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+# Rows rendered per write of a streamed report: only one slice's Python
+# objects are alive at a time.
+_ROWS_PER_SLICE = 2048
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
+_CONVERSIONS = {"f": "%r", "i": "%d", "u": "%d"}  # any other kind is JSON text, %s
+
+
+def _python_columns(block: np.ndarray) -> list[list]:
+    """The (m, width) block of one leaf as width lists of what its slots take:
+    floats and ints as Python numbers, bools and strings as JSON text."""
+    if block.dtype.kind == "b":
+        return _JSON_BOOLS[block.T.astype(np.intp)].tolist()
+    if block.dtype.kind in "OU":
+        cols = block.T.tolist()
+        text = {value: json.dumps(value) for col in cols for value in set(col)}
+        return [list(map(text.__getitem__, col)) for col in cols]
+    return block.T.tolist()
+
+
+class _RowLayout:
+    """One row layout of a streamed report, compiled to a %-template.
+
+    ``row`` is a dict whose leaves are arrays over all n rows of the report
+    (row i is ``leaf[i]``, which may itself be an array): float, int or bool
+    arrays, or str arrays.  The template is ``json.dumps(indent=2,
+    sort_keys=True)`` of a skeleton row whose leaves are sentinel strings,
+    each swapped for a conversion (%r for floats, %d for ints, %s for JSON
+    text), so key order and whitespace are the stdlib's.
+    """
+
+    def __init__(self, row: dict, newline: str) -> None:
+        self.leaves: list[tuple[str, np.ndarray, int]] = []  # (field, (n, width) column, its first slot)
+        self.width = 0  # slots in a row
+        skeleton = self._skeleton(row, "")
+        text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%").replace("\n", newline)
+        at = [text.index(f'"@{j}@"') for j in range(self.width)]
+        for _, column, start in self.leaves:
+            for j in range(start, start + column.shape[1]):
+                text = text.replace(f'"@{j}@"', _CONVERSIONS.get(column.dtype.kind, "%s"))
+        self.template = text
+        # the template's k-th slot takes the leaves' column order[k]
+        self.order = sorted(range(self.width), key=at.__getitem__)
+        self.floats = [(at[start], field, column) for field, column, start in self.leaves if column.dtype.kind == "f"]
+
+    def _skeleton(self, node, field: str):
+        if isinstance(node, dict):
+            return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in node.items()}
+        column = np.asarray(node)
+        flat = column.reshape(column.shape[0], -1)
+        self.leaves.append((field, flat, self.width))
+        sentinels = np.array([f"@{j}@" for j in range(self.width, self.width + flat.shape[1])], dtype=object)
+        self.width += flat.shape[1]
+        return sentinels.reshape(column.shape[1:]).tolist()
+
+    def render(self, rows: np.ndarray) -> list[str]:
+        cols = [col for _, column, _ in self.leaves for col in _python_columns(column[rows])]
+        return list(map(self.template.__mod__, zip(*[cols[j] for j in self.order])))
+
+
+def _check_finite(layouts: list[_RowLayout], codes: np.ndarray) -> None:
+    """ValueError naming the first row that would write a non-finite float,
+    and its first such field in key order."""
+    first = None  # (row, place in the template, field)
+    for k, layout in enumerate(layouts):
+        written = codes == k
+        for at, field, column in layout.floats:
+            bad = np.flatnonzero(written & ~np.isfinite(column).all(axis=1))
+            if bad.size:
+                first = min(first or (int(bad[0]), at, field), (int(bad[0]), at, field))
+    if first is not None:
+        raise ValueError(f"row {first[0]}: {first[2]} is not finite")
+
+
+def _row_chunks(header: dict, layouts: list[dict], codes: np.ndarray):
+    if codes.size == 0:
+        yield dumps_report({**header, "rows": []})
+        return
+    # the stdlib's text around a one-row report: rows is the last key
+    head, _, tail = dumps_report({**header, "rows": [0]}).rpartition("0")
+    newline = head[head.rindex("\n") :]
+    compiled = [_RowLayout(row, newline) for row in layouts]
+    _check_finite(compiled, codes)
+    sep = "," + newline
+    for start in range(0, codes.size, _ROWS_PER_SLICE):
+        part = codes[start : start + _ROWS_PER_SLICE]
+        pieces = [""] * part.size
+        for k, layout in enumerate(compiled):
+            at = np.flatnonzero(part == k)
+            if at.size:
+                for i, text in zip(at.tolist(), layout.render(at + start)):
+                    pieces[i] = text
+        yield (head if start == 0 else sep) + sep.join(pieces)
+    yield tail
+
+
+def write_rows_report(header: dict, layouts: list[dict], codes: np.ndarray, path: str | Path | None) -> None:
+    """Stream ``{**header, "rows": rows}`` to ``path``, or to stdout when it
+    is None, with the bytes ``dumps_report`` would give.  Row i is rendered
+    from ``layouts[codes[i]]`` (see ``_RowLayout``); every key of ``header``
+    sorts before "rows".  The header and every float of a written row are
+    checked before the output is opened: a non-finite one raises
+    ValueError, naming the first such row and field.  A write that fails
+    removes the partial file.
+    """
+    chunks = _row_chunks(header, layouts, np.asarray(codes))
+    first = next(chunks)
+    if path is None:
+        import sys
+
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
+        return
+    out = open(path, "w")
+    try:
+        with out:
+            out.write(first)
+            out.writelines(chunks)
+    except BaseException:
+        Path(path).unlink()
+        raise

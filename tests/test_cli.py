@@ -168,7 +168,8 @@ def test_homotopy_sweep(base_setup, tmp_path, capsys):
     assert len(rep["rows"]) == 11
 
 
-MIXED_BASE = Path(__file__).parent / "data" / "mixed" / "base.json"
+MIXED = Path(__file__).parent / "data" / "mixed"
+MIXED_BASE = MIXED / "base.json"
 
 
 def _homotopy(tmp_path, ends, steps):
@@ -571,3 +572,80 @@ def test_decompose_off_plane_row_with_near_degenerate_coordinates_is_not_flagged
     code, rep = _decompose_rows(tmp_path, capsys, base, [psi])
     assert rep["rows"][0]["error"] == "NotInPlane"
     assert code == cli.EXIT_OK
+
+
+_BASE_OVERFLOWS = "the base's A or B is not finite (its norm is too large)"
+
+
+def _only_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+def test_classify_non_finite_row_exits_2_naming_it_and_writes_no_report(tmp_path, capsys):
+    # |psi|^2 = 2e400 overflows A; the finite first row does not save the report
+    path = tmp_path / "corpus.csv"
+    path.write_text("1,0,0,0,0,0,0,0\n1e200,0,0,0,1e200,0,0,0\n")
+    out = tmp_path / "report.json"
+    code = cli.main(["classify", "--input", str(path), "--output", str(out)])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == "error: row 1: A is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+def test_decompose_non_finite_row_exits_2_naming_it_and_writes_no_report(tmp_path, capsys):
+    # against a base of norm ~1e-10, a row of norm ~1e300 has |r1| ~ 1e310
+    base = io.load_spinors(MIXED_BASE)[0]
+    base_path = write_json(tmp_path / "base.json", spinor.to_json(1e-10 * base))
+    path = write_json(tmp_path / "rows.json", {"spinors": [spinor.to_json(base), spinor.to_json(1e300 * base)]})
+    out = tmp_path / "report.json"
+    code = cli.main(["decompose", "--input", path, "--base", base_path, "--output", str(out)])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == "error: row 1: r1.re is not finite\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def overflowing_base(tmp_path):
+    """The mixed fixture base x 1e200: finite, but its A and B overflow."""
+    base = io.load_spinors(MIXED_BASE)[0]
+    return write_json(tmp_path / "huge_base.json", spinor.to_json(1e200 * base))
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+def test_decompose_against_a_base_whose_scalars_overflow_names_the_base(overflowing_base, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["decompose", "--input", str(MIXED / "corpus.csv"), "--base", overflowing_base]
+    code = cli.main(argv + ["--output", str(out)])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == f"error: {overflowing_base}: {_BASE_OVERFLOWS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+def test_homotopy_against_a_base_whose_scalars_overflow_names_the_base(overflowing_base, capsys):
+    argv = ["homotopy", "--from", str(MIXED / "homotopy_from.json"), "--to", str(MIXED / "homotopy_to.json")]
+    code = cli.main(argv + ["--base", overflowing_base])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == f"error: {overflowing_base}: {_BASE_OVERFLOWS}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--input", "corpus.csv"], ["decompose", "--input", "corpus.csv", "--base", "base.json"]],
+    ids=["classify", "decompose"],
+)
+def test_stdout_and_output_give_the_pinned_report(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPINORLAB_TOL", raising=False)
+    monkeypatch.chdir(MIXED)
+    pinned = (MIXED / f"{argv[0]}.json").read_bytes()
+    assert cli.main(argv) == cli.EXIT_FLAGGED
+    assert capsys.readouterr().out.encode() == pinned
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_FLAGGED
+    assert out.read_bytes() == pinned
