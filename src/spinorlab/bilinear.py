@@ -40,6 +40,10 @@ class Bilinears:
     def k_squared(self) -> complex:
         return minkowski_dot(self.K, self.K)
 
+    def as_batch(self) -> dict[str, np.ndarray]:
+        """This record as the one-row dict ``compute_batch`` returns."""
+        return {k: np.asarray(getattr(self, k))[None] for k in ("A", "B", "J", "K", "S", "A1", "A2", "scale")}
+
 
 @dataclass(frozen=True)
 class FastBilinears:

@@ -71,15 +71,23 @@ def projector(block: int) -> np.ndarray:
 
 
 def slash(v: np.ndarray) -> np.ndarray:
-    """eta-contracted gamma product v^mu gamma_mu for contravariant v."""
+    """eta-contracted gamma product v^mu gamma_mu for contravariant v; an
+    (n, 4) stack of vectors gives the (n, 4, 4) stack of products."""
     g = build().gamma
-    v = np.asarray(v, dtype=complex)
-    return v[0] * g[0] - v[1] * g[1] - v[2] * g[2] - v[3] * g[3]
+    v = np.asarray(v, dtype=complex)[..., None, None]
+    return v[..., 0, :, :] * g[0] - v[..., 1, :, :] * g[1] - v[..., 2, :, :] * g[2] - v[..., 3, :, :] * g[3]
 
 
-def minkowski_dot(u: np.ndarray, v: np.ndarray) -> complex:
-    """u.v with signature (+,-,-,-); inputs are contravariant components."""
-    return complex(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+def minkowski_dot(u: np.ndarray, v: np.ndarray):
+    """u.v with signature (+,-,-,-); inputs are contravariant components.
+
+    Two (4,) vectors give a complex; (n, 4) stacks give one value per row,
+    and a vector's value has the bits of its row in a stack.
+    """
+    u = np.asarray(u)[..., None, :]  # a vector takes the array loop too
+    v = np.asarray(v)[..., None, :]
+    dot = (u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2] - u[..., 3] * v[..., 3])[..., 0]
+    return complex(dot) if dot.ndim == 0 else dot
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

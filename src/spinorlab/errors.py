@@ -63,6 +63,10 @@ class DegenerateParameter(SpinorlabError):
     """Homotopy parameter hits a vanishing-coefficient point."""
 
 
+class NonFiniteMomentum(SpinorlabError):
+    """A finite momentum whose Xi or spinor overflows."""
+
+
 class InconsistentBilinears(SpinorlabError):
     """A hand-built bilinear record violates the algebraic constraints."""
 

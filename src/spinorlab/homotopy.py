@@ -4,6 +4,12 @@ Every coordinate function here is linear, y(x) = w*x, stored as num/den so
 that y(den) returns num bitwise (endpoint exactness).  A basis homotopy
 deforms the plane's basis while one tracked spinor keeps coordinates (x, x);
 a spinor homotopy deforms the second coordinate in a fixed basis.
+
+Paths, points and parameters are scalars, or (n,) arrays for n paths at
+once.  Scalars are computed with Python's complex type, whose products are
+not fused and whose quotients divide by the denominator; on arrays
+``_times`` and ``_over`` round the same way, so a path in an array has the
+bits of the same path given alone.
 """
 
 from __future__ import annotations
@@ -12,12 +18,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, DegenerateParameter
+from .errors import BasisMismatch, DegenerateParameter, raise_first
 from .lounesto import ClassifyOptions, LounestoClass, classify_by_coefficients
-from .plane import PlaneCoords, block_scale, decompose
+
+# ``decompose`` stays importable from here: bench/test_bench.py checks that
+# the benchmark's tracer patches this binding
+from .plane import PlaneCoords, block_scale, decompose, decompose_batch  # noqa: F401
 from .spinor import DEFAULT_TOL, chiral_parts
 
 _PARAM_TOL = 1e-12  # relative size below which Im(t) or an endpoint's r1 is zero
+
+
+def _is_scalar(a, b) -> bool:
+    return not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
+
+
+def _times(a, b):
+    """a * b as Python's complex type rounds it: numpy's array loop fuses
+    the multiply-add, so on arrays the parts are formed one by one."""
+    if _is_scalar(a, b):
+        return complex(a) * complex(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _over(a, b):
+    """a / b as Python's complex type rounds it (Smith's method, dividing by
+    the denominator where numpy multiplies by its reciprocal); NaN on arrays
+    where b = 0, which Python refuses."""
+    if _is_scalar(a, b):
+        return complex(a) / complex(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return _complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -33,30 +77,32 @@ class CoordFunction:
 
     @property
     def w(self) -> complex:
-        return self.num / self.den
+        return _over(self.num, self.den)
 
     def __call__(self, x: complex) -> complex:
-        if x == self.den:
-            return self.num
-        return self.num * (x / self.den)
+        if _is_scalar(x, self.den):
+            return self.num if x == self.den else _times(self.num, _over(x, self.den))
+        return np.where(x == self.den, self.num, _times(self.num, _over(x, self.den)))
 
 
 @dataclass(frozen=True)
 class HomotopyPath:
     f: CoordFunction
     g: CoordFunction
-    degenerate_t: float | None
+    degenerate_t: float | None  # NaN marks a path without one in an array
     basis: str = "B"
 
 
-def _degenerate_t(wf: complex, wg: complex) -> float | None:
-    """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1)."""
-    if wf == wg:
-        return None
-    t = wf / (wf - wg)
-    if abs(t.imag) <= _PARAM_TOL * max(1.0, abs(t.real)) and 0.0 < t.real < 1.0:
-        return float(t.real)
-    return None
+def _degenerate_t(wf, wg):
+    """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1):
+    None, or NaN in the (n,) array of n paths."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _over(wf, wf - wg) if np.any(wf != wg) else np.nan
+    real, imag = np.real(t), np.imag(t)
+    inside = (wf != wg) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real))) & (0.0 < real) & (real < 1.0)
+    if np.ndim(inside):
+        return np.where(inside, real, np.nan)
+    return float(real) if inside else None
 
 
 def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
@@ -70,7 +116,16 @@ def multiplier_at(path: HomotopyPath, t: float) -> complex:
 def eval_path(path: HomotopyPath, x: complex, t: float) -> PlaneCoords:
     """Point (x, (1-t) f(x) + t g(x)); endpoints are bitwise the inputs."""
     y = (1.0 - t) * path.f(x) + t * path.g(x)
+    if np.ndim(y):
+        return PlaneCoords(*np.broadcast_arrays(np.asarray(x, dtype=complex), y), basis=path.basis)
     return PlaneCoords(r1=complex(x), r2=complex(y), basis=path.basis)
+
+
+def degenerate_at(path: HomotopyPath, t: float):
+    """Whether the interpolated multiplier vanishes at t, where the induced
+    basis is not invertible; elementwise on (n,) paths or parameters."""
+    wscale = np.fmax(1.0, np.fmax(np.abs(path.f.w), np.abs(path.g.w)))
+    return np.abs(multiplier_at(path, t)) <= DEFAULT_TOL * wscale
 
 
 def sample_basis(
@@ -84,18 +139,21 @@ def sample_basis(
     basis through its own chiral blocks; re-decomposing it against itself
     must give the identity coordinates (ratio 1).  Raises at parameters
     where the interpolated multiplier vanishes (the induced basis is not
-    invertible there).
+    invertible there).  With (n,) paths or parameters and one base or an
+    (n, 4) stack of them, the pair holds (n, 4) stacks and the coordinates
+    (n,) arrays; an error names the first failing row.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    wt = multiplier_at(path, t)
-    wscale = max(1.0, abs(path.f.w), abs(path.g.w))
-    if abs(wt) <= DEFAULT_TOL * wscale:
-        raise DegenerateParameter(f"vanishing block coefficient at t={t!r}")
-    tracked = block_scale(base, 1.0, wt)
+    raise_first(~((0.0 <= np.asarray(t)) & (np.asarray(t) <= 1.0)), ValueError, "t must lie in [0, 1]")
+    raise_first(degenerate_at(path, t), DegenerateParameter, "vanishing block coefficient at t={!r}", t)
+    tracked = block_scale(base, 1.0, multiplier_at(path, t))
     pair = chiral_parts(tracked)
-    coords = decompose(tracked, tracked)
-    return pair, coords
+    rows = np.atleast_2d(tracked)
+    coords, _, failures = decompose_batch(rows, rows)
+    if failures:
+        raise failures[min(failures)]
+    if tracked.ndim == 1:
+        return pair, PlaneCoords(r1=complex(coords[0, 0]), r2=complex(coords[0, 1]))
+    return pair, PlaneCoords(r1=coords[:, 0], r2=coords[:, 1])
 
 
 def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> HomotopyPath:
@@ -103,8 +161,9 @@ def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> Homotop
     if psi_coords.basis != phi_coords.basis:
         raise BasisMismatch(f"{psi_coords.basis!r} vs {phi_coords.basis!r}")
     for c in (psi_coords, phi_coords):
-        if abs(c.r1) <= _PARAM_TOL * max(1.0, abs(c.r1), abs(c.r2)):
-            raise DegenerateParameter("coordinate-function form needs r1 != 0")
+        r1, r2 = np.abs(c.r1), np.abs(c.r2)
+        zero = r1 <= _PARAM_TOL * np.fmax(1.0, np.fmax(r1, r2))
+        raise_first(zero, DegenerateParameter, "coordinate-function form needs r1 != 0")
     f = CoordFunction(num=psi_coords.r2, den=psi_coords.r1)
     g = CoordFunction(num=phi_coords.r2, den=phi_coords.r1)
     return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w), basis=psi_coords.basis)

@@ -6,6 +6,11 @@ boosted helicity spinor sqrt(E - h p) * phi_unit^h.  The charge-conjugation
 operator is gamma^2 composed with complex conjugation (phase exactly 1 in
 this representation); self-conjugate spinors carry sign = +1,
 anti-self-conjugate sign = -1.
+
+Every function here takes a ``Momentum`` whose fields are scalars, or
+(n,) arrays for n momenta at once, with stacked results (an (n, 4) spinor,
+an (n, 4, 4) Xi).  A scalar momentum is computed as the one-row array, so
+its results have the bits of its row in a stack.
 """
 
 from __future__ import annotations
@@ -15,17 +20,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear import Bilinears, compute
+# ``compute`` stays importable from here: bench/test_bench.py checks that
+# the benchmark's tracer patches this binding
+from .bilinear import compute, compute_batch  # noqa: F401
 from .clifford import build, slash
+from .errors import NonFiniteMomentum, raise_first
 from .rim import RimParams
-from .spinor import DualKind, assemble, block1, block2, mdo_dual
+from .spinor import DualKind, assemble, mdo_dual, row_norms
 
 # realized eigenvalue of slash(p) Xi on a constructed spinor, by conjugacy
 DIRACLIKE_SIGN = {"S": +1, "A": -1}
+# math.hypot elementwise: np.hypot rounds about 1% of energies differently
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
 @dataclass(frozen=True)
 class Momentum:
+    """(m, p, theta, phi) and E = hypot(p, m); scalars or (n,) arrays."""
+
     m: float
     p: float
     theta: float
@@ -33,11 +45,14 @@ class Momentum:
     E: float = field(init=False)
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.p < 0:
-            raise ValueError("|p| must be non-negative")
-        object.__setattr__(self, "E", math.hypot(self.p, self.m))
+        raise_first(np.asarray(self.m) <= 0, ValueError, "mass must be positive")
+        raise_first(np.asarray(self.p) < 0, ValueError, "|p| must be non-negative")
+        E = _HYPOT(self.p, self.m)
+        object.__setattr__(self, "E", E.astype(float) if isinstance(E, np.ndarray) else E)
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """(m, p, theta, phi, E) as (n,) arrays, one row for a scalar momentum."""
+        return tuple(np.atleast_1d(v) for v in (self.m, self.p, self.theta, self.phi, self.E))
 
 
 @dataclass(frozen=True)
@@ -48,43 +63,64 @@ class ElkoSpinor:
     sign: int
 
 
+def _one(mom: Momentum, value):
+    """``value`` computed over ``mom.rows()``: its first row for a scalar
+    momentum, else as it is."""
+    return value[0] if np.ndim(mom.m) == 0 else value
+
+
+def _check_finite(mom: Momentum, value: np.ndarray, what: str) -> None:
+    """NonFiniteMomentum naming the first momentum whose ``value`` rows
+    hold an inf or NaN."""
+    bad = ~np.isfinite(value.reshape(len(value), -1).view(float)).all(axis=1)
+    raise_first(
+        _one(mom, bad),
+        NonFiniteMomentum,
+        "momentum m={!r}, p={!r}, theta={!r}, phi={!r}: " + what,
+        mom.m, mom.p, mom.theta, mom.phi,
+    )
+
+
 def wigner_theta() -> np.ndarray:
     """2x2 time-reversal matrix [[0,-1],[1,0]]; Theta sigma Theta^-1 = -sigma*."""
     return np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def helicity_spinor(theta: float, phi: float, h: int) -> np.ndarray:
+def helicity_spinor(theta, phi, h) -> np.ndarray:
     """Unit eigenvector of sigma.phat with eigenvalue h, half-angle phases
-    e^{-+ i phi/2} on the upper/lower components."""
-    if h not in (+1, -1):
-        raise ValueError("helicity must be +1 or -1")
-    up = np.exp(-0.5j * phi)
-    dn = np.exp(+0.5j * phi)
-    if h > 0:
-        return np.array([math.cos(theta / 2.0) * up, math.sin(theta / 2.0) * dn])
-    return np.array([-math.sin(theta / 2.0) * up, math.cos(theta / 2.0) * dn])
+    e^{-+ i phi/2} on the upper/lower components; (n, 2) for (n,) angles
+    or helicities."""
+    raise_first((np.asarray(h) != 1) & (np.asarray(h) != -1), ValueError, "helicity must be +1 or -1")
+    up = np.exp(-0.5j * np.asarray(phi))
+    dn = np.exp(+0.5j * np.asarray(phi))
+    c, s = np.cos(np.asarray(theta) / 2.0), np.sin(np.asarray(theta) / 2.0)
+    plus = np.asarray(h) > 0
+    return np.stack([np.where(plus, c, -s) * up, np.where(plus, s, c) * dn], axis=-1)
 
 
-def sigma_phat(theta: float, phi: float) -> np.ndarray:
-    st, ct = math.sin(theta), math.cos(theta)
-    return np.array([[ct, st * np.exp(-1j * phi)], [st * np.exp(1j * phi), -ct]])
+def sigma_phat(theta, phi) -> np.ndarray:
+    st, ct = np.sin(theta), np.cos(theta)
+    rows = [[ct, st * np.exp(-1j * np.asarray(phi))], [st * np.exp(1j * np.asarray(phi)), -ct]]
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2).astype(complex)
 
 
-def boosted_left(mom: Momentum, h: int) -> np.ndarray:
+def boosted_left(mom: Momentum, h) -> np.ndarray:
     """Left-handed block sqrt(E - h p) * phi_unit^h.
 
     The scalar is the helicity eigenvalue of the canonical left boost acting
     on the sqrt(m)-normalized rest spinor; at p = 0 it reduces to sqrt(m).
     """
-    return math.sqrt(mom.E - h * mom.p) * helicity_spinor(mom.theta, mom.phi, h)
+    _, p, theta, phi, E = mom.rows()
+    return _one(mom, np.sqrt(E - h * p)[:, None] * helicity_spinor(theta, phi, h))
 
 
-def elko(mom: Momentum, helicity: int, conj: str, sign: int | None = None) -> ElkoSpinor:
+def elko(mom: Momentum, helicity, conj: str, sign: int | None = None) -> ElkoSpinor:
     """Construct a dual-helicity spinor and certify its conjugation eigenvalue.
 
     The top-block sign is tied to the conjugacy class: C lambda = +lambda
     needs +i, C lambda = -lambda needs -i.  Passing a contradictory sign is
-    an error.
+    an error.  The helicity is +-1 or an (n,) array of them; a spinor that
+    is not finite raises NonFiniteMomentum.
     """
     if conj not in ("S", "A"):
         raise ValueError("conj must be 'S' or 'A'")
@@ -93,24 +129,26 @@ def elko(mom: Momentum, helicity: int, conj: str, sign: int | None = None) -> El
         sign = expected_sign
     elif sign != expected_sign:
         raise ValueError(f"conj={conj!r} requires top-block sign {expected_sign:+d}")
-    phi_l = boosted_left(mom, helicity)
-    top = sign * 1j * wigner_theta() @ np.conj(phi_l)
+    phi_l = np.atleast_2d(boosted_left(mom, helicity))
+    top = (sign * 1j * wigner_theta() @ np.conj(phi_l)[:, :, None])[:, :, 0]
     lam = assemble(top, phi_l)
+    _check_finite(mom, lam, "the spinor is not finite: E = hypot(p, m) overflows")
     eigen = +1 if conj == "S" else -1
-    if np.max(np.abs(charge_conjugate(lam) - eigen * lam)) > 1e-12 * np.linalg.norm(lam):
+    if np.any(np.max(np.abs(charge_conjugate(lam) - eigen * lam), axis=-1) > 1e-12 * row_norms(lam)):
         raise AssertionError("charge-conjugation eigenvalue check failed")
-    return ElkoSpinor(spinor=lam, conj=conj, helicity=int(helicity), sign=int(sign))
+    helicity = np.asarray(helicity) if np.ndim(helicity) else int(helicity)
+    return ElkoSpinor(spinor=_one(mom, lam), conj=conj, helicity=helicity, sign=int(sign))
 
 
 def charge_conjugate(psi: np.ndarray) -> np.ndarray:
-    return build().gamma[2] @ np.conj(psi)
+    """gamma^2 conj(psi), row by row for an (n, 4) stack."""
+    return (build().gamma[2] @ np.conj(psi)[..., None])[..., 0]
 
 
 def four_momentum(mom: Momentum) -> np.ndarray:
-    st, ct = math.sin(mom.theta), math.cos(mom.theta)
-    return np.array(
-        [mom.E, mom.p * st * math.cos(mom.phi), mom.p * st * math.sin(mom.phi), mom.p * ct]
-    )
+    _, p, theta, phi, E = mom.rows()
+    st, ct = np.sin(theta), np.cos(theta)
+    return _one(mom, np.stack([E, p * st * np.cos(phi), p * st * np.sin(phi), p * ct], axis=-1))
 
 
 def xi(mom: Momentum) -> np.ndarray:
@@ -118,44 +156,44 @@ def xi(mom: Momentum) -> np.ndarray:
 
     The 2x2 blocks are the standard ones; their placement on the diagonal
     follows this package's chiral layout (swapping them is what makes the
-    commutator vanish with sigma^k sitting upper-right in gamma^k).
+    commutator vanish with sigma^k sitting upper-right in gamma^k).  Raises
+    NonFiniteMomentum where an entry overflows.
     """
-    m, p = mom.m, mom.p
-    E = mom.E
-    s, c = math.sin(mom.theta), math.cos(mom.theta)
-    em, ep = np.exp(-1j * mom.phi), np.exp(1j * mom.phi)
-    top = np.array(
-        [
-            [-1j * p * s / m, -1j * (E - p * c) * em / m],
-            [1j * (E + p * c) * ep / m, 1j * p * s / m],
-        ]
-    )
-    bottom = np.array(
-        [
-            [1j * p * s / m, -1j * (E + p * c) * em / m],
-            [1j * (E - p * c) * ep / m, -1j * p * s / m],
-        ]
-    )
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = top
-    out[2:, 2:] = bottom
-    return out
+    m, p, theta, phi, E = mom.rows()
+    s, c = np.sin(theta), np.cos(theta)
+    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    # p s / m has no phase: real arithmetic gives the bits of the complex
+    # quotient (i p s) / m, whose real part is zero
+    ps = p * s / m
+    out = np.zeros((len(m), 4, 4), dtype=complex)
+    out[:, 0, 0] = -1j * ps
+    out[:, 0, 1] = -1j * (E - p * c) * em / m
+    out[:, 1, 0] = 1j * (E + p * c) * ep / m
+    out[:, 1, 1] = 1j * ps
+    out[:, 2, 2] = 1j * ps
+    out[:, 2, 3] = -1j * (E + p * c) * em / m
+    out[:, 3, 2] = 1j * (E - p * c) * ep / m
+    out[:, 3, 3] = -1j * ps
+    _check_finite(mom, out, "Xi is not finite: p sin(theta)/m or (E +- p cos(theta))/m overflows")
+    return _one(mom, out)
 
 
-def diraclike_residual(e: ElkoSpinor, mom: Momentum) -> tuple[float, int]:
+def diraclike_residual(e: ElkoSpinor, mom: Momentum):
     """Residual of (slash(p) Xi - eta m) lambda minimized over eta = +-1.
 
-    Returns (residual, realized eta); the realized sign must match
-    DIRACLIKE_SIGN[conj].
+    Returns (residual, realized eta), (n,) arrays for n momenta; the
+    realized sign must match DIRACLIKE_SIGN[conj].
     """
-    lam = e.spinor
-    v = slash(four_momentum(mom)) @ xi(mom) @ lam
-    best = None
-    for eta in (+1, -1):
-        r = float(np.linalg.norm(v - eta * mom.m * lam))
-        if best is None or r < best[0]:
-            best = (r, eta)
-    return best
+    lam = np.atleast_2d(e.spinor)
+    m = mom.rows()[0][:, None]
+    v = (slash(four_momentum(mom)) @ xi(mom) @ lam[..., None])[..., 0].reshape(lam.shape)
+    plus = row_norms(v - m * lam)
+    minus = row_norms(v + m * lam)
+    flip = minus < plus
+    res, eta = np.where(flip, minus, plus), np.where(flip, -1, +1)
+    if np.ndim(mom.m) == 0:
+        return float(res[0]), int(eta[0])
+    return res, eta
 
 
 def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:
@@ -168,99 +206,131 @@ def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:
         slash(K) lambda_L = (A - iB) lambda_R
         slash(K) lambda_R = -(A + iB) lambda_L
     The axial pair carries the opposite relative sign pattern to the vector
-    pair in this gamma5 convention.
+    pair in this gamma5 convention.  (n, 4) for n momenta.
     """
-    lam = e.spinor
-    x = xi(mom)
-    bil = compute(lam, DualKind.MDO, x)
-    lam_l = assemble(np.zeros(2), block2(lam))
-    lam_r = assemble(block1(lam), np.zeros(2))
-    sj = slash(bil.J)
-    sk = slash(bil.K)
-    amib = bil.A - 1j * bil.B
-    apib = bil.A + 1j * bil.B
-    return np.array(
+    lam = np.atleast_2d(e.spinor)
+    cov = compute_batch(lam, DualKind.MDO, xi(mom))
+    zero = np.zeros_like(lam[:, :2])
+    lam_l = assemble(zero, lam[:, 2:])
+    lam_r = assemble(lam[:, :2], zero)
+    sj = slash(cov["J"])
+    sk = slash(cov["K"])
+    amib = (cov["A"] - 1j * cov["B"])[:, None]
+    apib = (cov["A"] + 1j * cov["B"])[:, None]
+
+    def times(op, v):
+        return (op @ v[..., None])[..., 0]
+
+    res = np.stack(
         [
-            np.linalg.norm(sj @ lam_l - amib * lam_r),
-            np.linalg.norm(sj @ lam_r - apib * lam_l),
-            np.linalg.norm(sk @ lam_l - amib * lam_r),
-            np.linalg.norm(sk @ lam_r + apib * lam_l),
-        ]
+            row_norms(times(sj, lam_l) - amib * lam_r),
+            row_norms(times(sj, lam_r) - apib * lam_l),
+            row_norms(times(sk, lam_l) - amib * lam_r),
+            row_norms(times(sk, lam_r) + apib * lam_l),
+        ],
+        axis=-1,
     )
+    return _one(mom, res)
 
 
-def mdo_norm(e: ElkoSpinor, mom: Momentum) -> complex:
+def mdo_norm(e: ElkoSpinor, mom: Momentum):
     """Dual contraction with the Xi dual (nonzero, unlike the Dirac one)."""
-    lam = e.spinor
-    return complex(mdo_dual(lam, xi(mom)) @ lam)
+    lam = np.atleast_2d(e.spinor)
+    dual = mdo_dual(lam, xi(mom))
+    norm = (dual[:, None, :] @ lam[:, :, None])[:, 0, 0]
+    return complex(norm[0]) if np.ndim(mom.m) == 0 else norm
+
+
+def _scalars(bil) -> tuple:
+    """(A, B) of a Bilinears record or a ``compute_batch`` dict."""
+    return (bil["A"], bil["B"]) if isinstance(bil, dict) else (bil.A, bil.B)
 
 
 def fg_functions(
-    S: float,
-    R: float,
+    S,
+    R,
     params: RimParams,
-    bil: Bilinears,
+    bil,
     mom: Momentum,
-    sign: int = -1,
-) -> tuple[complex, complex]:
+    sign=-1,
+):
     """Decomposition exponents for the two chiral blocks.
 
     F = -2isR + sign * p sin(theta) (A+iB) e^{-2(a+abar)S} / (2(a+abar)),
     G = +2isR + sign * p sin(theta) (A-iB) e^{-2(a+abar)S} / (2(a+abar)).
+    ``bil`` is a Bilinears record or a ``compute_batch`` dict; with (n,)
+    potentials, couplings, momenta or signs the exponents are (n,) arrays.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    two_re_a = 2.0 * params.a.real
-    common = sign * mom.p * math.sin(mom.theta) * np.exp(-2.0 * two_re_a * S) / (2.0 * two_re_a)
-    f = -2j * params.s * R + (bil.A + 1j * bil.B) * common
-    g = +2j * params.s * R + (bil.A - 1j * bil.B) * common
-    return complex(f), complex(g)
+    raise_first((np.asarray(sign) != 1) & (np.asarray(sign) != -1), ValueError, "sign must be +1 or -1")
+    A, B = _scalars(bil)
+    two_re_a = 2.0 * np.real(params.a)
+    common = sign * mom.p * np.sin(mom.theta) * np.exp(-2.0 * two_re_a * S) / (2.0 * two_re_a)
+    f = -2j * params.s * R + (A + 1j * B) * common
+    g = +2j * params.s * R + (A - 1j * B) * common
+    if np.ndim(f) == 0:
+        return complex(f), complex(g)
+    return f, g
 
 
 def fg_exponential_forms(
-    S: float,
-    R: float,
+    S,
+    R,
     params: RimParams,
-    bil: Bilinears,
+    bil,
     mom: Momentum,
-    sign: int = -1,
-) -> dict[str, complex]:
+    sign=-1,
+) -> dict:
     """Raw e^F, e^G next to their J^2 = e^{2(a+abar)S} simplifications.
 
     When S comes from the potentials of the same covariants, the raw and
     simplified values agree; the simplified pair is
     e^F = vartheta^-1 exp[sign p sin(theta) / (2(a+abar)(A-iB))] and
     e^G = vartheta   exp[sign p sin(theta) / (2(a+abar)(A+iB))].
+    Each value is a complex, or an (n,) array as for ``fg_functions``.
     """
     f, g = fg_functions(S, R, params, bil, mom, sign)
-    two_re_a = 2.0 * params.a.real
-    theta_phase = np.exp(2j * params.s * R)
-    x = sign * mom.p * math.sin(mom.theta) / (2.0 * two_re_a)
-    return {
-        "raw_F": complex(np.exp(f)),
-        "raw_G": complex(np.exp(g)),
-        "simplified_F": complex(np.exp(x / (bil.A - 1j * bil.B)) / theta_phase),
-        "simplified_G": complex(theta_phase * np.exp(x / (bil.A + 1j * bil.B))),
+    A, B = _scalars(bil)
+    two_re_a = 2.0 * np.real(params.a)
+    # a 1-d phase takes numpy's array loop for its product, as in a stack
+    theta_phase = np.atleast_1d(np.exp(2j * params.s * R))
+    x = sign * mom.p * np.sin(mom.theta) / (2.0 * two_re_a)
+    forms = {
+        "raw_F": np.exp(f),
+        "raw_G": np.exp(g),
+        "simplified_F": np.exp(x / (A - 1j * B)) / theta_phase,
+        "simplified_G": theta_phase * np.exp(x / (A + 1j * B)),
     }
+    if np.ndim(f) == 0:
+        return {k: complex(np.ravel(v)[0]) for k, v in forms.items()}
+    return forms
 
 
-def xi_checks(mom: Momentum) -> tuple[float, float]:
-    """(max |Xi^2 - 1|, max |[Xi, slash(p)]|) for one momentum."""
-    x = xi(mom)
-    sp = slash(four_momentum(mom))
-    return (
-        float(np.max(np.abs(x @ x - np.eye(4)))),
-        float(np.max(np.abs(x @ sp - sp @ x))),
-    )
+def xi_checks(mom: Momentum):
+    """(max |Xi^2 - 1|, max |[Xi, slash(p)]|) for one momentum, or (n,)
+    arrays of them."""
+    x = np.reshape(xi(mom), (-1, 4, 4))
+    sp = np.reshape(slash(four_momentum(mom)), (-1, 4, 4))
+    inv = np.max(np.abs(x @ x - np.eye(4)), axis=(1, 2))
+    comm = np.max(np.abs(x @ sp - sp @ x), axis=(1, 2))
+    if np.ndim(mom.m) == 0:
+        return float(inv[0]), float(comm[0])
+    return inv, comm
 
 
-def dual_helicity_eigenvalues(e: ElkoSpinor, mom: Momentum) -> tuple[float, float]:
-    """Rayleigh quotients of sigma.phat on the two blocks (must be opposite)."""
-    sp = sigma_phat(mom.theta, mom.phi)
-    top = np.asarray(block1(e.spinor))
-    bottom = np.asarray(block2(e.spinor))
+def dual_helicity_eigenvalues(e: ElkoSpinor, mom: Momentum):
+    """Rayleigh quotients of sigma.phat on the two blocks (must be opposite);
+    (n,) arrays for n momenta."""
+    _, _, theta, phi, _ = mom.rows()
+    sp = sigma_phat(theta, phi)
+    lam = np.atleast_2d(e.spinor)
+
+    def dot(u, v):
+        return (np.conj(u)[:, None, :] @ v[:, :, None])[:, 0, 0]
+
     ev = []
-    for blk in (top, bottom):
-        n = np.real(np.vdot(blk, blk))
-        ev.append(float(np.real(np.vdot(blk, sp @ blk)) / n))
+    for blk in (lam[:, :2], lam[:, 2:]):
+        n = np.real(dot(blk, blk))
+        ev.append(np.real(dot(blk, (sp @ blk[:, :, None])[:, :, 0])) / n)
+    if np.ndim(mom.m) == 0:
+        return float(ev[0][0]), float(ev[1][0])
     return ev[0], ev[1]

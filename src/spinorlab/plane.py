@@ -31,7 +31,7 @@ from .errors import (
     raise_first,
 )
 from .rim import RimParams
-from .spinor import DEFAULT_TOL, block1, block2
+from .spinor import DEFAULT_TOL, block1, block2, row_norms
 
 DECOMPOSE_TOL = 1e-8
 
@@ -231,16 +231,38 @@ def _unit_powers(x: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(top)[1] - 1)
 
 
-def _in_range(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(x, ||x||, 1.0); or, when ||x|| overflows, (x / p, ||x / p||, p) for
-    p = ``_unit_powers(x)``, with each real part divided apart (exact)."""
+# below this norm a base block's squared norm can leave the normal range
+# (a block counts as vanishing only below DECOMPOSE_TOL times the norm)
+_SMALL_BASE = 2.0**-450
+
+
+def _divided(x: np.ndarray, p) -> np.ndarray:
+    """x / p with each real part divided apart (exact for a power of two)."""
+    return (np.ascontiguousarray(x, dtype=complex).view(float) / np.asarray(p)[..., None]).view(complex)
+
+
+def _in_range(x: np.ndarray, small: float = 0.0) -> tuple[np.ndarray, float, float]:
+    """(x, ||x||, 1.0); or, when ||x|| overflows or falls below ``small``,
+    (x / p, ||x / p||, p) for p = ``_unit_powers(x)``."""
     x = np.asarray(x)
     norm = float(np.linalg.norm(x))
-    if norm != np.inf:
+    if small <= norm != np.inf:
         return x, norm, 1.0
     p = float(_unit_powers(x))
-    x = (np.ascontiguousarray(x, dtype=complex).view(float) / p).view(complex)
+    x = _divided(x, p)
     return x, float(np.linalg.norm(x)), p
+
+
+def _rows_in_range(x: np.ndarray, small: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_in_range`` of each row of an (n, 4) stack: (x, norms, p) with p 1
+    on the rows left as they are."""
+    norm = row_norms(x)
+    scaled = (norm < small) | (norm == np.inf)
+    if not scaled.any():
+        return x, norm, np.ones(norm.shape)
+    p = np.where(scaled, _unit_powers(x), 1.0)
+    x = _divided(x, p)
+    return x, row_norms(x), p
 
 
 def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
@@ -249,14 +271,15 @@ def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
     Each coordinate solves min_r ||psi_blk - r*base_blk||; a residual above
     ``DECOMPOSE_TOL`` (relative) means psi is not in the base's plane.  A
     vanishing base block makes that coordinate unrecoverable.  A psi or base
-    whose norm overflows is first divided by a power of two, and the results
-    are scaled back.
+    whose norm overflows, or a base whose blocks' squared norms could
+    underflow, is first divided by a power of two, and the results are
+    scaled back.
     """
     tol = DECOMPOSE_TOL
     coords = []
-    base, base_norm, down = _in_range(base)
+    base, base_norm, down = _in_range(base, _SMALL_BASE)
     psi, psi_norm, up = _in_range(psi)
-    f = up / down  # 1 unless a norm overflowed
+    f = up / down  # 1 unless a norm was out of range
     for extract in (block1, block2):
         pb = np.asarray(extract(psi), dtype=complex)
         bb = np.asarray(extract(base), dtype=complex)
@@ -274,26 +297,15 @@ def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
     return PlaneCoords(r1=coords[0], r2=coords[1])
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a complex stack, bit for bit: one dot
-    product per row, the call the 1-D norm makes, where a reduction over
-    an axis would add in another order.  The equality rests on how numpy
-    dispatches the stacked matmul of the strided ``.real``/``.imag`` views
-    (the same product on contiguous copies differs in the last ulp); it was
-    checked on numpy 2.4, and ``tests/test_plane.py`` guards it."""
-    re, im = x.real, x.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(sq[:, 0, 0])
-
-
 def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, SpinorlabError]]:
-    """``decompose`` of every row of an (n, 4) stack against one base.
+    """``decompose`` of every row of an (n, 4) stack against one base, or
+    against its own row of an (n, 4) stack of bases.
 
     Returns (coords, residuals, failures): (n, 2) coordinates (r1, r2);
     (n, 2) block residuals ||psi_blk - r*base_blk||; and, by row index, the
     exception ``decompose`` raises on each row that fails.  Coordinates and
     residuals equal ``decompose``'s bit for bit, on rows and bases whose
-    norms overflow too; on a failed row they are not meaningful.
+    norms are out of range too; on a failed row they are not meaningful.
     """
     tol = DECOMPOSE_TOL
     psis = np.ascontiguousarray(psis, dtype=complex)
@@ -301,27 +313,22 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
     coords = np.zeros((n, 2), dtype=complex)
     residuals = np.zeros((n, 2))
     failed = np.zeros(n, dtype=bool)
+    degenerate = np.zeros(n, dtype=bool)
     misfit = np.zeros((n, 2))
-    degenerate = False
-    # norms that overflow (finite rows above ~1e154) are brought into range
-    with np.errstate(over="ignore"):
-        base, base_norm, down = _in_range(np.asarray(base, dtype=complex))
-        psi_norm = _row_norms(psis)
-        up = np.ones(n)
-        if psi_norm.max(initial=0.0) == np.inf:
-            up = np.where(psi_norm == np.inf, _unit_powers(psis), 1.0)
-            psis = (psis.view(float) / up[:, None]).view(complex)
-            psi_norm = _row_norms(psis)
+    # out-of-range norms (finite rows above ~1e154, bases below _SMALL_BASE)
+    # are brought into range; a vanishing block divides by zero
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bases, base_norm, down = _rows_in_range(np.atleast_2d(np.asarray(base, dtype=complex)), _SMALL_BASE)
+        psis, psi_norm, up = _rows_in_range(psis)
         for k, block in enumerate((slice(0, 2), slice(2, 4))):
-            bb = base[block]
-            bb_sq = float(np.real(np.vdot(bb, bb)))
-            if np.sqrt(bb_sq) <= tol * max(base_norm, 1e-300):
-                degenerate = True
-                break
+            bb = bases[:, block]
+            bb_sq = (np.conj(bb)[:, None, :] @ bb[:, :, None])[:, 0, 0].real
+            degenerate |= ~failed & (np.sqrt(bb_sq) <= tol * np.maximum(base_norm, 1e-300))
+            failed |= degenerate
             pb = psis[:, block]
-            r = (np.conj(bb) @ pb[:, :, None])[:, 0] / bb_sq
-            resid = _row_norms(pb - r[:, None] * bb)
-            denom = np.maximum(_row_norms(pb), np.hypot(r.real, r.imag) * np.sqrt(bb_sq))
+            r = (np.conj(bb)[:, None, :] @ pb[:, :, None])[:, 0, 0] / bb_sq
+            resid = row_norms(pb - r[:, None] * bb)
+            denom = np.maximum(row_norms(pb), np.hypot(r.real, r.imag) * np.sqrt(bb_sq))
             bad = ~failed & (denom > tol * psi_norm) & (resid > tol * denom)
             failed |= bad
             misfit[bad, 0] = resid[bad]
@@ -331,10 +338,9 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
     coords = (coords.view(float) * (up / down)[:, None]).view(complex)
     residuals *= up[:, None]
     misfit *= up[:, None]
-    rows = np.flatnonzero(failed)
+    rows = np.flatnonzero(failed & ~degenerate)
     failures = {i: _not_in_plane(resid, denom) for i, (resid, denom) in zip(rows.tolist(), misfit[rows].tolist())}
-    if degenerate:
-        failures.update((i, DegenerateBasis(_VANISHING_BLOCK)) for i in np.flatnonzero(~failed).tolist())
+    failures.update((i, DegenerateBasis(_VANISHING_BLOCK)) for i in np.flatnonzero(degenerate).tolist())
     return coords, residuals, failures
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import Bilinears, compute, compute_batch
+from .bilinear import Bilinears, compute_batch
 from .clifford import build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, raise_first
 from .lounesto import ClassifyOptions
@@ -68,14 +68,26 @@ class Potentials:
     R: float
 
 
+# the base constraints of ``validate_rim_base``, in the order of ``failed``
+BASE_CONSTRAINTS = ("A=0", "B=0", "A1=0", "A2=0", "A1=+A2", "A1=-A2")
+
+
 @dataclass(frozen=True)
 class BaseValidation:
+    """One base's verdict, or (n,) verdicts; ``failed`` flags each of
+    ``BASE_CONSTRAINTS`` along its last axis."""
+
     ok: bool
-    reasons: tuple[str, ...]
+    failed: np.ndarray
     A: float
     B: float
     A1: complex
     A2: complex
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The failed constraints of one base, by name."""
+        return tuple(name for name, bad in zip(BASE_CONSTRAINTS, self.failed) if bad)
 
 
 def _quarter(phi):
@@ -121,23 +133,39 @@ def sspace_point(params: RimParams) -> SSpacePoint:
     )
 
 
-def potentials(bil: Bilinears, params: RimParams, tol: float = DEFAULT_TOL) -> Potentials:
+def _rows(cov) -> tuple[dict, bool]:
+    """A ``compute_batch`` dict as it is, or one spinor's Bilinears as the
+    one-row dict; and whether it was one spinor."""
+    if isinstance(cov, Bilinears):
+        return cov.as_batch(), True
+    return cov, False
+
+
+def potentials(cov, params: RimParams, tol: float = DEFAULT_TOL) -> Potentials:
     """Scalar potentials S = ln(J)/(2 Re a), R = ln((A-iB)/J)/(2i Im b).
 
+    ``cov`` is one spinor's Bilinears with scalar couplings, or a
+    ``compute_batch`` dict with (n,) couplings, giving (n,) potentials.
     Principal branch for both logarithms; R is real whenever A and B are.
+    Raises NullCurrent unless J is timelike, naming the first such row.
     """
-    j2 = complex(minkowski_dot(bil.J, bil.J))
-    if j2.real <= tol * max(1.0, bil.scale**2):
-        raise NullCurrent("J^2 <= 0: potentials need a timelike current")
-    j = math.sqrt(j2.real)
-    s_pot = math.log(j) / (2.0 * params.a.real)
-    r_pot = np.log((bil.A - 1j * bil.B) / j) / (2j * params.b.imag)
-    return Potentials(S=s_pot, R=float(np.real(r_pot)))
+    rows, one = _rows(cov)
+    j2 = minkowski_dot(rows["J"], rows["J"]).real
+    null = j2 <= tol * np.maximum(1.0, rows["scale"] ** 2)
+    raise_first(null[0] if one else null, NullCurrent, "J^2 <= 0: potentials need a timelike current")
+    j = np.sqrt(j2)
+    s_pot = np.log(j) / (2.0 * np.real(params.a))
+    r_pot = (np.log((rows["A"] - 1j * rows["B"]) / j) / (2j * np.imag(params.b))).real
+    if one:
+        return Potentials(S=float(s_pot[0]), R=float(r_pot[0]))
+    return Potentials(S=s_pot, R=r_pot)
 
 
-def vartheta(params: RimParams, pots: Potentials) -> complex:
-    """Phase factor exp(2 i s R); unit modulus for real s and R."""
-    return complex(np.exp(2j * params.s * pots.R))
+def vartheta(params: RimParams, pots: Potentials):
+    """Phase factor exp(2 i s R); unit modulus for real s and R.  A complex,
+    or (n,) phases for (n,) couplings and potentials."""
+    phase = np.exp(2j * params.s * pots.R)
+    return complex(phase) if np.ndim(phase) == 0 else phase
 
 
 def rim_derivative(psi: np.ndarray, params: RimParams) -> np.ndarray:
@@ -178,52 +206,44 @@ def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions())
 
     Under the Dirac dual A2 = conj(A1), so the essential content is
     A != 0 and B != 0 (type 1); the remaining constraints are reported
-    individually so a rejection names what failed.
+    individually so a rejection names what failed.  An (n, 4) stack gives
+    (n,) fields and an (n, 6) ``failed``.
     """
-    b = compute(psi)
-    thr = opt.tol * max(1.0, b.scale)
-    reasons = []
-    if abs(b.A) <= thr:
-        reasons.append("A=0")
-    if abs(b.B) <= thr:
-        reasons.append("B=0")
-    if abs(b.A1) <= thr:
-        reasons.append("A1=0")
-    if abs(b.A2) <= thr:
-        reasons.append("A2=0")
-    if abs(b.A1 - b.A2) <= thr:
-        reasons.append("A1=+A2")
-    if abs(b.A1 + b.A2) <= thr:
-        reasons.append("A1=-A2")
-    return BaseValidation(
-        ok=not reasons,
-        reasons=tuple(reasons),
-        A=float(np.real(b.A)),
-        B=float(np.real(b.B)),
-        A1=complex(b.A1),
-        A2=complex(b.A2),
-    )
+    cov = compute_batch(psi)
+    thr = opt.tol * np.maximum(1.0, cov["scale"])
+    A1, A2 = cov["A1"], cov["A2"]
+    zero = np.stack([cov["A"], cov["B"], A1, A2, A1 - A2, A1 + A2], axis=-1)
+    failed = np.abs(zero) <= thr[:, None]
+    fields = (~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2)
+    if np.ndim(psi) == 1:
+        ok, failed, A, B, A1, A2 = (f[0] for f in fields)
+        return BaseValidation(bool(ok), failed, float(A), float(B), complex(A1), complex(A2))
+    return BaseValidation(*fields)
 
 
-def restriction_operator(bil: Bilinears, tol: float = DEFAULT_TOL) -> np.ndarray:
+def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
     """G = (1/2 J^2) J^mu K^alpha [gamma_alpha, gamma_mu] gamma5.
 
     Also evaluates the unreduced form (1/J^2) slash(K) slash(J) gamma5 and
     checks the two agree (they differ by (J.K/J^2) gamma5, zero by the
-    orthogonality constraint).
+    orthogonality constraint).  ``cov`` is one spinor's Bilinears, or a
+    ``compute_batch`` dict giving the (n, 4, 4) stack of operators; a
+    failing row is named.
     """
-    j2 = complex(minkowski_dot(bil.J, bil.J))
-    if abs(j2) <= tol * max(1.0, bil.scale**2):
-        raise NullCurrent("J^2 = 0: restriction operator undefined")
+    rows, one = _rows(cov)
+    j2 = minkowski_dot(rows["J"], rows["J"])[:, None, None]
+    bound = tol * np.maximum(1.0, rows["scale"] ** 2)[:, None, None]
+    null = (np.abs(j2) <= bound)[:, 0, 0]
+    raise_first(null[0] if one else null, NullCurrent, "J^2 = 0: restriction operator undefined")
     g5 = build().gamma5
-    sk = slash(bil.K)
-    sj = slash(bil.J)
+    sk = slash(rows["K"])
+    sj = slash(rows["J"])
     g_comm = (sk @ sj - sj @ sk) @ g5 / (2.0 * j2)
     g_raw = sk @ sj @ g5 / j2
     # the forms differ by (J.K / J^2) gamma5, so this bounds |J.K|
-    if np.max(np.abs(g_comm - g_raw)) > tol * max(1.0, bil.scale**2) / abs(j2):
-        raise InconsistentBilinears("J.K != 0: the two operator forms disagree")
-    return g_comm
+    apart = (np.max(np.abs(g_comm - g_raw), axis=(1, 2), keepdims=True) > bound / np.abs(j2))[:, 0, 0]
+    raise_first(apart[0] if one else apart, InconsistentBilinears, "J.K != 0: the two operator forms disagree")
+    return g_comm[0] if one else g_comm
 
 
 def _derivative_batch(psis: np.ndarray, cov: dict, a, b) -> np.ndarray:

@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .clifford import build, projector
-from .errors import DegenerateXi
+from .errors import DegenerateXi, raise_first
 
 DEFAULT_TOL = 1e-9
 
@@ -52,11 +52,24 @@ def dirac_dual(psi: np.ndarray) -> np.ndarray:
 
 def mdo_dual(psi: np.ndarray, xi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(Xi psi)^dag gamma^0 as a row, or one row per spinor of an (n, 4)
-    stack; Xi must square to the identity."""
+    stack, with one Xi or an (n, 4, 4) stack of them; Xi must square to
+    the identity."""
     xi = np.asarray(xi, dtype=complex)
-    if np.max(np.abs(xi @ xi - np.eye(4))) > tol:
-        raise DegenerateXi("Xi^2 != 1 beyond tolerance")
-    return np.conj(np.asarray(psi) @ xi.T) @ build().gamma[0]
+    raise_first(np.max(np.abs(xi @ xi - np.eye(4)), axis=(-2, -1)) > tol, DegenerateXi, "Xi^2 != 1 beyond tolerance")
+    xi_psi = (np.asarray(psi)[..., None, :] @ np.swapaxes(xi, -1, -2))[..., 0, :]
+    return np.conj(xi_psi) @ build().gamma[0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis of a complex array, bit for bit:
+    one dot product per row, the call the 1-D norm makes, where a reduction
+    over an axis would add in another order.  The equality rests on how
+    numpy dispatches the stacked matmul of the strided ``.real``/``.imag``
+    views (the same product on contiguous copies differs in the last ulp);
+    it was checked on numpy 2.4, and ``tests/test_plane.py`` guards it."""
+    re, im = x.real, x.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
 
 
 def block1(psi: np.ndarray) -> np.ndarray:
@@ -68,12 +81,15 @@ def block2(psi: np.ndarray) -> np.ndarray:
 
 
 def assemble(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(top, dtype=complex), np.asarray(bottom, dtype=complex)])
+    """The spinor with blocks ``top`` and ``bottom``, or row by row for
+    (n, 2) stacks."""
+    return np.concatenate([np.asarray(top, dtype=complex), np.asarray(bottom, dtype=complex)], axis=-1)
 
 
 def chiral_parts(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P1 psi, P2 psi); the parts always recombine to psi exactly."""
-    return projector(1) @ psi, projector(2) @ psi
+    """(P1 psi, P2 psi), row by row for an (n, 4) stack; the parts always
+    recombine to psi exactly."""
+    return psi @ projector(1), psi @ projector(2)
 
 
 def to_json(psi: np.ndarray) -> dict:

@@ -8,9 +8,19 @@ run seed, so reports are reproducible byte for byte.
 Scale conventions: quantities quadratic in the spinor are measured against
 max(1, |psi|^2), quartic residuals against max(1, |psi|^4).
 
+Every randomised check is one array pass over its draws; the one loop over
+draws left is the 50-path ``class_transition_bisection`` of ``homotopy``,
+which bisects path by path.  Draws that a check once took trial by trial
+are taken in bulk in the same order, except the synthetic rejections of
+``props``, which draw all coordinates and then all scales.
+
 ``trials`` is the number of draws of every randomised ``plane`` check and
-of the ``rim`` coupling checks.  Some checks of the other suites still cap
-their draws below it; each check row reports the count it ran.
+of the ``rim`` coupling and pointwise checks.  These checks still cap their
+draws below it (README lists the caps); each check row reports the count
+it ran: ``fpk`` phase_invariance and quadratic_scaling; ``props``
+constructed_type*, valid_bases_type1 and synthetic_rejections; ``rim``
+heisenberg_control, vartheta_unit_modulus, potentials_scaling and
+restriction_trace; every randomised ``homotopy`` and ``mdo`` check.
 """
 
 from __future__ import annotations
@@ -20,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bilinear, clifford, generators, homotopy, lounesto, mdo, plane, rim, rng
+from . import bilinear, clifford, generators, homotopy, lounesto, mdo, plane, rim, rng, spinor
 from .errors import DegenerateParameter
-from .spinor import DEFAULT_TOL, DualKind, assemble, block1, block2, dirac_dual, quad_scale, quartic_scale
+from .spinor import DEFAULT_TOL, DualKind, assemble, block2, dirac_dual, quad_scale, quartic_scale
 
 
 @dataclass(frozen=True)
@@ -87,15 +97,14 @@ def suite_clifford(cfg: SuiteConfig) -> dict:
 
     gen = rng.stream(cfg.seed, "clifford")
     n = cfg.trials
-    worst = 0.0
-    for _ in range(n):
-        u = generators.random_complex(gen, 4)
-        v = generators.random_complex(gen, 4)
-        su, sv = clifford.slash(u), clifford.slash(v)
-        target = 2.0 * clifford.minkowski_dot(u, v) * np.eye(4)
-        err = np.max(np.abs(su @ sv + sv @ su - target))
-        worst = max(worst, err / max(1.0, float(np.linalg.norm(u) * np.linalg.norm(v))))
-    checks.append(_check("slash_contraction", n, worst, 1e-12))
+    # per trial: u then v, each real parts then imaginary parts
+    draws = gen.standard_normal((n, 2, 2, 4))
+    u, v = (draws[:, k, 0] + 1j * draws[:, k, 1] for k in range(2))
+    su, sv = clifford.slash(u), clifford.slash(v)
+    target = 2.0 * clifford.minkowski_dot(u, v)[:, None, None] * np.eye(4)
+    err = np.max(np.abs(su @ sv + sv @ su - target), axis=(1, 2))
+    scale = np.maximum(1.0, spinor.row_norms(u) * spinor.row_norms(v))
+    checks.append(_check("slash_contraction", n, np.max(err / scale, initial=0.0), 1e-12))
     return _report("clifford", checks)
 
 
@@ -231,22 +240,16 @@ def suite_props(cfg: SuiteConfig) -> dict:
 
     nb = min(n, max(cfg.trials // 10, 100))
     vbases = generators.random_rim_bases(gen, nb)
-    vclasses = _classes(vbases, opt).tolist()
-    bad = 0
-    for i in range(nb):
-        bad += not (rim.validate_rim_base(vbases[i], opt).ok and vclasses[i] == T1)
-    checks.append(_check("valid_bases_type1", nb, bad, 0))
+    valid = rim.validate_rim_base(vbases, opt).ok & (_classes(vbases, opt) == T1)
+    checks.append(_check("valid_bases_type1", nb, np.sum(~valid), 0))
 
-    bad = 0
-    for i in range(nb):
-        u = generators.random_complex(gen, 2)
-        t = float(gen.uniform(0.3, 1.5))
-        psi_a0 = assemble(u, 1j * t * u)  # A1 pure imaginary -> A = 0
-        val = rim.validate_rim_base(psi_a0, opt)
-        bad += val.ok or "A=0" not in val.reasons
-        psi_b0 = assemble(u, t * u)  # A1 real -> B = 0
-        val = rim.validate_rim_base(psi_b0, opt)
-        bad += val.ok or "B=0" not in val.reasons
+    u = generators.random_complex(gen, (nb, 2))
+    t = gen.uniform(0.3, 1.5, nb)[:, None]
+    a_zero, b_zero = (rim.BASE_CONSTRAINTS.index(name) for name in ("A=0", "B=0"))
+    val = rim.validate_rim_base(assemble(u, 1j * t * u), opt)  # A1 pure imaginary -> A = 0
+    bad = np.sum(val.ok | ~val.failed[:, a_zero])
+    val = rim.validate_rim_base(assemble(u, t * u), opt)  # A1 real -> B = 0
+    bad += np.sum(val.ok | ~val.failed[:, b_zero])
     checks.append(_check("synthetic_rejections", 2 * nb, bad, 0))
     return _report("props", checks)
 
@@ -311,21 +314,15 @@ def suite_rim(cfg: SuiteConfig) -> dict:
 
     pb = generators.random_rim_bases(gen, m)
     pa, pbb = generators.random_valid_params(gen, m)
-    worst_phase = worst_shift = worst_tr = 0.0
-    for i in range(m):
-        params = rim.validate(pa[i], pbb[i], cfg.tol)
-        bil = bilinear.compute(pb[i])
-        pots = rim.potentials(bil, params)
-        worst_phase = max(worst_phase, abs(abs(rim.vartheta(params, pots)) - 1.0))
-        c = 1.0 + float(gen.uniform(0.2, 1.5))
-        pots_c = rim.potentials(bilinear.compute(c * pb[i]), params)
-        worst_shift = max(
-            worst_shift,
-            abs(pots_c.S - pots.S - math.log(c * c) / (2.0 * params.a.real)),
-            abs(pots_c.R - pots.R),
-        )
-        g = rim.restriction_operator(bil, cfg.tol)  # raises if the forms disagree
-        worst_tr = max(worst_tr, abs(np.trace(g)))
+    params = rim.validate(pa, pbb, cfg.tol)
+    cov = bilinear.compute_batch(pb)
+    pots = rim.potentials(cov, params)
+    worst_phase = np.max(np.abs(np.abs(rim.vartheta(params, pots)) - 1.0))
+    c = 1.0 + gen.uniform(0.2, 1.5, m)
+    pots_c = rim.potentials(bilinear.compute_batch(c[:, None] * pb), params)
+    worst_shift = _worst(pots_c.S - pots.S - np.log(c * c) / (2.0 * params.a.real), pots_c.R - pots.R)
+    g = rim.restriction_operator(cov, cfg.tol)  # raises if the forms disagree
+    worst_tr = np.max(np.abs(np.trace(g, axis1=1, axis2=2)))
     checks.append(_check("vartheta_unit_modulus", m, worst_phase, 1e-10))
     checks.append(_check("potentials_scaling", m, worst_shift, 1e-10))
 
@@ -338,13 +335,6 @@ def suite_rim(cfg: SuiteConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # plane (coefficients, operators, maps, coordinates)
-
-
-def _decompose_rows(psis: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r1, r2) of each row against its own base by the scalar reference
-    route ``plane.decompose`` (``decompose_batch`` takes one base)."""
-    coords = [plane.decompose(psi, base) for psi, base in zip(psis, bases)]
-    return np.array([c.r1 for c in coords]), np.array([c.r2 for c in coords])
 
 
 def _rel(diff: np.ndarray, scale) -> np.ndarray:
@@ -402,7 +392,7 @@ def suite_plane(cfg: SuiteConfig) -> dict:
     worst = _worst_rel([through.r1 - coords_r, through.r2 - coords_r2], cscale)
     checks.append(_check("coords_roundtrip", n, worst, 1e-10))
 
-    r1, r2 = _decompose_rows(psi_d, bases)
+    r1, r2 = plane.decompose_batch(psi_d, bases)[0].T  # each row against its own base
     abd = c.alpha * c.beta * c.delta
     abdinv = c.alpha * c.beta / c.delta
     checks.append(_check("dirac_coords_table", n, _worst(_rel(r1 - abd, abd), _rel(r2 - abdinv, abdinv)), 1e-10))
@@ -426,7 +416,7 @@ def suite_plane(cfg: SuiteConfig) -> dict:
     checks.append(_check("chi_closed_form", n, np.max(_rel(chi.chi1 - closed, closed)), 1e-10))
 
     made = plane.block_scale(bases, coords_r, coords_r2)
-    r1, r2 = _decompose_rows(made, bases)
+    r1, r2 = plane.decompose_batch(made, bases)[0].T
     checks.append(_check("decompose_roundtrip", n, _worst_rel([r1 - coords_r, r2 - coords_r2], cscale), 1e-10))
 
     type1 = _classes(psi_d, opt) == lounesto.LounestoClass.TYPE1
@@ -447,35 +437,25 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
     n = min(cfg.trials, 500)
     checks = []
 
-    worst_end = 0.0
-    worst_line = 0.0
-    worst_sym = 0.0
-    worst_refl = 0.0
-    for _ in range(n):
-        r = generators.random_complex(gen, 4)
-        psi_c = plane.PlaneCoords(r[0], r[1], "B")
-        phi_c = plane.PlaneCoords(r[2], r[3], "B")
-        path = homotopy.spinor_homotopy(psi_c, phi_c)
-        e0 = homotopy.eval_path(path, psi_c.r1, 0.0)
-        e1 = homotopy.eval_path(path, phi_c.r1, 1.0)
-        worst_end = max(
-            worst_end,
-            abs(e0.r1 - psi_c.r1),
-            abs(e0.r2 - psi_c.r2),
-            abs(e1.r1 - phi_c.r1),
-            abs(e1.r2 - phi_c.r2),
-        )
-        rev = homotopy.spinor_homotopy(phi_c, psi_c)
-        for t in (0.25, 0.5, 0.75):
-            x = r[0]
-            fwd = homotopy.eval_path(path, x, t)
-            seg = homotopy.multiplier_at(path, t)
-            worst_line = max(worst_line, abs(fwd.r2 / fwd.r1 - seg) / max(1.0, abs(seg)))
-            bwd = homotopy.eval_path(rev, x, 1.0 - t)
-            worst_sym = max(worst_sym, abs(fwd.r2 - bwd.r2))
-        same = homotopy.spinor_homotopy(psi_c, psi_c)
-        for t in (0.3, 0.7):
-            worst_refl = max(worst_refl, abs(homotopy.eval_path(same, r[0], t).r2 - psi_c.r2))
+    # per trial: four complex coordinates, real parts then imaginary parts
+    draws = gen.standard_normal((n, 2, 4))
+    r = draws[:, 0] + 1j * draws[:, 1]
+    psi_c = plane.PlaneCoords(r[:, 0], r[:, 1], "B")
+    phi_c = plane.PlaneCoords(r[:, 2], r[:, 3], "B")
+    path = homotopy.spinor_homotopy(psi_c, phi_c)
+    e0 = homotopy.eval_path(path, psi_c.r1, 0.0)
+    e1 = homotopy.eval_path(path, phi_c.r1, 1.0)
+    worst_end = _worst(e0.r1 - psi_c.r1, e0.r2 - psi_c.r2, e1.r1 - phi_c.r1, e1.r2 - phi_c.r2)
+    rev = homotopy.spinor_homotopy(phi_c, psi_c)
+    worst_line = worst_sym = 0.0
+    for t in (0.25, 0.5, 0.75):
+        fwd = homotopy.eval_path(path, psi_c.r1, t)
+        seg = homotopy.multiplier_at(path, t)
+        worst_line = max(worst_line, np.max(_rel(fwd.r2 / fwd.r1 - seg, seg)))
+        bwd = homotopy.eval_path(rev, psi_c.r1, 1.0 - t)
+        worst_sym = max(worst_sym, _worst(fwd.r2 - bwd.r2))
+    same = homotopy.spinor_homotopy(psi_c, psi_c)
+    worst_refl = max(_worst(homotopy.eval_path(same, psi_c.r1, t).r2 - psi_c.r2) for t in (0.3, 0.7))
     checks.append(_check("endpoint_exactness", n, worst_end, 0.0))
     checks.append(_check("straight_line", n, worst_line, 1e-12))
     checks.append(_check("path_symmetry", n, worst_sym, 1e-12))
@@ -491,40 +471,41 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
         pass
     checks.append(_check("degenerate_detection", 2, int(bad), 0))
 
-    worst_ratio = 0.0
-    noninvertible = 0
     m = min(n, 200)
     hb = generators.random_rim_bases(gen, m)
-    for i in range(m):
-        wf, wg = generators.random_complex(gen, 2)
-        path = homotopy.basis_homotopy(homotopy.CoordFunction(wf), homotopy.CoordFunction(wg))
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            if path.degenerate_t is not None and abs(t - path.degenerate_t) < 1e-6:
-                continue
-            try:
-                pair, coords = homotopy.sample_basis(path, hb[i], t)
-            except DegenerateParameter:
-                noninvertible += 1
-                continue
-            worst_ratio = max(worst_ratio, abs(coords.r2 / coords.r1 - 1.0))
-            if abs(homotopy.multiplier_at(path, t)) == 0.0:
-                noninvertible += 1
+    # per path: wf then wg, real parts then imaginary parts
+    draws = gen.standard_normal((m, 2, 2))
+    wf, wg = (draws[:, 0, k] + 1j * draws[:, 1, k] for k in range(2))
+    worst_ratio = 0.0
+    noninvertible = 0
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf), homotopy.CoordFunction(wg))
+        near = np.abs(t - paths.degenerate_t) < 1e-6  # NaN (no interior zero) is never near
+        vanishing = homotopy.degenerate_at(paths, t)
+        noninvertible += np.sum(vanishing & ~near)
+        keep = ~(vanishing | near)
+        paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf[keep]), homotopy.CoordFunction(wg[keep]))
+        _, coords = homotopy.sample_basis(paths, hb[keep], t)
+        worst_ratio = max(worst_ratio, _worst(coords.r2 / coords.r1 - 1.0))
+        noninvertible += np.sum(homotopy.multiplier_at(paths, t) == 0.0)
     checks.append(_check("intermediate_ratio_one", 5 * m, worst_ratio, 1e-10))
     checks.append(_check("induced_operator_invertible", 5 * m, noninvertible, 0))
 
-    transitions_bad = 0
+    k = min(m, 50)
+    cov = bilinear.compute_batch(hb[:k])
+    A, B = cov["A"].real, cov["B"].real
+    psi_c = plane.PlaneCoords(1.0 + 0j, 0.8 + 0j, "B")
+    phi_c = plane.PlaneCoords(1.0 + 0j, 0.0 + 0j, "B")
+    path = homotopy.spinor_homotopy(psi_c, phi_c)
     interior_bad = 0
-    for i in range(min(m, 50)):
-        bilr = bilinear.compute(hb[i])
-        A, B = float(np.real(bilr.A)), float(np.real(bilr.B))
-        psi_c = plane.PlaneCoords(1.0 + 0j, 0.8 + 0j, "B")
-        phi_c = plane.PlaneCoords(1.0 + 0j, 0.0 + 0j, "B")
-        path = homotopy.spinor_homotopy(psi_c, phi_c)
-        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-            coords = homotopy.eval_path(path, 1.0 + 0j, t)
-            cls = lounesto.classify_by_coefficients(coords.r1, coords.r2, A, B, opt)
-            interior_bad += cls != lounesto.LounestoClass.TYPE1
-        found = homotopy.class_transition(path, A, B, opt)
+    for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+        coords = homotopy.eval_path(path, 1.0 + 0j, t)
+        r1, r2 = np.full(k, coords.r1), np.full(k, coords.r2)
+        classes = lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)[0]
+        interior_bad += np.sum(classes != lounesto.LounestoClass.TYPE1)
+    transitions_bad = 0
+    for i in range(k):  # one bisection per path
+        found = homotopy.class_transition(path, float(A[i]), float(B[i]), opt)
         ok = (
             found is not None
             and found[1] == lounesto.LounestoClass.TYPE1
@@ -532,8 +513,8 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
             and found[0] > 0.9
         )
         transitions_bad += not ok
-    checks.append(_check("sweep_interior_regular", 5 * min(m, 50), interior_bad, 0))
-    checks.append(_check("class_transition_bisection", min(m, 50), transitions_bad, 0))
+    checks.append(_check("sweep_interior_regular", 5 * k, interior_bad, 0))
+    checks.append(_check("class_transition_bisection", k, transitions_bad, 0))
     return _report("homotopy", checks)
 
 
@@ -547,65 +528,45 @@ def suite_mdo(cfg: SuiteConfig) -> dict:
     checks = []
 
     moms = generators.random_momenta(gen, n)
-    worst_inv = worst_comm = 0.0
-    for i in range(n):
-        mom = mdo.Momentum(*moms[i])
-        inv, comm = mdo.xi_checks(mom)
-        worst_inv = max(worst_inv, inv)
-        worst_comm = max(worst_comm, comm)
-    checks.append(_check("xi_involution", n, worst_inv, 1e-11))
-    checks.append(_check("xi_slash_commutator", n, worst_comm, 1e-11))
+    inv, comm = mdo.xi_checks(mdo.Momentum(*moms.T))
+    checks.append(_check("xi_involution", n, np.max(inv), 1e-11))
+    checks.append(_check("xi_slash_commutator", n, np.max(comm), 1e-11))
 
     m = min(n, 250)
-    worst_struct = 0.0
-    worst_hel = 0.0
-    worst_dirac = 0.0
-    worst_flip = 0.0
-    worst_singular = 0.0
-    worst_pairs = 0.0
-    worst_chirality = 0.0
-    worst_j2 = 0.0
+    mom = mdo.Momentum(*moms[:m].T)
+    worst_struct = worst_hel = worst_dirac = worst_flip = worst_singular = 0.0
     sign_bad = 0
-    for i in range(m):
-        mom = mdo.Momentum(*moms[i])
-        for conj in ("S", "A"):
-            for h in (+1, -1):
-                e = mdo.elko(mom, h, conj)
-                lam = e.spinor
-                nrm = float(np.linalg.norm(lam))
-                top = np.asarray(block1(lam))
-                bottom = np.asarray(block2(lam))
-                rebuilt = e.sign * 1j * mdo.wigner_theta() @ np.conj(bottom)
-                worst_struct = max(worst_struct, float(np.max(np.abs(top - rebuilt))))
-                ev_top, ev_bottom = mdo.dual_helicity_eigenvalues(e, mom)
-                worst_hel = max(worst_hel, abs(ev_top + h), abs(ev_bottom - h))
-                res, eta = mdo.diraclike_residual(e, mom)
-                worst_dirac = max(worst_dirac, res / (mom.m * nrm))
-                sign_bad += eta != mdo.DIRACLIKE_SIGN[conj]
-                v = clifford.slash(mdo.four_momentum(mom)) @ mdo.xi(mom) @ lam
-                flip = float(np.linalg.norm(v + eta * mom.m * lam))
-                worst_flip = max(worst_flip, abs(flip - 2.0 * mom.m * nrm) / (mom.m * nrm))
-                d = dirac_dual(lam)
-                worst_singular = max(
-                    worst_singular,
-                    abs(d @ lam) / max(1.0, nrm**2),
-                    abs(1j * (d @ clifford.build().gamma5 @ lam)) / max(1.0, nrm**2),
-                )
-            e_s = mdo.elko(mom, +1, "S")
-            e_a = mdo.elko(mom, +1, "A")
-            worst_pairs = max(
-                worst_pairs,
-                float(np.max(np.abs(np.asarray(block2(e_s.spinor)) - np.asarray(block2(e_a.spinor))))),
-                float(np.max(np.abs(np.asarray(block1(e_s.spinor)) + np.asarray(block1(e_a.spinor))))),
-            )
-        e = mdo.elko(mom, +1 if i % 2 == 0 else -1, "S")
-        ns = float(np.sum(np.abs(e.spinor) ** 2))
-        worst_chirality = max(worst_chirality, float(np.max(mdo.chirality_current_residuals(e, mom))) / max(1.0, ns**1.5))
-        cov = bilinear.compute(e.spinor, DualKind.MDO, mdo.xi(mom))
-        worst_j2 = max(
-            worst_j2,
-            abs(clifford.minkowski_dot(cov.J, cov.J) - cov.A**2 - cov.B**2) / max(1.0, ns**2),
-        )
+    slash_xi = clifford.slash(mdo.four_momentum(mom)) @ mdo.xi(mom)
+    g5 = clifford.build().gamma5
+    for conj in ("S", "A"):
+        for h in (+1, -1):
+            e = mdo.elko(mom, h, conj)
+            lam = e.spinor
+            nrm = spinor.row_norms(lam)
+            rebuilt = (e.sign * 1j * mdo.wigner_theta() @ np.conj(lam[:, 2:, None]))[:, :, 0]
+            worst_struct = max(worst_struct, _worst(lam[:, :2] - rebuilt))
+            ev_top, ev_bottom = mdo.dual_helicity_eigenvalues(e, mom)
+            worst_hel = max(worst_hel, _worst(ev_top + h, ev_bottom - h))
+            res, eta = mdo.diraclike_residual(e, mom)
+            worst_dirac = max(worst_dirac, np.max(res / (mom.m * nrm)))
+            sign_bad += np.sum(eta != mdo.DIRACLIKE_SIGN[conj])
+            v = (slash_xi @ lam[:, :, None])[:, :, 0]
+            flip = spinor.row_norms(v + (eta * mom.m)[:, None] * lam)
+            worst_flip = max(worst_flip, np.max(np.abs(flip - 2.0 * mom.m * nrm) / (mom.m * nrm)))
+            d = dirac_dual(lam)[:, None, :]
+            singular = [(d @ lam[:, :, None])[:, 0, 0], 1j * (d @ g5 @ lam[:, :, None])[:, 0, 0]]
+            worst_singular = max(worst_singular, _worst_rel(singular, np.maximum(1.0, nrm**2)))
+    e_s = mdo.elko(mom, +1, "S").spinor
+    e_a = mdo.elko(mom, +1, "A").spinor
+    worst_pairs = _worst(e_s[:, 2:] - e_a[:, 2:], e_s[:, :2] + e_a[:, :2])
+    # helicity alternates +1, -1 over the momenta
+    e = mdo.elko(mom, np.where(np.arange(m) % 2 == 0, +1, -1), "S")
+    ns = np.sum(np.abs(e.spinor) ** 2, axis=1)
+    chirality = mdo.chirality_current_residuals(e, mom)
+    worst_chirality = np.max(np.max(chirality, axis=1) / np.maximum(1.0, ns**1.5))
+    cov = bilinear.compute_batch(e.spinor, DualKind.MDO, mdo.xi(mom))
+    j2 = clifford.minkowski_dot(cov["J"], cov["J"])
+    worst_j2 = np.max(np.abs(j2 - cov["A"] ** 2 - cov["B"] ** 2) / np.maximum(1.0, ns**2))
     checks.append(_check("elko_structure", 4 * m, worst_struct, 0.0))
     checks.append(_check("dual_helicity", 4 * m, worst_hel, 1e-12))
     checks.append(_check("diraclike_residual", 4 * m, worst_dirac, 1e-9))
@@ -630,33 +591,25 @@ def suite_mdo(cfg: SuiteConfig) -> dict:
     mf = min(n, 300)
     fb = generators.random_rim_bases(gen, mf)
     fa, fbb = generators.random_valid_params(gen, mf)
-    fmoms = generators.random_momenta(gen, mf)
-    worst_fg = worst_fg0 = worst_fgprod = 0.0
-    for i in range(mf):
-        params = rim.validate(fa[i], fbb[i], cfg.tol)
-        bil = bilinear.compute(fb[i])
-        pots = rim.potentials(bil, params)
-        mom = mdo.Momentum(*fmoms[i])
-        sgn = -1 if i % 2 == 0 else 1
-        forms = mdo.fg_exponential_forms(pots.S, pots.R, params, bil, mom, sgn)
-        worst_fg = max(
-            worst_fg,
-            abs(forms["raw_F"] - forms["simplified_F"]) / max(1.0, abs(forms["raw_F"])),
-            abs(forms["raw_G"] - forms["simplified_G"]) / max(1.0, abs(forms["raw_G"])),
-        )
-        mom0 = mdo.Momentum(mom.m, mom.p, 0.0, mom.phi)
-        f0, g0 = mdo.fg_functions(pots.S, pots.R, params, bil, mom0, sgn)
-        worst_fg0 = max(
-            worst_fg0,
-            abs(f0 - (-2j * params.s * pots.R)),
-            abs(g0 - (+2j * params.s * pots.R)),
-        )
-        if sgn == -1:
-            two_re_a = 2.0 * params.a.real
-            j2 = float(np.real((bil.A - 1j * bil.B) * (bil.A + 1j * bil.B)))
-            expected = np.exp(-mom.p * math.sin(mom.theta) * bil.A / (two_re_a * j2))
-            prod = forms["raw_F"] * forms["raw_G"]
-            worst_fgprod = max(worst_fgprod, abs(prod - expected) / max(1.0, abs(expected)))
+    fmom = mdo.Momentum(*generators.random_momenta(gen, mf).T)
+    params = rim.validate(fa, fbb, cfg.tol)
+    cov = bilinear.compute_batch(fb)
+    pots = rim.potentials(cov, params)
+    sgn = np.where(np.arange(mf) % 2 == 0, -1, 1)
+    forms = mdo.fg_exponential_forms(pots.S, pots.R, params, cov, fmom, sgn)
+    worst_fg = _worst(
+        _rel(forms["raw_F"] - forms["simplified_F"], forms["raw_F"]),
+        _rel(forms["raw_G"] - forms["simplified_G"], forms["raw_G"]),
+    )
+    mom0 = mdo.Momentum(fmom.m, fmom.p, np.zeros(mf), fmom.phi)
+    f0, g0 = mdo.fg_functions(pots.S, pots.R, params, cov, mom0, sgn)
+    worst_fg0 = _worst(f0 - (-2j * params.s * pots.R), g0 - (+2j * params.s * pots.R))
+    minus = sgn == -1
+    two_re_a = 2.0 * params.a.real
+    j2 = np.real((cov["A"] - 1j * cov["B"]) * (cov["A"] + 1j * cov["B"]))
+    expected = np.exp(-fmom.p * np.sin(fmom.theta) * cov["A"] / (two_re_a * j2))
+    prod = forms["raw_F"] * forms["raw_G"]
+    worst_fgprod = np.max(_rel(prod - expected, expected)[minus], initial=0.0)
     checks.append(_check("fg_raw_vs_simplified", mf, worst_fg, 1e-10))
     checks.append(_check("fg_theta_zero", mf, worst_fg0, 1e-12))
     checks.append(_check("fg_product_identity", mf, worst_fgprod, 1e-10))

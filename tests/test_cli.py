@@ -445,7 +445,22 @@ def test_non_finite_report_from_finite_input_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == cli.EXIT_INVALID_INPUT
     assert captured.out == ""
-    assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+    assert captured.err == (
+        "error: NonFiniteMomentum: momentum m=1e+308, p=1e+308, theta=0.0, phi=0.0: "
+        "Xi is not finite: p sin(theta)/m or (E +- p cos(theta))/m overflows\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_mdo_overflow_names_the_momentum(tmp_path, capsys):
+    # E = p and p / m overflows: the spinor is finite, Xi is not
+    path = write_json(tmp_path / "mom.json", {"m": 1e-300, "p": 1e300, "theta": 0.5, "phi": 0.2})
+    code = cli.main(["mdo", "--momentum", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: NonFiniteMomentum: momentum m=1e-300, p=1e+300, theta=0.5, phi=0.2: Xi is not finite")
 
 
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main
@@ -572,6 +587,18 @@ def test_decompose_off_plane_row_with_near_degenerate_coordinates_is_not_flagged
     code, rep = _decompose_rows(tmp_path, capsys, base, [psi])
     assert rep["rows"][0]["error"] == "NotInPlane"
     assert code == cli.EXIT_OK
+
+
+def test_decompose_against_a_tiny_base_gives_finite_coordinates(tmp_path, capsys):
+    # |base| ~ 1e-160: its blocks' squared norms underflow to subnormals
+    base = spinor.from_json(json.loads((Path(__file__).parent / "data" / "mixed" / "base.json").read_text()))
+    tiny = 1e-160 * base
+    code, rep = _decompose_rows(tmp_path, capsys, tiny, [tiny, base])
+    assert code in (cli.EXIT_OK, cli.EXIT_FLAGGED)
+    for row, want in zip(rep["rows"], (1.0, 1e160)):
+        for key in ("r1", "r2"):
+            got = complex(row[key]["re"], row[key]["im"])
+            assert abs(got - want) <= plane.DECOMPOSE_TOL * want, (row, key)
 
 
 _BASE_OVERFLOWS = "the base's A or B is not finite (its norm is too large)"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, lounesto, plane, rim
+from spinorlab import bilinear, lounesto, plane, rim, spinor
 from spinorlab.errors import (
     DegenerateB,
     DegenerateBasis,
@@ -384,7 +384,7 @@ def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(width, rng):
     # exact and do not tell summation orders apart; full-precision rows do
     x = random_spinor(rng, 2000)[:, :width] * 10.0 ** rng.uniform(-3, 3, (2000, 1))
     want = np.array([np.linalg.norm(row) for row in x])
-    assert plane._row_norms(x).tobytes() == want.tobytes()
+    assert spinor.row_norms(x).tobytes() == want.tobytes()
 
 
 # the norm of a spinor scaled by this power of two overflows a double; the
