@@ -11,9 +11,9 @@ the report's header, numpy columns and per-row layouts to
 ``io.write_rows_report``, which checks that every float is finite and then
 streams the rows through one template per layout; a non-finite value exits
 2 naming its row and field, and no report is written.  ``homotopy``
-searches its transition on the rows' own grid at the rows' x (the
-from-spinor's r1); a row that cannot be classified fails the command with
-exit 2.
+takes its rows' classes and its transition from one sweep of the rows'
+grid at the rows' x (the from-spinor's r1); a row that cannot be
+classified fails the command with exit 2.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import bilinear, homotopy, io, lounesto, mdo, plane, rim, rng, spinor
-from .errors import IntegrabilityViolation, SpinorlabError
+from .errors import IntegrabilityViolation, NonFiniteMomentum, SpinorlabError
 from .spinor import DEFAULT_TOL
 from .suites import SuiteConfig, run_suites
 
@@ -249,26 +249,21 @@ def _cmd_homotopy(args) -> int:
     phi_c = plane.decompose(phi, base)
     path = homotopy.spinor_homotopy(psi_c, phi_c)
     steps = args.steps
-    rows = []
-    for i in range(steps + 1):
-        t = i / steps
-        coords = homotopy.eval_path(path, psi_c.r1, t)
-        wt = homotopy.multiplier_at(path, t)
-        degenerate = path.degenerate_t is not None and abs(t - path.degenerate_t) <= 1.0 / (2 * steps)
-        cls = lounesto.classify_by_coefficients(coords.r1, coords.r2, a_val, b_val, opt)
-        row = {
+    t_star, before, after, grid = homotopy.class_transition(path, a_val, b_val, opt, steps=steps, x=psi_c.r1)
+    ts = np.arange(steps + 1) / steps
+    coords, wt = homotopy.eval_path(path, psi_c.r1, ts), homotopy.multiplier_at(path, ts)
+    degenerate = np.abs(ts - (np.nan if path.degenerate_t is None else path.degenerate_t)) <= 1.0 / (2 * steps)
+    rows = [
+        {
             "t": t,
-            "coords": {
-                "r1": spinor.complex_to_json(coords.r1),
-                "r2": spinor.complex_to_json(coords.r2),
-            },
-            "multiplier": spinor.complex_to_json(wt),
-            "degenerate": degenerate,
-            "lounesto_class": int(cls),
-            "regular": cls.regular,
+            "coords": {"r1": spinor.complex_to_json(r1), "r2": spinor.complex_to_json(r2)},
+            "multiplier": spinor.complex_to_json(w),
+            "degenerate": bool(d),
+            "lounesto_class": int(c),
+            "regular": bool(_REGULAR[c]),
         }
-        rows.append(row)
-    transition = homotopy.class_transition(path, a_val, b_val, opt, steps=steps, x=psi_c.r1)
+        for t, r1, r2, w, d, c in zip(ts.tolist(), coords.r1, coords.r2, wt, degenerate, grid[:, 0])
+    ]
     report = {
         "command": "homotopy",
         "config": {
@@ -282,15 +277,23 @@ def _cmd_homotopy(args) -> int:
         "degenerate_t": path.degenerate_t,
         "rows": rows,
         "transition": None
-        if transition is None
+        if math.isnan(t_star[0])
         else {
-            "t": transition[0],
-            "class_before": int(transition[1]),
-            "class_after": int(transition[2]),
+            "t": float(t_star[0]),
+            "class_before": int(before[0]),
+            "class_after": int(after[0]),
         },
     }
     _emit(report, args.output)
     return EXIT_OK
+
+
+def _non_finite_field(node, name: str = "") -> str | None:
+    """Dotted name of a report's first non-finite float in written key order, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else name
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return next(filter(None, (_non_finite_field(v, f"{name}.{k}".lstrip(".")) for k, v in items)), None)
 
 
 def _cmd_mdo(args) -> int:
@@ -321,6 +324,9 @@ def _cmd_mdo(args) -> int:
         "dirac_dual_norm": spinor.complex_to_json(complex(d @ e.spinor)),
         "mdo_dual_norm": spinor.complex_to_json(mdo.mdo_norm(e, mom)),
     }
+    if field := _non_finite_field(report):
+        where = f"momentum m={mom.m!r}, p={mom.p!r}, theta={mom.theta!r}, phi={mom.phi!r}"
+        raise NonFiniteMomentum(f"{where}: {field} is not finite")
     _emit(report, args.output)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateParameter, raise_first
-from .lounesto import ClassifyOptions, LounestoClass, classify_by_coefficients
+from .lounesto import COEFFICIENT_ERRORS, ClassifyOptions, classify_by_coefficients_batch
 
 # ``decompose`` stays importable from here: bench/test_bench.py checks that
 # the benchmark's tracer patches this binding
@@ -113,9 +113,13 @@ def multiplier_at(path: HomotopyPath, t: float) -> complex:
     return (1.0 - t) * path.f.w + t * path.g.w
 
 
+def _between(fx, gx, t):
+    return (1.0 - t) * fx + t * gx
+
+
 def eval_path(path: HomotopyPath, x: complex, t: float) -> PlaneCoords:
     """Point (x, (1-t) f(x) + t g(x)); endpoints are bitwise the inputs."""
-    y = (1.0 - t) * path.f(x) + t * path.g(x)
+    y = _between(path.f(x), path.g(x), t)
     if np.ndim(y):
         return PlaneCoords(*np.broadcast_arrays(np.asarray(x, dtype=complex), y), basis=path.basis)
     return PlaneCoords(r1=complex(x), r2=complex(y), basis=path.basis)
@@ -169,37 +173,43 @@ def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> Homotop
     return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w), basis=psi_coords.basis)
 
 
-def class_transition(
-    path: HomotopyPath,
-    A: float,
-    B: float,
-    opt: ClassifyOptions = ClassifyOptions(),
-    steps: int = 10,
-    x: complex = 1.0 + 0j,
-) -> tuple[float, LounestoClass, LounestoClass] | None:
-    """First class change of the points (x, y(t)): a sweep of the grid
-    t = i/steps, raising at the first point that cannot be classified, then
-    80 bisection steps.  Returns (t_star, class_before, class_after), or
-    None if the class is constant on the grid."""
+def _classify(x, y, A, B, opt: ClassifyOptions) -> np.ndarray:
+    """Class codes of the points (x, y), broadcast, from one batch call; raises what
+    ``classify_by_coefficients`` would at the first failing point, path by path."""
+    points = np.broadcast_arrays(x, y, A, B)
+    classes, errors, _ = classify_by_coefficients_batch(*(a.ravel() for a in points), opt)
+    errors = errors.reshape(points[0].shape).T
+    if errors.any():
+        exc, message = COEFFICIENT_ERRORS[errors[errors != 0][0] - 1]
+        raise exc(message)
+    return classes.reshape(points[0].shape)
 
-    def klass(t: float) -> LounestoClass:
-        c = eval_path(path, x, t)
-        return classify_by_coefficients(c.r1, c.r2, A, B, opt)
 
-    grid = [i / steps for i in range(steps + 1)]
-    classes = [klass(t) for t in grid]
-    bracket = None
-    for i in range(1, len(grid)):
-        if classes[i] != classes[i - 1]:
-            bracket = (grid[i - 1], grid[i], classes[i - 1], classes[i])
-            break
-    if bracket is None:
-        return None
-    lo, hi, c_lo, c_hi = bracket
+def class_transition(path: HomotopyPath, A, B, opt: ClassifyOptions = ClassifyOptions(), steps: int = 10, x=1.0 + 0j):
+    """First class change of the points (x, y(t)) along one path, or n paths
+    where the path, A, B or x hold (n,) arrays.
+
+    The grid t = i/steps is one batch call, then every path whose class
+    changes on it bisects its first changing interval, all in lockstep: 80
+    halvings of one batch call each, fewer once every bracket is two
+    adjacent floats.  Returns (t_star, before, after, grid): per path the
+    transition (NaN where the class is constant) and the classes either side
+    of it, and the (steps + 1, n) grid classes.  A path alone has its bits
+    among n."""
+    fx, gx, x, A, B = np.broadcast_arrays(*np.atleast_1d(path.f(x), path.g(x), x, A, B))
+    ts = np.arange(steps + 1) / steps
+    grid = _classify(x, _between(fx, gx, ts[:, None]), A, B, opt)
+    changed = grid[1:] != grid[:-1]
+    moving, first = changed.any(axis=0), np.argmax(changed, axis=0)
+    before, after = np.take_along_axis(grid, np.stack([first, first + 1]), axis=0)
+    lo, hi = ts[first[moving]], ts[first[moving] + 1]
+    fx, gx, x, A, B, c_lo = (a[moving] for a in (fx, gx, x, A, B, before))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if klass(mid) == c_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), c_lo, c_hi
+        if not np.any((lo < mid) & (mid < hi)):
+            break  # every bracket is two adjacent floats, which no halving moves
+        below = _classify(x, _between(fx, gx, mid), A, B, opt) == c_lo
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t_star = np.full(grid.shape[1], np.nan)
+    t_star[moving] = 0.5 * (lo + hi)
+    return t_star, before, after, grid

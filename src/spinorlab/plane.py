@@ -137,11 +137,11 @@ def coefficient_set(
     )
 
 
-def chi_factors(c: CoefficientSet, tol: float = DEFAULT_TOL) -> ChiFactors:
+def chi_factors(c: CoefficientSet) -> ChiFactors:
     """chi1 = eps*omega/(delta*beta*alpha), chi2 = zeta*delta/(eps*beta*alpha)."""
     # one shape for all six: a set may mix scalar and (n,) fields
     coeffs = np.broadcast_arrays(c.alpha, c.beta, c.delta, c.epsilon, c.omega, c.zeta)
-    raise_first(np.any(np.abs(coeffs) <= tol, axis=0), ZeroCoefficient, "all six coefficients must be nonzero")
+    raise_first(np.any(np.abs(coeffs) <= DEFAULT_TOL, axis=0), ZeroCoefficient, "all six coefficients must be nonzero")
     alpha, beta, delta, epsilon, omega, zeta = coeffs
     chi1 = epsilon * omega / (delta * beta * alpha)
     chi2 = zeta * delta / (epsilon * beta * alpha)
@@ -169,8 +169,8 @@ def operator_matrix(op: MOperator) -> np.ndarray:
     return np.diag([op.c1, op.c1, op.c2, op.c2]).astype(complex)
 
 
-def inverse_operator(op: MOperator, tol: float = DEFAULT_TOL) -> MOperator:
-    raise_first((np.abs(op.c1) <= tol) | (np.abs(op.c2) <= tol), NonInvertible, "block scalar vanishes")
+def inverse_operator(op: MOperator) -> MOperator:
+    raise_first((np.abs(op.c1) <= DEFAULT_TOL) | (np.abs(op.c2) <= DEFAULT_TOL), NonInvertible, "block scalar vanishes")
     return MOperator(c1=1.0 / op.c1, c2=1.0 / op.c2)
 
 

@@ -141,7 +141,7 @@ def _rows(cov) -> tuple[dict, bool]:
     return cov, False
 
 
-def potentials(cov, params: RimParams, tol: float = DEFAULT_TOL) -> Potentials:
+def potentials(cov, params: RimParams) -> Potentials:
     """Scalar potentials S = ln(J)/(2 Re a), R = ln((A-iB)/J)/(2i Im b).
 
     ``cov`` is one spinor's Bilinears with scalar couplings, or a
@@ -151,7 +151,7 @@ def potentials(cov, params: RimParams, tol: float = DEFAULT_TOL) -> Potentials:
     """
     rows, one = _rows(cov)
     j2 = minkowski_dot(rows["J"], rows["J"]).real
-    null = j2 <= tol * np.maximum(1.0, rows["scale"] ** 2)
+    null = j2 <= DEFAULT_TOL * np.maximum(1.0, rows["scale"] ** 2)
     raise_first(null[0] if one else null, NullCurrent, "J^2 <= 0: potentials need a timelike current")
     j = np.sqrt(j2)
     s_pot = np.log(j) / (2.0 * np.real(params.a))

@@ -50,12 +50,14 @@ def dirac_dual(psi: np.ndarray) -> np.ndarray:
     return np.conj(psi) @ build().gamma[0]
 
 
-def mdo_dual(psi: np.ndarray, xi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def mdo_dual(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """(Xi psi)^dag gamma^0 as a row, or one row per spinor of an (n, 4)
     stack, with one Xi or an (n, 4, 4) stack of them; Xi must square to
-    the identity."""
+    the identity within DEFAULT_TOL * max(1, max|Xi|^2), the size of the
+    rounding in Xi^2."""
     xi = np.asarray(xi, dtype=complex)
-    raise_first(np.max(np.abs(xi @ xi - np.eye(4)), axis=(-2, -1)) > tol, DegenerateXi, "Xi^2 != 1 beyond tolerance")
+    bound = DEFAULT_TOL * np.maximum(1.0, np.max(np.abs(xi), axis=(-2, -1)) ** 2)
+    raise_first(np.max(np.abs(xi @ xi - np.eye(4)), axis=(-2, -1)) > bound, DegenerateXi, "Xi^2 != 1 beyond tolerance")
     xi_psi = (np.asarray(psi)[..., None, :] @ np.swapaxes(xi, -1, -2))[..., 0, :]
     return np.conj(xi_psi) @ build().gamma[0]
 

@@ -8,11 +8,11 @@ run seed, so reports are reproducible byte for byte.
 Scale conventions: quantities quadratic in the spinor are measured against
 max(1, |psi|^2), quartic residuals against max(1, |psi|^4).
 
-Every randomised check is one array pass over its draws; the one loop over
-draws left is the 50-path ``class_transition_bisection`` of ``homotopy``,
-which bisects path by path.  Draws that a check once took trial by trial
-are taken in bulk in the same order, except the synthetic rejections of
-``props``, which draw all coordinates and then all scales.
+Every randomised check is one array pass over its draws, the ``homotopy``
+bisection included, which moves all its paths in lockstep.  Draws that a
+check once took trial by trial are taken in bulk in the same order, except
+the synthetic rejections of ``props``, which draw all coordinates and then
+all scales.
 
 ``trials`` is the number of draws of every randomised ``plane`` check and
 of the ``rim`` coupling and pointwise checks.  These checks still cap their
@@ -446,16 +446,12 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
     e0 = homotopy.eval_path(path, psi_c.r1, 0.0)
     e1 = homotopy.eval_path(path, phi_c.r1, 1.0)
     worst_end = _worst(e0.r1 - psi_c.r1, e0.r2 - psi_c.r2, e1.r1 - phi_c.r1, e1.r2 - phi_c.r2)
-    rev = homotopy.spinor_homotopy(phi_c, psi_c)
-    worst_line = worst_sym = 0.0
-    for t in (0.25, 0.5, 0.75):
-        fwd = homotopy.eval_path(path, psi_c.r1, t)
-        seg = homotopy.multiplier_at(path, t)
-        worst_line = max(worst_line, np.max(_rel(fwd.r2 / fwd.r1 - seg, seg)))
-        bwd = homotopy.eval_path(rev, psi_c.r1, 1.0 - t)
-        worst_sym = max(worst_sym, _worst(fwd.r2 - bwd.r2))
+    t = np.array([0.25, 0.5, 0.75])[:, None]
+    fwd, seg = homotopy.eval_path(path, psi_c.r1, t), homotopy.multiplier_at(path, t)
+    worst_line = np.max(_rel(fwd.r2 / fwd.r1 - seg, seg))
+    worst_sym = _worst(fwd.r2 - homotopy.eval_path(homotopy.spinor_homotopy(phi_c, psi_c), psi_c.r1, 1.0 - t).r2)
     same = homotopy.spinor_homotopy(psi_c, psi_c)
-    worst_refl = max(_worst(homotopy.eval_path(same, psi_c.r1, t).r2 - psi_c.r2) for t in (0.3, 0.7))
+    worst_refl = _worst(homotopy.eval_path(same, psi_c.r1, np.array([0.3, 0.7])[:, None]).r2 - psi_c.r2)
     checks.append(_check("endpoint_exactness", n, worst_end, 0.0))
     checks.append(_check("straight_line", n, worst_line, 1e-12))
     checks.append(_check("path_symmetry", n, worst_sym, 1e-12))
@@ -476,45 +472,25 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
     # per path: wf then wg, real parts then imaginary parts
     draws = gen.standard_normal((m, 2, 2))
     wf, wg = (draws[:, 0, k] + 1j * draws[:, 1, k] for k in range(2))
-    worst_ratio = 0.0
-    noninvertible = 0
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf), homotopy.CoordFunction(wg))
-        near = np.abs(t - paths.degenerate_t) < 1e-6  # NaN (no interior zero) is never near
-        vanishing = homotopy.degenerate_at(paths, t)
-        noninvertible += np.sum(vanishing & ~near)
-        keep = ~(vanishing | near)
-        paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf[keep]), homotopy.CoordFunction(wg[keep]))
-        _, coords = homotopy.sample_basis(paths, hb[keep], t)
-        worst_ratio = max(worst_ratio, _worst(coords.r2 / coords.r1 - 1.0))
-        noninvertible += np.sum(homotopy.multiplier_at(paths, t) == 0.0)
-    checks.append(_check("intermediate_ratio_one", 5 * m, worst_ratio, 1e-10))
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None]
+    paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf), homotopy.CoordFunction(wg))
+    near = np.abs(t - paths.degenerate_t) < 1e-6  # NaN (no interior zero) is never near
+    vanishing = homotopy.degenerate_at(paths, t)
+    at, i = np.nonzero(~(vanishing | near))  # the (t, path) pairs sampled
+    paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf[i]), homotopy.CoordFunction(wg[i]))
+    _, coords = homotopy.sample_basis(paths, hb[i], t[at, 0])
+    noninvertible = np.sum(vanishing & ~near) + np.sum(homotopy.multiplier_at(paths, t[at, 0]) == 0.0)
+    checks.append(_check("intermediate_ratio_one", 5 * m, _worst(coords.r2 / coords.r1 - 1.0), 1e-10))
     checks.append(_check("induced_operator_invertible", 5 * m, noninvertible, 0))
 
-    k = min(m, 50)
-    cov = bilinear.compute_batch(hb[:k])
-    A, B = cov["A"].real, cov["B"].real
-    psi_c = plane.PlaneCoords(1.0 + 0j, 0.8 + 0j, "B")
-    phi_c = plane.PlaneCoords(1.0 + 0j, 0.0 + 0j, "B")
-    path = homotopy.spinor_homotopy(psi_c, phi_c)
-    interior_bad = 0
-    for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-        coords = homotopy.eval_path(path, 1.0 + 0j, t)
-        r1, r2 = np.full(k, coords.r1), np.full(k, coords.r2)
-        classes = lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)[0]
-        interior_bad += np.sum(classes != lounesto.LounestoClass.TYPE1)
-    transitions_bad = 0
-    for i in range(k):  # one bisection per path
-        found = homotopy.class_transition(path, float(A[i]), float(B[i]), opt)
-        ok = (
-            found is not None
-            and found[1] == lounesto.LounestoClass.TYPE1
-            and found[2] == lounesto.LounestoClass.TYPE6
-            and found[0] > 0.9
-        )
-        transitions_bad += not ok
-    checks.append(_check("sweep_interior_regular", 5 * k, interior_bad, 0))
-    checks.append(_check("class_transition_bisection", k, transitions_bad, 0))
+    # one path against the m bases; grid rows 1, 3, ..., 9 are t = 0.1, 0.3, ..., 0.9
+    path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.8 + 0j), plane.PlaneCoords(1.0 + 0j, 0.0 + 0j))
+    cov = bilinear.compute_batch(hb)
+    t_star, before, after, grid = homotopy.class_transition(path, cov["A"].real, cov["B"].real, opt)
+    interior_bad = np.sum(grid[1::2] != lounesto.LounestoClass.TYPE1)
+    found = (before == lounesto.LounestoClass.TYPE1) & (after == lounesto.LounestoClass.TYPE6) & (t_star > 0.9)
+    checks.append(_check("sweep_interior_regular", 5 * m, interior_bad, 0))
+    checks.append(_check("class_transition_bisection", m, np.sum(~found), 0))
     return _report("homotopy", checks)
 
 

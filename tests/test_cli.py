@@ -204,6 +204,17 @@ def test_homotopy_from_an_off_plane_spinor_whose_norm_overflows_exits_2(tmp_path
     assert captured.err == "error: NotInPlane: block residual 4.473e+199 exceeds 1.0e-08 x 1.118e+200\n"
 
 
+def test_homotopy_against_an_invalid_base_exits_2_with_the_scalar_error(tmp_path, capsys):
+    base = np.array([1, 0, 0, 1], dtype=complex)  # both blocks nonzero, A = B = 0
+    ends = [plane.block_scale(base, 1.5, 0.3 + 0.2j), plane.block_scale(base, 0.7, 0.0)]
+    files = [write_json(tmp_path / f"{k}.json", spinor.to_json(v)) for k, v in enumerate([base, *ends])]
+    code = cli.main(["homotopy", "--from", files[1], "--to", files[2], "--base", files[0], "--steps", "7"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: InvalidBase: base must have A != 0 and B != 0\n"
+
+
 _magnitudes = st.floats(min_value=-6.0, max_value=3.0)  # log10 |r1|
 _phases = st.floats(min_value=0.0, max_value=2 * np.pi)
 
@@ -461,6 +472,31 @@ def test_mdo_overflow_names_the_momentum(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: NonFiniteMomentum: momentum m=1e-300, p=1e+300, theta=0.5, phi=0.2: Xi is not finite")
+
+
+def test_mdo_at_large_p_over_m_keeps_xi_an_involution(tmp_path, capsys):
+    # Xi's entries are ~ 2 p/m = 2e5: the rounding in Xi^2 is far above 1e-9
+    path = write_json(tmp_path / "mom.json", {"m": 1, "p": 1e5, "theta": 0.5, "phi": 0.2})
+    code, rep = run_cli(["mdo", "--momentum", path], capsys)
+    assert code == cli.EXIT_OK
+    assert 0.0 < rep["xi_involution_error"] <= 1e-9 * (2e5) ** 2
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+@pytest.mark.parametrize(
+    "p, field",
+    [
+        (1e200, "diraclike_residual"),  # slash(p) Xi lambda overflows
+        (1e9, "helicity_eigenvalues.bottom"),  # E - p cancels to 0: a zero block
+    ],
+)
+def test_mdo_non_finite_report_names_the_momentum_and_field(tmp_path, capsys, p, field):
+    path = write_json(tmp_path / "mom.json", {"m": 1, "p": p, "theta": 0.5, "phi": 0.2})
+    code = cli.main(["mdo", "--momentum", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    assert captured.err == f"error: NonFiniteMomentum: momentum m=1.0, p={p!r}, theta=0.5, phi=0.2: {field} is not finite\n"
 
 
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import bilinear, homotopy, lounesto, plane
-from spinorlab.errors import BasisMismatch, DegenerateParameter
+from spinorlab.errors import BasisMismatch, DegenerateParameter, InvalidBase, ZeroDecomposition
 from spinorlab.generators import random_rim_bases
 from spinorlab.homotopy import CoordFunction
 
-from conftest import random_spinor
+from conftest import COORDINATE_KINDS, coordinate_rows, random_spinor
 
 OPT = lounesto.ClassifyOptions()
 
@@ -118,9 +120,7 @@ def test_class_transition_type1_to_type6(rng):
             lounesto.classify_by_coefficients(coords.r1, coords.r2, A, B, OPT)
             == lounesto.LounestoClass.TYPE1
         )
-    found = homotopy.class_transition(path, A, B, OPT)
-    assert found is not None
-    t_star, before, after = found
+    (t_star,), (before,), (after,), _ = homotopy.class_transition(path, A, B, OPT)
     assert before == lounesto.LounestoClass.TYPE1
     assert after == lounesto.LounestoClass.TYPE6
     assert 0.9 < t_star <= 1.0
@@ -133,4 +133,60 @@ def test_class_transition_none_for_constant_class(rng):
     path = homotopy.spinor_homotopy(
         plane.PlaneCoords(1.0 + 0j, 0.5 + 0j), plane.PlaneCoords(1.0 + 0j, 2.0 + 0j)
     )
-    assert homotopy.class_transition(path, A, B, OPT) is None
+    (t_star,), (before,), (after,), grid = homotopy.class_transition(path, A, B, OPT)
+    assert np.isnan(t_star)
+    assert before == after == lounesto.LounestoClass.TYPE1
+    assert grid.shape == (11, 1) and np.all(grid == before)
+
+
+def _path_ends(gen, A, B):
+    """(r1, r2) of a path's from- and to-end: two kinds of ``coordinate_rows``
+    other than both-zero, so that paths run from or into the type-2/3
+    surfaces and the zero band, or stay in one class, with |r| from 1e-6
+    to 1e3."""
+    r1, r2, _ = coordinate_rows(gen, A, B, len(COORDINATE_KINDS))
+    pick = gen.choice(COORDINATE_KINDS.index("all_zero"), 2)
+    scale = 10.0 ** gen.uniform(-3.0, 0.0, 2)
+    return r1[pick] * scale, r2[pick] * scale
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.sampled_from([1, 2, 7, 10, 37]))
+@settings(deadline=None, max_examples=40)
+def test_class_transition_over_paths_is_each_path_alone(seed, n, steps):
+    gen = np.random.default_rng(seed)
+    cov = bilinear.compute_batch(random_rim_bases(gen, n))
+    A, B = cov["A"].real, cov["B"].real
+    r1, r2 = np.moveaxis(np.array([_path_ends(gen, A[i], B[i]) for i in range(n)]), 1, 0)  # (n, 2 ends) each
+    paths = homotopy.spinor_homotopy(plane.PlaneCoords(r1[:, 0], r2[:, 0]), plane.PlaneCoords(r1[:, 1], r2[:, 1]))
+    together = homotopy.class_transition(paths, A, B, OPT, steps, x=r1[:, 0])
+    for i in range(n):
+        path = homotopy.spinor_homotopy(plane.PlaneCoords(r1[i, 0], r2[i, 0]), plane.PlaneCoords(r1[i, 1], r2[i, 1]))
+        alone = homotopy.class_transition(path, A[i], B[i], OPT, steps, x=r1[i, 0])
+        for k, (rows, one) in enumerate(zip(together, alone)):
+            assert rows[..., i].tobytes() == one[..., 0].tobytes(), f"path {i}, output {k}"
+        points = [homotopy.eval_path(path, r1[i, 0], j / steps) for j in range(steps + 1)]
+        scalar = [lounesto.classify_by_coefficients(c.r1, c.r2, A[i], B[i], OPT) for c in points]
+        grid = alone[3][:, 0]
+        assert grid.tolist() == scalar
+        changes = np.flatnonzero(grid[1:] != grid[:-1])
+        t_star, before, after = (v[0] for v in alone[:3])
+        if changes.size == 0:
+            assert np.isnan(t_star) and before == after == grid[0]
+        else:
+            j = changes[0]
+            assert (before, after) == (grid[j], grid[j + 1])
+            assert j / steps <= t_star <= (j + 1) / steps
+
+
+def test_class_transition_raises_the_scalar_error_without_a_row():
+    path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.5 + 0j), plane.PlaneCoords(1.0 + 0j, 2.0 + 0j))
+    with pytest.raises(InvalidBase) as scalar:
+        lounesto.classify_by_coefficients(1.0, 0.5, 1.0, 0.0, OPT)
+    with pytest.raises(InvalidBase) as swept:
+        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), OPT)
+    assert str(swept.value) == str(scalar.value)
+    # paths are taken one after another: path 0 fails only at t = 1 (r1 below
+    # the zero test, r2 = 0), still before path 1, whose base fails everywhere
+    path = homotopy.spinor_homotopy(plane.PlaneCoords(1e-10 + 0j, 0.5 + 0j), plane.PlaneCoords(1e-10 + 0j, 0j))
+    with pytest.raises(ZeroDecomposition, match="^r1 = r2 = 0 is not a decomposition$"):
+        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), OPT, x=1e-10 + 0j)

@@ -42,6 +42,21 @@ def test_mdo_dual_identity_xi_reduces_to_dirac(rng):
     assert np.allclose(spinor.mdo_dual(psi, np.eye(4)), spinor.dirac_dual(psi))
 
 
+def test_mdo_dual_bound_scales_with_xi(rng):
+    psi = random_spinor(rng)
+    with pytest.raises(DegenerateXi):
+        spinor.mdo_dual(psi, 2.0 * np.eye(4))
+    xi = mdo.xi(mdo.Momentum(1.0, 1e5, 0.5, 0.2))  # entries ~ 2e5, Xi^2 - 1 ~ 1e-6
+    assert np.max(np.abs(xi @ xi - np.eye(4))) > 1e-9
+    assert np.all(np.isfinite(spinor.mdo_dual(psi, xi)))
+    # an involution with an entry 1e4, so the bound is 1e-9 * 1e8 = 0.1
+    big = np.eye(4, dtype=complex)
+    big[:2, :2] = [[1.0, 1e4], [0.0, -1.0]]
+    spinor.mdo_dual(psi, big + np.diag([1e-7, 0, 0, 0]))  # Xi^2 off by 1e-3
+    with pytest.raises(DegenerateXi):
+        spinor.mdo_dual(psi, big + np.diag([1e-4, 0, 0, 0]))  # off by 1
+
+
 def test_scales_and_mdo_dual_on_a_stack_match_each_row(rng):
     psis = random_spinor(rng, 5)
     xi = mdo.xi(mdo.Momentum(1.0, 0.5, np.pi / 3, np.pi / 5))

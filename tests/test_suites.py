@@ -86,8 +86,8 @@ PINNED = {
         ("degenerate_detection", 2),
         ("intermediate_ratio_one", 1000),
         ("induced_operator_invertible", 1000),
-        ("sweep_interior_regular", 250),
-        ("class_transition_bisection", 50),
+        ("sweep_interior_regular", 1000),
+        ("class_transition_bisection", 200),
     ],
     "mdo": [
         ("xi_involution", 1000),
