@@ -5,6 +5,9 @@ K[mu] = dual . gamma5 gamma^mu . psi, S[mu][nu] = dual . i gamma^mu gamma^nu . p
 (antisymmetric, zero diagonal).  Under the Dirac dual A, B, J, K, S are all
 real and A = A1 + A2, B = i(-A1 + A2) with A1 = P21* P11 + P22* P12,
 A2 = conj(A1).
+
+``compute`` and ``fpk_residuals`` stay as they are: one-row calls of the
+batch routes that the ``scalar-api`` benchmark workload measures.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import bilinear, homotopy, io, lounesto, mdo, plane, rim, rng, spinor
-from .errors import IntegrabilityViolation, NonFiniteMomentum, SpinorlabError
+from .errors import IntegrabilityViolation, NonFiniteMomentum, NonFiniteValue, SpinorlabError
 from .spinor import DEFAULT_TOL
 from .suites import SuiteConfig, run_suites
 
@@ -164,9 +164,15 @@ def _cmd_classify(args) -> int:
         "S": np.real(cov["S"]),
         "fpk_residuals": np.real(residuals),
     }
+    # a class row whose covariants or residuals overflow is an error row naming its first such field
+    floats = ("A", "B", "J", "K", "S", "fpk_residuals")
+    bad = np.stack([~np.isfinite(class_row[k].reshape(ids.size, -1)).all(axis=1) for k in floats], axis=-1)
+    over = bad.any(axis=1) & (errors == 0)
+    names[over], near[over] = NonFiniteValue.__name__, False
+    details[over] = np.array([f"{k} is not finite" for k in floats], dtype=object)[np.argmax(bad[over], axis=1)]
     error_row = {"id": ids, "error": names, "detail": details}
     header = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}}
-    io.write_rows_report(header, [class_row, error_row], errors != 0, args.output)
+    io.write_rows_report(header, [class_row, error_row], (errors != 0) | over, args.output)
     return EXIT_FLAGGED if near.any() else EXIT_OK
 
 
@@ -288,14 +294,6 @@ def _cmd_homotopy(args) -> int:
     return EXIT_OK
 
 
-def _non_finite_field(node, name: str = "") -> str | None:
-    """Dotted name of a report's first non-finite float in written key order, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else name
-    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    return next(filter(None, (_non_finite_field(v, f"{name}.{k}".lstrip(".")) for k, v in items)), None)
-
-
 def _cmd_mdo(args) -> int:
     payload = io.load_momentum(args.momentum)
     mom = mdo.Momentum(payload["m"], payload["p"], payload["theta"], payload["phi"])
@@ -324,10 +322,11 @@ def _cmd_mdo(args) -> int:
         "dirac_dual_norm": spinor.complex_to_json(complex(d @ e.spinor)),
         "mdo_dual_norm": spinor.complex_to_json(mdo.mdo_norm(e, mom)),
     }
-    if field := _non_finite_field(report):
+    try:
+        _emit(report, args.output)
+    except ValueError as exc:  # a non-finite field, named by io.dumps_report
         where = f"momentum m={mom.m!r}, p={mom.p!r}, theta={mom.theta!r}, phi={mom.phi!r}"
-        raise NonFiniteMomentum(f"{where}: {field} is not finite")
-    _emit(report, args.output)
+        raise NonFiniteMomentum(f"{where}: {exc}") from exc
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and ``raise_first``."""
+"""Exception types raised across the package, ``raise_first`` and ``one_row``."""
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class InconsistentBilinears(SpinorlabError):
     """A hand-built bilinear record violates the algebraic constraints."""
 
 
+class NonFiniteValue(SpinorlabError):
+    """A finite spinor whose covariants or constraint residuals overflow."""
+
+
 def raise_first(bad, error: type[Exception], template: str, *values) -> None:
     """Raise ``error`` when the boolean scalar or (n,) array ``bad`` is set
     anywhere: with ``template`` formatted with ``values`` at the first failing
@@ -81,3 +85,17 @@ def raise_first(bad, error: type[Exception], template: str, *values) -> None:
     at = int(np.argmax(bad)) if bad.ndim else ()
     message = template.format(*(np.broadcast_to(v, bad.shape)[at].item() for v in values))
     raise error(message if bad.ndim == 0 else f"row {at}: {message}")
+
+
+def one_row(value, one: bool, scalar=lambda row: row.item()):
+    """``value`` computed over rows, or its row 0 where ``one`` marks a call
+    lifted to one row: item by item in a tuple, list or dict, and a 0-d row
+    as ``scalar(row)``, by default the Python number ``row.item()``."""
+    if not one:
+        return value
+    if isinstance(value, (tuple, list)):
+        return type(value)(one_row(v, True, scalar) for v in value)
+    if isinstance(value, dict):
+        return {key: one_row(v, True, scalar) for key, v in value.items()}
+    row = np.asarray(value)[0]
+    return row if row.ndim else scalar(row)

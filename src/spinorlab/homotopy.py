@@ -6,10 +6,11 @@ deforms the plane's basis while one tracked spinor keeps coordinates (x, x);
 a spinor homotopy deforms the second coordinate in a fixed basis.
 
 Paths, points and parameters are scalars, or (n,) arrays for n paths at
-once.  Scalars are computed with Python's complex type, whose products are
-not fused and whose quotients divide by the denominator; on arrays
-``_times`` and ``_over`` round the same way, so a path in an array has the
-bits of the same path given alone.
+once.  Everything is computed over rows: a scalar call is lifted to one row
+and unwrapped by ``errors.one_row``.  ``_times`` and ``_over`` round as
+Python's complex type does (products not fused, quotients dividing by the
+denominator), so a path in an array has the bits of the same path given
+alone, and of Python's complex arithmetic on it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, DegenerateParameter, raise_first
+from .errors import BasisMismatch, DegenerateParameter, one_row, raise_first
 from .lounesto import COEFFICIENT_ERRORS, ClassifyOptions, classify_by_coefficients_batch
 
 # ``decompose`` stays importable from here: bench/test_bench.py checks that
@@ -29,19 +30,13 @@ from .spinor import DEFAULT_TOL, chiral_parts
 _PARAM_TOL = 1e-12  # relative size below which Im(t) or an endpoint's r1 is zero
 
 
-def _is_scalar(a, b) -> bool:
-    return not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
 
 
 def _times(a, b):
     """a * b as Python's complex type rounds it: numpy's array loop fuses
-    the multiply-add, so on arrays the parts are formed one by one."""
-    if _is_scalar(a, b):
-        return complex(a) * complex(b)
+    the multiply-add, so the parts are formed one by one."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return _complex(ar * br - ai * bi, ar * bi + ai * br)
@@ -49,10 +44,8 @@ def _times(a, b):
 
 def _over(a, b):
     """a / b as Python's complex type rounds it (Smith's method, dividing by
-    the denominator where numpy multiplies by its reciprocal); NaN on arrays
-    where b = 0, which Python refuses."""
-    if _is_scalar(a, b):
-        return complex(a) / complex(b)
+    the denominator where numpy multiplies by its reciprocal); NaN where
+    b = 0, which Python refuses."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
@@ -76,13 +69,17 @@ class CoordFunction:
     den: complex = 1.0 + 0j
 
     @property
+    def one(self) -> bool:
+        return np.ndim(self.num) == np.ndim(self.den) == 0
+
+    @property
     def w(self) -> complex:
-        return _over(self.num, self.den)
+        return one_row(_over(np.atleast_1d(self.num), self.den), self.one)
 
     def __call__(self, x: complex) -> complex:
-        if _is_scalar(x, self.den):
-            return self.num if x == self.den else _times(self.num, _over(x, self.den))
-        return np.where(x == self.den, self.num, _times(self.num, _over(x, self.den)))
+        xs = np.atleast_1d(x)
+        y = np.where(xs == self.den, self.num, _times(self.num, _over(xs, self.den)))
+        return one_row(y, self.one and np.ndim(x) == 0)
 
 
 @dataclass(frozen=True)
@@ -92,17 +89,20 @@ class HomotopyPath:
     degenerate_t: float | None  # NaN marks a path without one in an array
     basis: str = "B"
 
+    @property
+    def one(self) -> bool:
+        return self.f.one and self.g.one
+
 
 def _degenerate_t(wf, wg):
     """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1):
     None, or NaN in the (n,) array of n paths."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = _over(wf, wf - wg) if np.any(wf != wg) else np.nan
+    one = np.ndim(wf) == np.ndim(wg) == 0
+    wf, wg = np.atleast_1d(wf, wg)
+    t = _over(wf, wf - wg)
     real, imag = np.real(t), np.imag(t)
     inside = (wf != wg) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real))) & (0.0 < real) & (real < 1.0)
-    if np.ndim(inside):
-        return np.where(inside, real, np.nan)
-    return float(real) if inside else None
+    return one_row(np.where(inside, real, np.nan), one, lambda t: None if np.isnan(t) else t.item())
 
 
 def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
@@ -110,7 +110,7 @@ def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
 
 
 def multiplier_at(path: HomotopyPath, t: float) -> complex:
-    return (1.0 - t) * path.f.w + t * path.g.w
+    return one_row((1.0 - np.atleast_1d(t)) * path.f.w + t * path.g.w, path.one and np.ndim(t) == 0)
 
 
 def _between(fx, gx, t):
@@ -119,17 +119,17 @@ def _between(fx, gx, t):
 
 def eval_path(path: HomotopyPath, x: complex, t: float) -> PlaneCoords:
     """Point (x, (1-t) f(x) + t g(x)); endpoints are bitwise the inputs."""
-    y = _between(path.f(x), path.g(x), t)
-    if np.ndim(y):
-        return PlaneCoords(*np.broadcast_arrays(np.asarray(x, dtype=complex), y), basis=path.basis)
-    return PlaneCoords(r1=complex(x), r2=complex(y), basis=path.basis)
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
+    coords = np.broadcast_arrays(xs, _between(path.f(xs), path.g(xs), t))
+    return PlaneCoords(*one_row(coords, path.one and np.ndim(x) == np.ndim(t) == 0), basis=path.basis)
 
 
 def degenerate_at(path: HomotopyPath, t: float):
     """Whether the interpolated multiplier vanishes at t, where the induced
     basis is not invertible; elementwise on (n,) paths or parameters."""
     wscale = np.fmax(1.0, np.fmax(np.abs(path.f.w), np.abs(path.g.w)))
-    return np.abs(multiplier_at(path, t)) <= DEFAULT_TOL * wscale
+    vanishing = np.abs(multiplier_at(path, np.atleast_1d(t))) <= DEFAULT_TOL * wscale
+    return one_row(vanishing, path.one and np.ndim(t) == 0)
 
 
 def sample_basis(
@@ -150,14 +150,13 @@ def sample_basis(
     raise_first(~((0.0 <= np.asarray(t)) & (np.asarray(t) <= 1.0)), ValueError, "t must lie in [0, 1]")
     raise_first(degenerate_at(path, t), DegenerateParameter, "vanishing block coefficient at t={!r}", t)
     tracked = block_scale(base, 1.0, multiplier_at(path, t))
-    pair = chiral_parts(tracked)
-    rows = np.atleast_2d(tracked)
-    coords, _, failures = decompose_batch(rows, rows)
+    one = tracked.ndim == 1
+    tracked = np.atleast_2d(tracked)
+    coords, _, failures = decompose_batch(tracked, tracked)
     if failures:
         raise failures[min(failures)]
-    if tracked.ndim == 1:
-        return pair, PlaneCoords(r1=complex(coords[0, 0]), r2=complex(coords[0, 1]))
-    return pair, PlaneCoords(r1=coords[:, 0], r2=coords[:, 1])
+    pair, r = one_row((chiral_parts(tracked), (coords[:, 0], coords[:, 1])), one)
+    return pair, PlaneCoords(*r)
 
 
 def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> HomotopyPath:

@@ -143,7 +143,18 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _non_finite_field(node, name: str = "") -> str | None:
+    """Dotted name of a report's first non-finite float in written key order, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else name
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return next(filter(None, (_non_finite_field(v, f"{name}.{k}".lstrip(".")) for k, v in items)), None)
+
+
 def dumps_report(report: dict) -> str:
+    """The report's JSON text, or ValueError "FIELD is not finite"."""
+    if field := _non_finite_field(report):
+        raise ValueError(f"{field} is not finite")
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 

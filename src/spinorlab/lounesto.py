@@ -8,6 +8,11 @@ classifies psi = r1*block1(base) + r2*block2(base) straight from (r1, r2)
 and the base scalars (A, B) without building any covariant; its scalar
 ``classify_by_coefficients`` and ``classify_by_coefficients_batch`` do the
 same real arithmetic, on Python floats and on arrays.
+
+``classify``, ``classify_by_coefficients`` and ``near_degenerate`` stay
+scalar code, the tests' reference for the batch routes and measured by the
+``scalar-api`` benchmark workload: a one-row ``classify_by_coefficients_batch``
+call costs 60 us against 2.2 us (best of 5x3000 calls, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -133,6 +138,10 @@ _ZERO_DECOMPOSITION = (ZeroDecomposition, "r1 = r2 = 0 is not a decomposition")
 # COEFFICIENT_ERRORS[c - 1].  InvalidBase takes precedence.
 COEFFICIENT_ERRORS = (_INVALID_BASE, _ZERO_DECOMPOSITION)
 
+# The coefficient class code, indexed by 4*(r1 = 0 or r2 = 0) + 2*(type-2
+# surface) + (type-3 surface): a vanishing coordinate, then type 2, then 3.
+_COEFFICIENT_CLASSES = np.array([1, 3, 2, 2, 6, 6, 6, 6])
+
 # A row is near-degenerate when a decision input lies within this many
 # tolerances of its boundary.
 NEAR_BAND = 10.0
@@ -226,11 +235,8 @@ def classify_by_coefficients_batch(
         type3 = np.abs(A - B * (zi / zr))
     guard = np.abs(zr * zi) > tol * (g * g)
     margin = tol * scale
-    classes = np.select(
-        [r1_zero | r2_zero, guard & (type2 <= margin), guard & (type3 <= margin)],
-        [LounestoClass.TYPE6, LounestoClass.TYPE2, LounestoClass.TYPE3],
-        LounestoClass.TYPE1,
-    )
+    index = 4 * (r1_zero | r2_zero) + 2 * (guard & (type2 <= margin)) + (guard & (type3 <= margin))
+    classes = _COEFFICIENT_CLASSES[index]
     errors = np.zeros(r1.shape, dtype=classes.dtype)
     errors[r1_zero & r2_zero] = 1 + COEFFICIENT_ERRORS.index(_ZERO_DECOMPOSITION)
     invalid = (np.abs(A) <= margin) | (np.abs(B) <= margin)

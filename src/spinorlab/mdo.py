@@ -2,15 +2,17 @@
 momentum-space identities.
 
 Construction: lambda = (sign * i * Theta conj(phi_L), phi_L) with phi_L the
-boosted helicity spinor sqrt(E - h p) * phi_unit^h.  The charge-conjugation
-operator is gamma^2 composed with complex conjugation (phase exactly 1 in
-this representation); self-conjugate spinors carry sign = +1,
-anti-self-conjugate sign = -1.
+boosted helicity spinor sqrt(E - h p) * phi_unit^h, where E - h p is formed
+as m^2 / (E + h p) when h p > 0, because the difference cancels for
+p >> m.  The charge-conjugation operator is gamma^2 composed with complex
+conjugation (phase exactly 1 in this representation); self-conjugate
+spinors carry sign = +1, anti-self-conjugate sign = -1.
 
 Every function here takes a ``Momentum`` whose fields are scalars, or
 (n,) arrays for n momenta at once, with stacked results (an (n, 4) spinor,
-an (n, 4, 4) Xi).  A scalar momentum is computed as the one-row array, so
-its results have the bits of its row in a stack.
+an (n, 4, 4) Xi).  A scalar momentum is computed as the one-row array and
+its results are unwrapped by ``errors.one_row``, so they have the bits of
+its row in a stack.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 
 # ``compute`` stays importable from here: bench/test_bench.py checks that
 # the benchmark's tracer patches this binding
-from .bilinear import compute, compute_batch  # noqa: F401
+from .bilinear import Bilinears, compute, compute_batch  # noqa: F401
 from .clifford import build, slash
-from .errors import NonFiniteMomentum, raise_first
+from .errors import NonFiniteMomentum, one_row, raise_first
 from .rim import RimParams
 from .spinor import DualKind, assemble, mdo_dual, row_norms
 
@@ -47,8 +49,12 @@ class Momentum:
     def __post_init__(self):
         raise_first(np.asarray(self.m) <= 0, ValueError, "mass must be positive")
         raise_first(np.asarray(self.p) < 0, ValueError, "|p| must be non-negative")
-        E = _HYPOT(self.p, self.m)
-        object.__setattr__(self, "E", E.astype(float) if isinstance(E, np.ndarray) else E)
+        E = _HYPOT(*np.atleast_1d(self.p, self.m)).astype(float)
+        object.__setattr__(self, "E", one_row(E, self.one))
+
+    @property
+    def one(self) -> bool:
+        return np.ndim(self.m) == np.ndim(self.p) == np.ndim(self.theta) == np.ndim(self.phi) == 0
 
     def rows(self) -> tuple[np.ndarray, ...]:
         """(m, p, theta, phi, E) as (n,) arrays, one row for a scalar momentum."""
@@ -63,18 +69,12 @@ class ElkoSpinor:
     sign: int
 
 
-def _one(mom: Momentum, value):
-    """``value`` computed over ``mom.rows()``: its first row for a scalar
-    momentum, else as it is."""
-    return value[0] if np.ndim(mom.m) == 0 else value
-
-
 def _check_finite(mom: Momentum, value: np.ndarray, what: str) -> None:
     """NonFiniteMomentum naming the first momentum whose ``value`` rows
     hold an inf or NaN."""
     bad = ~np.isfinite(value.reshape(len(value), -1).view(float)).all(axis=1)
     raise_first(
-        _one(mom, bad),
+        one_row(bad, mom.one),
         NonFiniteMomentum,
         "momentum m={!r}, p={!r}, theta={!r}, phi={!r}: " + what,
         mom.m, mom.p, mom.theta, mom.phi,
@@ -109,9 +109,14 @@ def boosted_left(mom: Momentum, h) -> np.ndarray:
 
     The scalar is the helicity eigenvalue of the canonical left boost acting
     on the sqrt(m)-normalized rest spinor; at p = 0 it reduces to sqrt(m).
+    Where h p > 0, E - h p is formed as m^2 / (E + h p), which does not
+    cancel when E rounds to p.
     """
-    _, p, theta, phi, E = mom.rows()
-    return _one(mom, np.sqrt(E - h * p)[:, None] * helicity_spinor(theta, phi, h))
+    m, p, theta, phi, E = mom.rows()
+    hp = h * p
+    # E + |h p| >= E > 0, so neither branch divides by zero
+    left = np.where(hp > 0, m / (E + np.abs(hp)) * m, E - hp)
+    return one_row(np.sqrt(left)[:, None] * helicity_spinor(theta, phi, h), mom.one)
 
 
 def elko(mom: Momentum, helicity, conj: str, sign: int | None = None) -> ElkoSpinor:
@@ -136,8 +141,8 @@ def elko(mom: Momentum, helicity, conj: str, sign: int | None = None) -> ElkoSpi
     eigen = +1 if conj == "S" else -1
     if np.any(np.max(np.abs(charge_conjugate(lam) - eigen * lam), axis=-1) > 1e-12 * row_norms(lam)):
         raise AssertionError("charge-conjugation eigenvalue check failed")
-    helicity = np.asarray(helicity) if np.ndim(helicity) else int(helicity)
-    return ElkoSpinor(spinor=_one(mom, lam), conj=conj, helicity=helicity, sign=int(sign))
+    helicity = one_row(np.atleast_1d(helicity), np.ndim(helicity) == 0)
+    return ElkoSpinor(spinor=one_row(lam, mom.one), conj=conj, helicity=helicity, sign=int(sign))
 
 
 def charge_conjugate(psi: np.ndarray) -> np.ndarray:
@@ -148,7 +153,7 @@ def charge_conjugate(psi: np.ndarray) -> np.ndarray:
 def four_momentum(mom: Momentum) -> np.ndarray:
     _, p, theta, phi, E = mom.rows()
     st, ct = np.sin(theta), np.cos(theta)
-    return _one(mom, np.stack([E, p * st * np.cos(phi), p * st * np.sin(phi), p * ct], axis=-1))
+    return one_row(np.stack([E, p * st * np.cos(phi), p * st * np.sin(phi), p * ct], axis=-1), mom.one)
 
 
 def xi(mom: Momentum) -> np.ndarray:
@@ -175,7 +180,7 @@ def xi(mom: Momentum) -> np.ndarray:
     out[:, 3, 2] = 1j * (E - p * c) * ep / m
     out[:, 3, 3] = -1j * ps
     _check_finite(mom, out, "Xi is not finite: p sin(theta)/m or (E +- p cos(theta))/m overflows")
-    return _one(mom, out)
+    return one_row(out, mom.one)
 
 
 def diraclike_residual(e: ElkoSpinor, mom: Momentum):
@@ -190,10 +195,7 @@ def diraclike_residual(e: ElkoSpinor, mom: Momentum):
     plus = row_norms(v - m * lam)
     minus = row_norms(v + m * lam)
     flip = minus < plus
-    res, eta = np.where(flip, minus, plus), np.where(flip, -1, +1)
-    if np.ndim(mom.m) == 0:
-        return float(res[0]), int(eta[0])
-    return res, eta
+    return one_row((np.where(flip, minus, plus), np.where(flip, -1, +1)), mom.one)
 
 
 def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:
@@ -230,20 +232,26 @@ def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:
         ],
         axis=-1,
     )
-    return _one(mom, res)
+    return one_row(res, mom.one)
 
 
 def mdo_norm(e: ElkoSpinor, mom: Momentum):
     """Dual contraction with the Xi dual (nonzero, unlike the Dirac one)."""
     lam = np.atleast_2d(e.spinor)
     dual = mdo_dual(lam, xi(mom))
-    norm = (dual[:, None, :] @ lam[:, :, None])[:, 0, 0]
-    return complex(norm[0]) if np.ndim(mom.m) == 0 else norm
+    return one_row((dual[:, None, :] @ lam[:, :, None])[:, 0, 0], mom.one)
 
 
-def _scalars(bil) -> tuple:
-    """(A, B) of a Bilinears record or a ``compute_batch`` dict."""
-    return (bil["A"], bil["B"]) if isinstance(bil, dict) else (bil.A, bil.B)
+def _fg_rows(S, R, params: RimParams, bil, mom: Momentum, sign) -> tuple[np.ndarray, ...]:
+    """(A, B, F, G) over rows, a Bilinears record ``bil`` taken as one row."""
+    raise_first((np.asarray(sign) != 1) & (np.asarray(sign) != -1), ValueError, "sign must be +1 or -1")
+    rows = bil.as_batch() if isinstance(bil, Bilinears) else bil
+    A, B = rows["A"], rows["B"]
+    two_re_a = 2.0 * np.real(params.a)
+    common = sign * mom.p * np.sin(mom.theta) * np.exp(-2.0 * two_re_a * S) / (2.0 * two_re_a)
+    f = -2j * params.s * R + (A + 1j * B) * common
+    g = +2j * params.s * R + (A - 1j * B) * common
+    return A, B, f, g
 
 
 def fg_functions(
@@ -258,18 +266,11 @@ def fg_functions(
 
     F = -2isR + sign * p sin(theta) (A+iB) e^{-2(a+abar)S} / (2(a+abar)),
     G = +2isR + sign * p sin(theta) (A-iB) e^{-2(a+abar)S} / (2(a+abar)).
-    ``bil`` is a Bilinears record or a ``compute_batch`` dict; with (n,)
-    potentials, couplings, momenta or signs the exponents are (n,) arrays.
+    ``bil`` is one spinor's Bilinears with scalar potentials, couplings,
+    momentum and sign, giving complex exponents, or a ``compute_batch``
+    dict, giving (n,) arrays, where the other inputs may be (n,) arrays.
     """
-    raise_first((np.asarray(sign) != 1) & (np.asarray(sign) != -1), ValueError, "sign must be +1 or -1")
-    A, B = _scalars(bil)
-    two_re_a = 2.0 * np.real(params.a)
-    common = sign * mom.p * np.sin(mom.theta) * np.exp(-2.0 * two_re_a * S) / (2.0 * two_re_a)
-    f = -2j * params.s * R + (A + 1j * B) * common
-    g = +2j * params.s * R + (A - 1j * B) * common
-    if np.ndim(f) == 0:
-        return complex(f), complex(g)
-    return f, g
+    return one_row(_fg_rows(S, R, params, bil, mom, sign)[2:], isinstance(bil, Bilinears))
 
 
 def fg_exponential_forms(
@@ -288,8 +289,7 @@ def fg_exponential_forms(
     e^G = vartheta   exp[sign p sin(theta) / (2(a+abar)(A+iB))].
     Each value is a complex, or an (n,) array as for ``fg_functions``.
     """
-    f, g = fg_functions(S, R, params, bil, mom, sign)
-    A, B = _scalars(bil)
+    A, B, f, g = _fg_rows(S, R, params, bil, mom, sign)
     two_re_a = 2.0 * np.real(params.a)
     # a 1-d phase takes numpy's array loop for its product, as in a stack
     theta_phase = np.atleast_1d(np.exp(2j * params.s * R))
@@ -300,9 +300,7 @@ def fg_exponential_forms(
         "simplified_F": np.exp(x / (A - 1j * B)) / theta_phase,
         "simplified_G": theta_phase * np.exp(x / (A + 1j * B)),
     }
-    if np.ndim(f) == 0:
-        return {k: complex(np.ravel(v)[0]) for k, v in forms.items()}
-    return forms
+    return one_row(forms, isinstance(bil, Bilinears))
 
 
 def xi_checks(mom: Momentum):
@@ -312,9 +310,7 @@ def xi_checks(mom: Momentum):
     sp = np.reshape(slash(four_momentum(mom)), (-1, 4, 4))
     inv = np.max(np.abs(x @ x - np.eye(4)), axis=(1, 2))
     comm = np.max(np.abs(x @ sp - sp @ x), axis=(1, 2))
-    if np.ndim(mom.m) == 0:
-        return float(inv[0]), float(comm[0])
-    return inv, comm
+    return one_row((inv, comm), mom.one)
 
 
 def dual_helicity_eigenvalues(e: ElkoSpinor, mom: Momentum):
@@ -331,6 +327,4 @@ def dual_helicity_eigenvalues(e: ElkoSpinor, mom: Momentum):
     for blk in (lam[:, :2], lam[:, 2:]):
         n = np.real(dot(blk, blk))
         ev.append(np.real(dot(blk, (sp @ blk[:, :, None])[:, :, 0])) / n)
-    if np.ndim(mom.m) == 0:
-        return float(ev[0][0]), float(ev[1][0])
-    return ev[0], ev[1]
+    return one_row(tuple(ev), mom.one)

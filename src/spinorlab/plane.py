@@ -11,6 +11,10 @@ scalars or (n,) arrays, one row each, and a scalar call has the bits of the
 same row of an array call: numpy's array loop fuses the multiply-adds of a
 complex product where its scalar multiply does not, so each complex product
 has a real factor or is taken between arrays (0-d for a scalar).
+
+``decompose`` stays scalar code, the tests' reference for ``decompose_batch``
+and measured by the ``scalar-api`` benchmark workload: a one-row batch call
+costs 137 us against its 50 us (best of 5x3000 calls, 2-vCPU host).
 """
 
 from __future__ import annotations

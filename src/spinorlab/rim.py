@@ -1,6 +1,9 @@
 """Coupling validation over the s-space, potentials, and the pointwise
 derivative-condition identities.
 
+Every function computes over rows; a scalar call (one (4,) spinor, one
+Bilinears, scalar angles) is one row, unwrapped by ``errors.one_row``.
+
 The derivative condition reads d_mu psi = (a J_mu - b K_mu gamma5) psi.
 Sign constraint: with the stored K^mu = psibar gamma5 gamma^mu psi one has
 slash(K) gamma5 psi = +(A + iB gamma5) psi, so the axial coupling must carry
@@ -18,7 +21,7 @@ import numpy as np
 
 from .bilinear import Bilinears, compute_batch
 from .clifford import build, minkowski_dot, slash
-from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, raise_first
+from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
 from .lounesto import ClassifyOptions
 from .spinor import DEFAULT_TOL
 
@@ -101,8 +104,8 @@ def domain_of(phi1, phi2):
 
     On (n,) arrays of angles it returns the (n,) array of the tags' values.
     """
-    code = _DOMAIN_TABLE[_quarter(phi1 % _TWO_PI), _quarter(phi2 % _TWO_PI)]
-    return OmegaDomain(int(code)) if np.ndim(code) == 0 else code
+    code = _DOMAIN_TABLE[_quarter(np.atleast_1d(phi1) % _TWO_PI), _quarter(np.atleast_1d(phi2) % _TWO_PI)]
+    return one_row(code, np.ndim(phi1) == np.ndim(phi2) == 0, OmegaDomain)
 
 
 def validate(a, b, tol: float = DEFAULT_TOL) -> RimParams:
@@ -133,14 +136,6 @@ def sspace_point(params: RimParams) -> SSpacePoint:
     )
 
 
-def _rows(cov) -> tuple[dict, bool]:
-    """A ``compute_batch`` dict as it is, or one spinor's Bilinears as the
-    one-row dict; and whether it was one spinor."""
-    if isinstance(cov, Bilinears):
-        return cov.as_batch(), True
-    return cov, False
-
-
 def potentials(cov, params: RimParams) -> Potentials:
     """Scalar potentials S = ln(J)/(2 Re a), R = ln((A-iB)/J)/(2i Im b).
 
@@ -149,56 +144,87 @@ def potentials(cov, params: RimParams) -> Potentials:
     Principal branch for both logarithms; R is real whenever A and B are.
     Raises NullCurrent unless J is timelike, naming the first such row.
     """
-    rows, one = _rows(cov)
+    one = isinstance(cov, Bilinears)
+    rows = cov.as_batch() if one else cov
     j2 = minkowski_dot(rows["J"], rows["J"]).real
     null = j2 <= DEFAULT_TOL * np.maximum(1.0, rows["scale"] ** 2)
-    raise_first(null[0] if one else null, NullCurrent, "J^2 <= 0: potentials need a timelike current")
+    raise_first(one_row(null, one), NullCurrent, "J^2 <= 0: potentials need a timelike current")
     j = np.sqrt(j2)
     s_pot = np.log(j) / (2.0 * np.real(params.a))
     r_pot = (np.log((rows["A"] - 1j * rows["B"]) / j) / (2j * np.imag(params.b))).real
-    if one:
-        return Potentials(S=float(s_pot[0]), R=float(r_pot[0]))
-    return Potentials(S=s_pot, R=r_pot)
+    return Potentials(*one_row((s_pot, r_pot), one))
 
 
 def vartheta(params: RimParams, pots: Potentials):
     """Phase factor exp(2 i s R); unit modulus for real s and R.  A complex,
     or (n,) phases for (n,) couplings and potentials."""
-    phase = np.exp(2j * params.s * pots.R)
-    return complex(phase) if np.ndim(phase) == 0 else phase
+    return one_row(np.exp(2j * np.atleast_1d(params.s) * pots.R), np.ndim(params.s) == np.ndim(pots.R) == 0)
+
+
+def _pointwise(psi, params: RimParams) -> tuple:
+    """The pass behind the pointwise identities: the (n, 4) spinors, their
+    covariants, gamma5 psi, J_mu and K_mu (the stored currents lowered with
+    eta), the (n,) couplings and the (n, 4mu, 4) stack D_mu psi =
+    (a J_mu - b K_mu gamma5) psi, whose axial term carries -gamma5 (see the
+    module docstring)."""
+    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
+    cov = compute_batch(psis)
+    g5psi = psis @ build().gamma5.T
+    a, b = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (params.a, params.b))
+    jl = cov["J"] * _ETA
+    kl = cov["K"] * _ETA
+    d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
+    return psis, cov, g5psi, jl, kl, a, b, d
 
 
 def rim_derivative(psi: np.ndarray, params: RimParams) -> np.ndarray:
-    """The four coordinate derivatives D_mu psi implied by the condition.
-
-    Rows are indexed by mu; the stored currents are contravariant, so they
-    are lowered with eta here.  The axial coupling enters with -gamma5 (see
-    module docstring).
-    """
-    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
-    return _derivative_batch(psis, compute_batch(psis), [params.a], [params.b])[0]
+    """The four coordinate derivatives D_mu psi implied by the condition:
+    (4mu, 4) for one spinor, (n, 4mu, 4) for an (n, 4) stack."""
+    return one_row(_pointwise(psi, params)[-1], np.ndim(psi) == 1)
 
 
-def heisenberg_residual(psi: np.ndarray, params: RimParams) -> float:
-    """Norm of i gamma^mu D_mu psi - 2s (A + iB gamma5) psi.
+def pointwise_residuals(psi: np.ndarray, params: RimParams):
+    """(Heisenberg, d_mu A, d_mu B) residuals from one pass over the spinors.
 
-    Vanishes identically for any spinor and any valid coupling pair; this is
-    the pointwise statement that condition solutions solve the cubic
-    equation.
-    """
-    return float(heisenberg_residual_batch(psi, [params.a], [params.b], [params.s])[0])
-
-
-def del_ab_residuals(psi: np.ndarray, params: RimParams) -> tuple[float, float]:
-    """Max-over-mu residuals of the derivative identities for A and B.
-
+    Heisenberg: the norm of i gamma^mu D_mu psi - 2s (A + iB gamma5) psi,
+    which vanishes identically for any spinor and any valid coupling pair;
+    this is the pointwise statement that condition solutions solve the
+    cubic equation.  The max-over-mu residuals of
     d_mu A = (a+abar) A J_mu + i(b-bbar) B K_mu and
     d_mu B = (a+abar) B J_mu - i(b-bbar) A K_mu; the sign of the K-term in
     the B identity is the one that closes algebraically in this
-    representation.  The dual derivative is (D_mu psi)^dag gamma0.
+    representation, and the dual derivative is (D_mu psi)^dag gamma0.
+    Floats for one (4,) spinor, (n,) arrays for an (n, 4) stack, whose
+    couplings may be scalars or (n,) arrays.
     """
-    res_a, res_b = del_ab_residuals_batch(psi, [params.a], [params.b])
-    return float(res_a[0]), float(res_b[0])
+    psis, cov, g5psi, jl, kl, a, b, d = _pointwise(psi, params)
+    g = build()
+    lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
+    rhs = 2.0 * np.atleast_1d(params.s)[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
+    heisenberg = np.linalg.norm(lhs - rhs, axis=1)
+    g0 = g.gamma[0]
+    dbar = np.conj(d) @ g0  # (n, 4mu, 4)
+    dual = np.conj(psis) @ g0
+    da = np.einsum("nmj,nj->nm", dbar, psis) + np.einsum("nj,nmj->nm", dual, d)
+    g5d = np.einsum("ij,nmj->nmi", g.gamma5, d)
+    db = 1j * (np.einsum("nmj,nj->nm", dbar, g5psi) + np.einsum("nj,nmj->nm", dual, g5d))
+    two_re_a = (a + np.conj(a))[:, None]
+    i_two_im_b = (1j * (b - np.conj(b)))[:, None]
+    rhs_a = two_re_a * cov["A"][:, None] * jl + i_two_im_b * cov["B"][:, None] * kl
+    rhs_b = two_re_a * cov["B"][:, None] * jl - i_two_im_b * cov["A"][:, None] * kl
+    del_a = np.max(np.abs(da - rhs_a), axis=1)
+    del_b = np.max(np.abs(db - rhs_b), axis=1)
+    return one_row((heisenberg, del_a, del_b), np.ndim(psi) == 1)
+
+
+def heisenberg_residual(psi: np.ndarray, params: RimParams):
+    """The Heisenberg residual of ``pointwise_residuals``."""
+    return pointwise_residuals(psi, params)[0]
+
+
+def del_ab_residuals(psi: np.ndarray, params: RimParams) -> tuple:
+    """The (d_mu A, d_mu B) residuals of ``pointwise_residuals``."""
+    return pointwise_residuals(psi, params)[1:]
 
 
 def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions()) -> BaseValidation:
@@ -215,10 +241,7 @@ def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions())
     zero = np.stack([cov["A"], cov["B"], A1, A2, A1 - A2, A1 + A2], axis=-1)
     failed = np.abs(zero) <= thr[:, None]
     fields = (~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2)
-    if np.ndim(psi) == 1:
-        ok, failed, A, B, A1, A2 = (f[0] for f in fields)
-        return BaseValidation(bool(ok), failed, float(A), float(B), complex(A1), complex(A2))
-    return BaseValidation(*fields)
+    return BaseValidation(*one_row(fields, np.ndim(psi) == 1))
 
 
 def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -230,11 +253,12 @@ def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``compute_batch`` dict giving the (n, 4, 4) stack of operators; a
     failing row is named.
     """
-    rows, one = _rows(cov)
+    one = isinstance(cov, Bilinears)
+    rows = cov.as_batch() if one else cov
     j2 = minkowski_dot(rows["J"], rows["J"])[:, None, None]
     bound = tol * np.maximum(1.0, rows["scale"] ** 2)[:, None, None]
     null = (np.abs(j2) <= bound)[:, 0, 0]
-    raise_first(null[0] if one else null, NullCurrent, "J^2 = 0: restriction operator undefined")
+    raise_first(one_row(null, one), NullCurrent, "J^2 = 0: restriction operator undefined")
     g5 = build().gamma5
     sk = slash(rows["K"])
     sj = slash(rows["J"])
@@ -242,65 +266,5 @@ def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
     g_raw = sk @ sj @ g5 / j2
     # the forms differ by (J.K / J^2) gamma5, so this bounds |J.K|
     apart = (np.max(np.abs(g_comm - g_raw), axis=(1, 2), keepdims=True) > bound / np.abs(j2))[:, 0, 0]
-    raise_first(apart[0] if one else apart, InconsistentBilinears, "J.K != 0: the two operator forms disagree")
-    return g_comm[0] if one else g_comm
-
-
-def _derivative_batch(psis: np.ndarray, cov: dict, a, b) -> np.ndarray:
-    """(n, 4mu, 4) stack of D_mu psi = (a J_mu - b K_mu gamma5) psi."""
-    jl = cov["J"] * _ETA
-    kl = cov["K"] * _ETA
-    g5psi = psis @ build().gamma5.T
-    a = np.asarray(a, dtype=complex)[:, None, None]
-    b = np.asarray(b, dtype=complex)[:, None, None]
-    return a * jl[:, :, None] * psis[:, None, :] - b * kl[:, :, None] * g5psi[:, None, :]
-
-
-def heisenberg_residual_batch(
-    psis: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    s: np.ndarray,
-) -> np.ndarray:
-    """Vectorized residuals for stacks of spinors and coupling pairs."""
-    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    cov = compute_batch(psis)
-    g = build()
-    d = _derivative_batch(psis, cov, a, b)
-    g5psi = psis @ g.gamma5.T
-    lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
-    rhs = 2.0 * np.asarray(s)[:, None] * (
-        cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi
-    )
-    return np.linalg.norm(lhs - rhs, axis=1)
-
-
-def del_ab_residuals_batch(
-    psis: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (max over mu) residuals of the A and B identities."""
-    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    cov = compute_batch(psis)
-    g = build()
-    jl = cov["J"] * _ETA
-    kl = cov["K"] * _ETA
-    g5psi = psis @ g.gamma5.T
-    d = _derivative_batch(psis, cov, a, b)
-    a = np.asarray(a, dtype=complex)
-    b_ = np.asarray(b, dtype=complex)
-    g0 = g.gamma[0]
-    dbar = np.conj(d) @ g0  # (n, 4mu, 4)
-    dual = np.conj(psis) @ g0
-    da = np.einsum("nmj,nj->nm", dbar, psis) + np.einsum("nj,nmj->nm", dual, d)
-    g5d = np.einsum("ij,nmj->nmi", g.gamma5, d)
-    db = 1j * (np.einsum("nmj,nj->nm", dbar, g5psi) + np.einsum("nj,nmj->nm", dual, g5d))
-    two_re_a = (a + np.conj(a))[:, None]
-    i_two_im_b = (1j * (b_ - np.conj(b_)))[:, None]
-    rhs_a = two_re_a * cov["A"][:, None] * jl + i_two_im_b * cov["B"][:, None] * kl
-    rhs_b = two_re_a * cov["B"][:, None] * jl - i_two_im_b * cov["A"][:, None] * kl
-    return (
-        np.max(np.abs(da - rhs_a), axis=1),
-        np.max(np.abs(db - rhs_b), axis=1),
-    )
+    raise_first(one_row(apart, one), InconsistentBilinears, "J.K != 0: the two operator forms disagree")
+    return one_row(g_comm, one)

@@ -14,17 +14,18 @@ check once took trial by trial are taken in bulk in the same order, except
 the synthetic rejections of ``props``, which draw all coordinates and then
 all scales.
 
-``trials`` is the number of draws of every randomised ``plane`` check and
-of the ``rim`` coupling and pointwise checks.  These checks still cap their
-draws below it (README lists the caps); each check row reports the count
-it ran: ``fpk`` phase_invariance and quadratic_scaling; ``props``
+``trials`` is the number of draws of every randomised check but these,
+which cap their draws below it (README lists the caps) and report the
+count they ran: ``fpk`` phase_invariance and quadratic_scaling; ``props``
 constructed_type*, valid_bases_type1 and synthetic_rejections; ``rim``
 heisenberg_control, vartheta_unit_modulus, potentials_scaling and
 restriction_trace; every randomised ``homotopy`` and ``mdo`` check.
+``rim`` domain_disjointness draws at least 10^5 angle pairs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -294,21 +295,18 @@ def suite_rim(cfg: SuiteConfig) -> dict:
     checks.append(_check("domain_disjointness", nd, int(np.max(membership)) - 1, 0))
 
     psis = generators.random_spinors(gen, n)
-    a_arr, b_arr = generators.random_valid_params(gen, n)
-    s_arr = 0.5 * (b_arr.imag - a_arr.imag)
     quartic = quartic_scale(psis)
-    res = rim.heisenberg_residual_batch(psis, a_arr, b_arr, s_arr) / quartic
-    checks.append(_check("heisenberg_pointwise", n, np.max(res), 1e-10))
+    res, res_a, res_b = rim.pointwise_residuals(psis, rim.validate(*generators.random_valid_params(gen, n)))
+    checks.append(_check("heisenberg_pointwise", n, np.max(res / quartic), 1e-10))
 
     m = min(n, 1000)
     vbases = generators.random_rim_bases(gen, m)
     vbases = vbases / np.linalg.norm(vbases, axis=1)[:, None]  # unit scale for the margin bound
-    av, bv = generators.random_valid_params(gen, m)
-    sv = 0.5 * (bv.imag - av.imag) + 0.1  # broken balance
-    control = rim.heisenberg_residual_batch(vbases, av, bv, sv) / quartic_scale(vbases)
+    params = rim.validate(*generators.random_valid_params(gen, m))
+    broken = dataclasses.replace(params, s=params.s + 0.1)  # broken balance
+    control = rim.heisenberg_residual(vbases, broken) / quartic_scale(vbases)
     checks.append(_check("heisenberg_control", m, 1e-3 / max(np.min(control), 1e-300), 1.0))
 
-    res_a, res_b = rim.del_ab_residuals_batch(psis, a_arr, b_arr)
     checks.append(_check("del_A_identity", n, np.max(res_a / quartic), 1e-10))
     checks.append(_check("del_B_identity", n, np.max(res_b / quartic), 1e-10))
 

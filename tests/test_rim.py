@@ -216,17 +216,14 @@ def test_del_ab_degenerate_couplings(rng):
 def test_batch_residuals_match_scalar(rng):
     psis = random_spinor(rng, 20)
     a_arr, b_arr = random_valid_params(rng, 20)
-    s_arr = 0.5 * (b_arr.imag - a_arr.imag)
-    batch = rim.heisenberg_residual_batch(psis, a_arr, b_arr, s_arr)
+    params = rim.validate(a_arr, b_arr)
+    batch = rim.pointwise_residuals(psis, params)
+    assert [r.tobytes() for r in rim.del_ab_residuals(psis, params)] == [r.tobytes() for r in batch[1:]]
+    assert rim.heisenberg_residual(psis, params).tobytes() == batch[0].tobytes()
     for i in (0, 7, 19):
         p = rim.validate(a_arr[i], b_arr[i])
-        assert batch[i] == pytest.approx(rim.heisenberg_residual(psis[i], p), rel=1e-9, abs=1e-12)
-    ba, bb = rim.del_ab_residuals_batch(psis, a_arr, b_arr)
-    for i in (0, 7, 19):
-        p = rim.validate(a_arr[i], b_arr[i])
-        sa, sb = rim.del_ab_residuals(psis[i], p)
-        assert ba[i] == pytest.approx(sa, rel=1e-9, abs=1e-12)
-        assert bb[i] == pytest.approx(sb, rel=1e-9, abs=1e-12)
+        assert rim.pointwise_residuals(psis[i], p) == tuple(r[i] for r in batch)
+        assert np.array_equal(rim.rim_derivative(psis, params)[i], rim.rim_derivative(psis[i], p))
 
 
 def test_base_validation_rejects_zero_pseudoscalar():
