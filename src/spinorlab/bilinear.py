@@ -6,8 +6,12 @@ K[mu] = dual . gamma5 gamma^mu . psi, S[mu][nu] = dual . i gamma^mu gamma^nu . p
 real and A = A1 + A2, B = i(-A1 + A2) with A1 = P21* P11 + P22* P12,
 A2 = conj(A1).
 
-``compute`` and ``fpk_residuals`` stay as they are: one-row calls of the
-batch routes that the ``scalar-api`` benchmark workload measures.
+The matrix sandwich dual . F[f] . psi is the oracle route.  Each of the 16
+``_form_stack`` matrices is monomial (one entry +-1 or +-i per row i, in
+column i XOR s), so ``compute_batch`` sums only the nonzero products, in the
+same order and einsum kernel, and ``fpk_residuals_batch`` uses a sign vector
+and a Hodge table: both keep every bit of the full formulas (signed zeros
+and inf/NaN placement too), which ``tests/test_bilinear.py`` keeps as references.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import build, levi_civita, minkowski_dot
+from .clifford import build, minkowski_dot
+from .errors import one_row
 from .spinor import DualKind, dirac_dual, mdo_dual
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MU, _NU = np.array(_S_INDEX).T
+_ETA = np.array([1.0, -1.0, -1.0, -1.0])  # the metric's diagonal
+# Seps_mn = 2 eps_{m n a b} S^{a b} (eps_0123 = +1) of an antisymmetric S, over the
+# complementary a < b, is _HODGE[m, n] * S^{a b} with 4 a + b = _HODGE_AT[m, n]
+_HODGE_AT = np.array([[0, 11, 7, 6], [11, 0, 3, 2], [7, 3, 0, 1], [6, 2, 1, 0]])
+_HODGE = np.array([[0.0, 2.0, -2.0, 2.0], [-2.0, 0.0, 2.0, -2.0], [2.0, -2.0, 0.0, 2.0], [-2.0, 2.0, -2.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -89,12 +100,31 @@ def _form_stack() -> np.ndarray:
     return out
 
 
-def _duals_for(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None) -> np.ndarray:
-    if dual is DualKind.DIRAC:
-        return dirac_dual(psis)
-    if xi is None:
+@lru_cache(maxsize=1)
+def _sandwich_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_form_stack`` as tables (xor, coef, at): the form at flat place
+    at[f] = 4 s + g holds coef[s, g, i] in row i, column xor[s, i] = i ^ s."""
+    forms = _form_stack()
+    f, i, j = (a.tolist() for a in np.nonzero(forms))
+    assert (f, i) == ([k // 4 for k in range(64)], [0, 1, 2, 3] * 16), "a form is not monomial"
+    shift = [{i[k] ^ j[k] for k in range(4 * g, 4 * g + 4)} for g in range(16)]
+    flat = [g for s in range(4) for g in range(16) if shift[g] == {s}]
+    assert [shift[g] for g in flat] == [{k // 4} for k in range(16)], "the forms are not four shifts of four"
+    coef = [[forms[g, r, r ^ (k // 4)] for r in range(4)] for k, g in enumerate(flat)]
+    xor = [[r ^ s for r in range(4)] for s in range(4)]
+    return np.array(xor), np.array(coef).reshape(4, 4, 4), np.array([flat.index(g) for g in range(16)])
+
+
+def _sandwich(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """dual . F[f] . psi for every row and form: an (n, 10) block of A, B/i,
+    J and K, and the (n, 6) S^{mu nu} with mu < nu.  Each value sums the four
+    nonzero products (dual_i F[f]_{i, i^s}) psi_{i^s} over i = 0..3 from +0."""
+    if dual is DualKind.MDO and xi is None:
         raise ValueError("MDO dual requires the Xi operator")
-    return mdo_dual(psis, xi)
+    duals = dirac_dual(psis) if dual is DualKind.DIRAC else mdo_dual(psis, xi)
+    xor, coef, at = _sandwich_tables()
+    vals = np.einsum("in,sgi,sin->sgn", duals.T, coef, psis.T.take(xor, axis=0)).reshape(16, -1)
+    return vals.take(at[:10], axis=0).T.copy(), vals.take(at[10:], axis=0).T
 
 
 def compute_batch(
@@ -108,15 +138,12 @@ def compute_batch(
     "A1", "A2", "scale".
     """
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    duals = _duals_for(psis, dual, xi)
-    vals = np.einsum("ni,fij,nj->nf", duals, _form_stack(), psis)
-    n = psis.shape[0]
-    S = np.zeros((n, 4, 4), dtype=complex)
-    for f, (mu, nu) in enumerate(_S_INDEX):
-        S[:, mu, nu] = vals[:, 10 + f]
-        S[:, nu, mu] = -vals[:, 10 + f]
-    A = vals[:, 0]
-    B = 1j * vals[:, 1]
+    abjk, s_upper = _sandwich(psis, dual, xi)
+    S = np.zeros((psis.shape[0], 4, 4), dtype=complex)
+    S[:, _MU, _NU] = s_upper
+    S[:, _NU, _MU] = np.negative(s_upper, out=s_upper)
+    A = abjk[:, 0]
+    B = 1j * abjk[:, 1]
     if dual is DualKind.DIRAC:
         A1 = np.conj(psis[:, 2]) * psis[:, 0] + np.conj(psis[:, 3]) * psis[:, 1]
         A2 = np.conj(psis[:, 0]) * psis[:, 2] + np.conj(psis[:, 1]) * psis[:, 3]
@@ -128,8 +155,8 @@ def compute_batch(
     return {
         "A": A,
         "B": B,
-        "J": vals[:, 2:6],
-        "K": vals[:, 6:10],
+        "J": abjk[:, 2:6],
+        "K": abjk[:, 6:10],
         "S": S,
         "A1": A1,
         "A2": A2,
@@ -144,17 +171,7 @@ def compute(
 ) -> Bilinears:
     """All bilinear covariants of a single spinor."""
     out = compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi)
-    return Bilinears(
-        A=complex(out["A"][0]),
-        B=complex(out["B"][0]),
-        J=out["J"][0],
-        K=out["K"][0],
-        S=out["S"][0],
-        A1=complex(out["A1"][0]),
-        A2=complex(out["A2"][0]),
-        dual=dual,
-        scale=float(out["scale"][0]),
-    )
+    return Bilinears(**one_row(out, True), dual=dual)
 
 
 def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dict[str, np.ndarray]:
@@ -217,20 +234,7 @@ def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dic
 
 def compute_fast(base: np.ndarray, r1: complex, r2: complex) -> FastBilinears:
     """Single-spinor wrapper around the component-formula route."""
-    out = compute_fast_batch(np.asarray(base, dtype=complex).reshape(1, 4), [r1], [r2])
-    return FastBilinears(
-        A=complex(out["A"][0]),
-        B=complex(out["B"][0]),
-        J=out["J"][0],
-        K0=complex(out["K0"][0]),
-        S01=complex(out["S01"][0]),
-        S02=complex(out["S02"][0]),
-        S03=complex(out["S03"][0]),
-        S12=complex(out["S12"][0]),
-        S13=complex(out["S13"][0]),
-        S23=complex(out["S23"][0]),
-        scale=float(np.real(out["scale"][0])),
-    )
+    return FastBilinears(**one_row(compute_fast_batch(np.asarray(base, dtype=complex).reshape(1, 4), [r1], [r2]), True))
 
 
 def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
@@ -240,42 +244,29 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     representation: J_mu K_nu - K_mu J_nu + B S_{mu nu}
     - (A/2) eps_{mu nu alpha beta} S^{alpha beta}, where eps is the
     permutation symbol with eps_0123 = +1 (equivalently the tensor with
-    eps^0123 = +1) and lower indices come from eta.
+    eps^0123 = +1) and lower indices come from eta, for an antisymmetric S.
     """
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
     J, K, S, A, B = b["J"], b["K"], b["S"], b["A"], b["B"]
-    Jl = J @ eta
-    Kl = K @ eta
-    Sl = np.einsum("ma,nab,bv->nmv", eta, S, eta)
-    Seps = np.einsum("mnab,qab->qmn", levi_civita(), S)
+    Jl = J * _ETA
+    Kl = K * _ETA
 
     j2 = np.einsum("nm,nm->n", J, Jl)
     k2 = np.einsum("nm,nm->n", K, Kl)
     jk = np.einsum("nm,nm->n", J, Kl)
 
     r1 = np.abs(j2 - A**2 - B**2)
-    comb = (
-        Jl[:, :, None] * Kl[:, None, :]
-        - Kl[:, :, None] * Jl[:, None, :]
-        + B[:, None, None] * Sl
-        - (A / 2.0)[:, None, None] * Seps
-    )
-    r2 = np.max(np.abs(comb), axis=(1, 2))
-    r3 = np.abs(jk)
-    r4 = np.abs(j2 + k2)
-    return np.stack([r1, r2, r3, r4], axis=1)
+    # every entry, not the upper half: numpy's complex multiply may fuse, so
+    # for complex J, K the product x y can differ from y x in the last bit
+    comb = Jl[:, :, None] * Kl[:, None, :]
+    comb -= Kl[:, :, None] * Jl[:, None, :]
+    comb += B[:, None, None] * (S * (_ETA[:, None] * _ETA))
+    comb -= (A / 2.0)[:, None, None] * (S.reshape(-1, 16).take(_HODGE_AT, axis=1) * _HODGE)
+    return np.stack([r1, np.max(np.abs(comb), axis=(1, 2)), np.abs(jk), np.abs(j2 + k2)], axis=1)
 
 
 def fpk_residuals(b: Bilinears) -> np.ndarray:
     """Raw residuals of the four constraints for one covariant record."""
-    batch = {
-        "J": b.J.reshape(1, 4),
-        "K": b.K.reshape(1, 4),
-        "S": b.S.reshape(1, 4, 4),
-        "A": np.array([b.A]),
-        "B": np.array([b.B]),
-    }
-    return np.real(fpk_residuals_batch(batch)[0])
+    return np.real(fpk_residuals_batch(b.as_batch())[0])
 
 
 def from_scalars(

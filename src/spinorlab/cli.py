@@ -9,8 +9,9 @@ input order.  ``classify`` and ``decompose`` each make one vectorised pass
 over the corpus (covariants or plane coordinates, then classes) and hand
 the report's header, numpy columns and per-row layouts to
 ``io.write_rows_report``, which checks that every float is finite and then
-streams the rows through one template per layout; a non-finite value exits
-2 naming its row and field, and no report is written.  ``homotopy``
+streams the rows through one template per layout.  A row whose covariants,
+residuals or plane coordinates overflow is a ``NonFiniteValue`` error row
+naming its first such field, and the rest of the corpus is written.  ``homotopy``
 takes its rows' classes and its transition from one sweep of the rows'
 grid at the rows' x (the from-spinor's r1); a row that cannot be
 classified fails the command with exit 2.
@@ -145,6 +146,18 @@ def _load_base(path: str) -> tuple[np.ndarray, float, float]:
     return base, a_val, b_val
 
 
+def _non_finite_rows(columns: dict, rows: np.ndarray, names, details, near) -> np.ndarray:
+    """Make each of ``rows`` (a mask) whose ``columns`` hold a non-finite
+    value a NonFiniteValue error row with detail "FIELD is not finite", the
+    first such column in key order; returns the mask of rows it made so."""
+    keys = sorted(columns)
+    bad = np.stack([~np.isfinite(np.reshape(columns[k], (rows.size, -1))).all(axis=1) for k in keys], axis=-1)
+    over = rows & bad.any(axis=1)
+    names[over], near[over] = NonFiniteValue.__name__, False
+    details[over] = np.array([f"{k} is not finite" for k in keys], dtype=object)[np.argmax(bad[over], axis=1)]
+    return over
+
+
 def _cmd_classify(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
     cov = bilinear.compute_batch(io.load_spinors(args.input))
@@ -165,11 +178,8 @@ def _cmd_classify(args) -> int:
         "fpk_residuals": np.real(residuals),
     }
     # a class row whose covariants or residuals overflow is an error row naming its first such field
-    floats = ("A", "B", "J", "K", "S", "fpk_residuals")
-    bad = np.stack([~np.isfinite(class_row[k].reshape(ids.size, -1)).all(axis=1) for k in floats], axis=-1)
-    over = bad.any(axis=1) & (errors == 0)
-    names[over], near[over] = NonFiniteValue.__name__, False
-    details[over] = np.array([f"{k} is not finite" for k in floats], dtype=object)[np.argmax(bad[over], axis=1)]
+    floats = {k: class_row[k] for k in ("A", "B", "J", "K", "S", "fpk_residuals")}
+    over = _non_finite_rows(floats, errors == 0, names, details, near)
     error_row = {"id": ids, "error": names, "detail": details}
     header = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}}
     io.write_rows_report(header, [class_row, error_row], (errors != 0) | over, args.output)
@@ -192,6 +202,9 @@ def _cmd_decompose(args) -> int:
     near[failed] = False
     names[failed] = [type(exc).__name__ for exc in failures.values()]
     details[failed] = [str(exc) for exc in failures.values()]
+    # a row whose coordinates or residuals overflow is an error row naming its first such field
+    floats = {"r1": coords[:, 0], "r2": coords[:, 1], "residuals": residuals}
+    layout[_non_finite_rows(floats, layout != 2, names, details, near)] = 2
     ids = np.arange(psis.shape[0])
     r1 = {"re": coords[:, 0].real, "im": coords[:, 0].imag}
     r2 = {"re": coords[:, 1].real, "im": coords[:, 1].imag}

@@ -93,28 +93,3 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray):
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
-
-@lru_cache(maxsize=1)
-def levi_civita() -> np.ndarray:
-    """Totally antisymmetric symbol with eps[0,1,2,3] = +1."""
-    eps = np.zeros((4, 4, 4, 4))
-    for p in _permutations4():
-        eps[p] = _parity(p)
-    eps.setflags(write=False)
-    return eps
-
-
-def _permutations4():
-    from itertools import permutations
-
-    return permutations(range(4))
-
-
-def _parity(p) -> float:
-    sign = 1.0
-    p = list(p)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign

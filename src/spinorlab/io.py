@@ -83,6 +83,15 @@ def load_params(path: str | Path) -> tuple[complex, complex]:
     return a, b
 
 
+def _number(obj: dict, key: str, default: float | None = None) -> float:
+    """obj[key], or ``default`` where it is absent and there is one, as a
+    float; TypeError for a bool or a string, which float() would take."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not spinor.is_number(value):
+        raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_coeff_inputs(path: str | Path) -> dict:
     """Map inputs {A, B, M, m, theta, sign} for the coefficient set; sign is
     "+", "-", 1 or -1, and is returned as +1 or -1."""
@@ -90,11 +99,11 @@ def load_coeff_inputs(path: str | Path) -> dict:
     obj = _read_json(path)
     try:
         inputs = {
-            "A": float(obj["A"]),
-            "B": float(obj["B"]),
-            "M": float(obj.get("M", 0.0)),
-            "m": float(obj.get("m", 0.0)),
-            "theta": float(obj.get("theta", 0.0)),
+            "A": _number(obj, "A"),
+            "B": _number(obj, "B"),
+            "M": _number(obj, "M", 0.0),
+            "m": _number(obj, "m", 0.0),
+            "theta": _number(obj, "theta", 0.0),
             "sign": obj.get("sign", "+"),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -113,12 +122,12 @@ def load_momentum(path: str | Path) -> dict:
     obj = _read_json(path)
     try:
         mom = {
-            "m": float(obj["m"]),
-            "p": float(obj["p"]),
-            "theta": float(obj.get("theta", 0.0)),
-            "phi": float(obj.get("phi", 0.0)),
+            "m": _number(obj, "m"),
+            "p": _number(obj, "p"),
+            "theta": _number(obj, "theta", 0.0),
+            "phi": _number(obj, "phi", 0.0),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"momentum needs m, p [, theta, phi] ({exc})") from exc
     if not all(math.isfinite(v) for v in mom.values()):
         raise _fail(path, "momentum values must be finite")

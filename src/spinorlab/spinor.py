@@ -11,7 +11,7 @@ import enum
 
 import numpy as np
 
-from .clifford import build, projector
+from .clifford import projector
 from .errors import DegenerateXi, raise_first
 
 DEFAULT_TOL = 1e-9
@@ -46,8 +46,9 @@ def quartic_scale(psi: np.ndarray) -> float | np.ndarray:
 
 
 def dirac_dual(psi: np.ndarray) -> np.ndarray:
-    """psi^dag gamma^0 as a row, or one row per spinor of an (n, 4) stack."""
-    return np.conj(psi) @ build().gamma[0]
+    """psi^dag gamma^0 as a row, or one row per spinor of an (n, 4) stack:
+    gamma^0 swaps the two blocks, so this is the exact swap, with no matmul."""
+    return np.conj(np.asarray(psi, dtype=complex).take((2, 3, 0, 1), axis=-1))
 
 
 def mdo_dual(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -58,8 +59,7 @@ def mdo_dual(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     bound = DEFAULT_TOL * np.maximum(1.0, np.max(np.abs(xi), axis=(-2, -1)) ** 2)
     raise_first(np.max(np.abs(xi @ xi - np.eye(4)), axis=(-2, -1)) > bound, DegenerateXi, "Xi^2 != 1 beyond tolerance")
-    xi_psi = (np.asarray(psi)[..., None, :] @ np.swapaxes(xi, -1, -2))[..., 0, :]
-    return np.conj(xi_psi) @ build().gamma[0]
+    return dirac_dual((np.asarray(psi)[..., None, :] @ np.swapaxes(xi, -1, -2))[..., 0, :])
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -101,11 +101,23 @@ def to_json(psi: np.ndarray) -> dict:
 
 
 def from_json(obj: dict) -> np.ndarray:
-    re = obj["re"]
-    im = obj["im"]
-    if len(re) != 4 or len(im) != 4:
-        raise ValueError("spinor JSON needs 4 're' and 4 'im' entries")
-    return as_spinor(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    """The spinor of a ``to_json`` object; ValueError naming the missing
+    field or the expected shape for anything else."""
+    shape = '{"re": [4 numbers], "im": [4 numbers]}'
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected {shape}, got {type(obj).__name__}")
+    for key in ("re", "im"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}; expected {shape}")
+        part = obj[key]
+        if not isinstance(part, (list, tuple)) or len(part) != 4 or not all(is_number(x) for x in part):
+            raise ValueError(f"{key!r} must be a list of 4 numbers; expected {shape}")
+    return as_spinor(np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float))
+
+
+def is_number(x) -> bool:
+    """An int or float, not a bool (json reads true as one) or a string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def complex_to_json(z: complex) -> dict:

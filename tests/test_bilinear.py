@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, clifford
+from spinorlab import bilinear, clifford, mdo, spinor
 from spinorlab.spinor import DualKind, quartic_scale
 
 from conftest import random_spinor
@@ -161,3 +163,143 @@ def test_batch_equals_scalar_route(rng):
         b = bilinear.compute(psis[i])
         assert abs(batch["A"][i] - b.A) < 1e-14
         assert np.max(np.abs(batch["S"][i] - b.S)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The monomial kernels against the full matrix formulas, bit for bit
+
+
+def full_sandwich(psis, duals):
+    """The full 16-matrix sandwich and the S assembly loop, as references."""
+    vals = np.einsum("ni,fij,nj->nf", duals, bilinear._form_stack(), psis)
+    S = np.zeros((psis.shape[0], 4, 4), dtype=complex)
+    for f, (mu, nu) in enumerate(bilinear._S_INDEX):
+        S[:, mu, nu] = vals[:, 10 + f]
+        S[:, nu, mu] = -vals[:, 10 + f]
+    return {"A": vals[:, 0], "B": 1j * vals[:, 1], "J": vals[:, 2:6], "K": vals[:, 6:10], "S": S}
+
+
+def levi_civita_by_parity():
+    eps = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        eps[p] = (-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2))
+    return eps
+
+
+def full_fpk_residuals(b):
+    """The residuals with the full eta matmuls and eta/Levi-Civita einsums."""
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    J, K, S, A, B = b["J"], b["K"], b["S"], b["A"], b["B"]
+    Jl = J @ eta
+    Kl = K @ eta
+    Sl = np.einsum("ma,nab,bv->nmv", eta, S, eta)
+    Seps = np.einsum("mnab,qab->qmn", levi_civita_by_parity(), S)
+    j2 = np.einsum("nm,nm->n", J, Jl)
+    k2 = np.einsum("nm,nm->n", K, Kl)
+    jk = np.einsum("nm,nm->n", J, Kl)
+    comb = (
+        Jl[:, :, None] * Kl[:, None, :]
+        - Kl[:, :, None] * Jl[:, None, :]
+        + B[:, None, None] * Sl
+        - (A / 2.0)[:, None, None] * Seps
+    )
+    return np.stack([np.abs(j2 - A**2 - B**2), np.max(np.abs(comb), axis=(1, 2)), np.abs(jk), np.abs(j2 + k2)], axis=1)
+
+
+def assert_same_bits(got, want):
+    """Equal real and imaginary bits (so signed zeros and infinities), and
+    NaN in the same places."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    assert got.shape == want.shape
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(np.where(nan, 0.0, g).view(np.uint64), np.where(nan, 0.0, w).view(np.uint64))
+
+
+def _part(exponent):
+    """One real part: +-0, or +-m 10^e with e near ``exponent``."""
+    value = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(exponent, exponent + 3))
+    return st.one_of(st.sampled_from([0.0, -0.0]), value, value.map(lambda x: -x))
+
+
+@st.composite
+def spinor_stacks(draw):
+    """(n, 4) stacks, n = 1..5, of components that are exactly zero, real,
+    imaginary or both, with magnitudes from 1e-300 to 1e300: near one scale
+    per stack, so that sums can cancel and round, or over all decades."""
+    n = draw(st.integers(1, 5))
+    shared = draw(st.integers(-300, 296))
+    rows = []
+    for _ in range(4 * n):
+        part = _part(shared if draw(st.booleans()) else draw(st.integers(-300, 296)))
+        kind = draw(st.sampled_from(["zero", "real", "imaginary", "complex"]))
+        re = draw(part) if kind in ("real", "complex") else draw(st.sampled_from([0.0, -0.0]))
+        im = draw(part) if kind in ("imaginary", "complex") else draw(st.sampled_from([0.0, -0.0]))
+        rows.append(complex(re, im))
+    return np.array(rows).reshape(n, 4)
+
+
+XI = mdo.xi(mdo.Momentum(1.0, 0.7, 0.4, 1.1))
+
+
+def _covariants(psis, kind):
+    with np.errstate(all="ignore"):
+        if kind is DualKind.DIRAC:
+            return bilinear.compute_batch(psis), spinor.dirac_dual(psis)
+        return bilinear.compute_batch(psis, DualKind.MDO, XI), spinor.mdo_dual(psis, XI)
+
+
+@given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@settings(deadline=None, max_examples=150)
+def test_compute_batch_is_the_full_sandwich_bit_for_bit(psis, kind):
+    cov, duals = _covariants(psis, kind)
+    with np.errstate(all="ignore"):
+        want = full_sandwich(psis, duals)
+    for key, value in want.items():
+        assert_same_bits(cov[key], value)
+    # one row alone has the bits of its row in the stack
+    one, _ = _covariants(psis[-1:], kind)
+    for key in want:
+        assert_same_bits(one[key][0], cov[key][-1])
+
+
+@given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@settings(deadline=None, max_examples=150)
+def test_fpk_residuals_batch_is_the_full_contraction_bit_for_bit(psis, kind):
+    cov, _ = _covariants(psis, kind)
+    with np.errstate(all="ignore"):
+        got, want = bilinear.fpk_residuals_batch(cov), full_fpk_residuals(cov)
+        one = bilinear.fpk_residuals_batch({k: v[-1:] for k, v in cov.items()})
+    assert_same_bits(got, want)
+    assert_same_bits(one[0], got[-1])
+
+
+@given(psis=spinor_stacks())
+@settings(deadline=None, max_examples=100)
+def test_dirac_dual_is_the_gamma0_product(psis):
+    want = np.conj(psis) @ clifford.build().gamma[0]
+    got = spinor.dirac_dual(psis)
+    # the same values; only the signs of zeros may differ
+    assert np.array_equal(got, want)
+    assert np.array_equal(spinor.dirac_dual(psis[0]), got[0])
+
+
+def test_sandwich_tables_rebuild_every_form():
+    xor, coef, at = bilinear._sandwich_tables()
+    rebuilt = np.zeros((4, 4, 4, 4), dtype=complex)
+    for s, i in itertools.product(range(4), range(4)):
+        rebuilt[s, :, i, xor[s, i]] = coef[s, :, i]
+    assert sorted(at.tolist()) == list(range(16))
+    assert np.array_equal(rebuilt.reshape(16, 4, 4)[at], bilinear._form_stack())
+
+
+def test_hodge_table_is_the_levi_civita_contraction(rng):
+    S = rng.integers(-9, 10, (4, 4)).astype(float)
+    S = S - S.T
+    full = np.einsum("mnab,ab->mn", levi_civita_by_parity(), S)
+    assert np.array_equal(S.reshape(16)[bilinear._HODGE_AT] * bilinear._HODGE, full)
+    # the table reads S^{ab} over the pair complementary to (m, n), a < b
+    for m, n in itertools.permutations(range(4), 2):
+        a, b = sorted(set(range(4)) - {m, n})
+        assert bilinear._HODGE_AT[m, n] == 4 * a + b

@@ -429,6 +429,9 @@ def test_homotopy_rejects_steps_below_one(steps, capsys):
         ({"m": float("nan"), "p": 1}, "finite"),
         ({"m": 1.0, "p": 1, "theta": float("inf")}, "finite"),
         ({"p": 1}, "momentum needs m, p"),
+        ({"m": True, "p": 1}, "m must be a number, got true"),
+        ({"m": "1", "p": 1}, 'm must be a number, got "1"'),
+        ({"m": 1, "p": 1, "phi": False}, "phi must be a number, got false"),
     ],
 )
 def test_mdo_rejects_bad_momentum(tmp_path, capsys, payload, detail):
@@ -540,6 +543,38 @@ def test_unwritable_output_exits_2_with_one_line(where, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+@pytest.mark.parametrize(
+    "field, value, detail", [("A", True, "A must be a number, got true"), ("theta", "0.5", 'theta must be a number, got "0.5"')]
+)
+def test_map_rejects_coefficients_that_are_not_numbers(field, value, detail, base_setup, capsys):
+    _, _, _, _, files, tmp_path = base_setup
+    coeffs = json.loads(Path(files["coeffs"]).read_text())
+    path = write_json(tmp_path / "bad_coeffs.json", {**coeffs, field: value})
+    argv = ["map", "--direction", "dirac-to-mdo", "--params", files["params"], "--coeffs", path, "--input", files["base"]]
+    code = cli.main(argv)
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == f"error: {path}: coefficient inputs need A, B [, M, m, theta, sign] ({detail})\n"
+
+
+_SPINOR_SHAPE = '{"re": [4 numbers], "im": [4 numbers]}'
+
+
+@pytest.mark.parametrize(
+    "base, detail",
+    [
+        ([1, 2, 3], f"spinor #0: expected {_SPINOR_SHAPE}, got int"),
+        ({"re": [1, 0, 0, 0]}, f"spinor #0: missing field 'im'; expected {_SPINOR_SHAPE}"),
+        ({"re": [1, 0, 0, 0], "im": [0, 0, True, 0]}, f"spinor #0: 'im' must be a list of 4 numbers; expected {_SPINOR_SHAPE}"),
+    ],
+    ids=["list_of_numbers", "missing_im", "bool_component"],
+)
+def test_spinor_loader_names_the_expected_shape(base, detail, tmp_path, capsys):
+    path = write_json(tmp_path / "base.json", base)
+    code = cli.main(["decompose", "--input", str(MIXED / "corpus.csv"), "--base", path])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == f"error: {path}: {detail}\n"
 
 
 @pytest.mark.parametrize("sign", ["x", "+1", 0, 2, 1.0, True, None], ids=repr)
@@ -693,16 +728,21 @@ def test_classify_overflowing_rows_are_row_errors(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main
-def test_decompose_non_finite_row_exits_2_naming_it_and_writes_no_report(tmp_path, capsys):
+def test_decompose_overflowing_rows_are_row_errors(tmp_path, capsys):
     # against a base of norm ~1e-10, a row of norm ~1e300 has |r1| ~ 1e310
     base = io.load_spinors(MIXED_BASE)[0]
     base_path = write_json(tmp_path / "base.json", spinor.to_json(1e-10 * base))
-    path = write_json(tmp_path / "rows.json", {"spinors": [spinor.to_json(base), spinor.to_json(1e300 * base)]})
-    out = tmp_path / "report.json"
-    code = cli.main(["decompose", "--input", path, "--base", base_path, "--output", str(out)])
-    assert code == cli.EXIT_INVALID_INPUT
-    assert _only_error_line(capsys) == "error: row 1: r1.re is not finite\n"
-    assert not out.exists()
+    rows = [base, 1e300 * base, 2.0 * base, -1e299 * base]
+    argv = ["decompose", "--input", write_json(tmp_path / "rows.json", {"spinors": list(map(spinor.to_json, rows))})]
+    code, rep = run_cli(argv + ["--base", base_path], capsys)
+    assert code == cli.EXIT_OK
+    assert rep["rows"][1] == {"id": 1, "error": "NonFiniteValue", "detail": "r1 is not finite"}
+    assert rep["rows"][3] == {"id": 3, "error": "NonFiniteValue", "detail": "r1 is not finite"}
+    # the other rows are those of a corpus without the overflowing ones
+    argv = ["decompose", "--input", write_json(tmp_path / "finite.json", {"spinors": list(map(spinor.to_json, rows[::2]))})]
+    code, alone = run_cli(argv + ["--base", base_path], capsys)
+    assert code == cli.EXIT_OK
+    assert [rep["rows"][0], {**rep["rows"][2], "id": 1}] == alone["rows"]
 
 
 @pytest.fixture
