@@ -28,6 +28,7 @@ from .spinor import DualKind, dirac_dual, mdo_dual
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = np.array(_S_INDEX).T
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])  # the metric's diagonal
+_ETA2 = _ETA[:, None] * _ETA  # eta_mm eta_nn, which lowers both indices of S
 # Seps_mn = 2 eps_{m n a b} S^{a b} (eps_0123 = +1) of an antisymmetric S, over the
 # complementary a < b, is _HODGE[m, n] * S^{a b} with 4 a + b = _HODGE_AT[m, n]
 _HODGE_AT = np.array([[0, 11, 7, 6], [11, 0, 3, 2], [7, 3, 0, 1], [6, 2, 1, 0]])
@@ -55,7 +56,11 @@ class Bilinears:
         return minkowski_dot(self.K, self.K)
 
     def as_batch(self) -> dict[str, np.ndarray]:
-        """This record as the one-row dict ``compute_batch`` returns."""
+        """This record as the one-row dict ``compute_batch`` returns: a copy
+        of the dict ``compute`` kept, or rebuilt from the fields."""
+        rows = self.__dict__.get("_rows")
+        if rows is not None:
+            return dict(rows)
         return {k: np.asarray(getattr(self, k))[None] for k in ("A", "B", "J", "K", "S", "A1", "A2", "scale")}
 
 
@@ -145,8 +150,9 @@ def compute_batch(
     A = abjk[:, 0]
     B = 1j * abjk[:, 1]
     if dual is DualKind.DIRAC:
-        A1 = np.conj(psis[:, 2]) * psis[:, 0] + np.conj(psis[:, 3]) * psis[:, 1]
-        A2 = np.conj(psis[:, 0]) * psis[:, 2] + np.conj(psis[:, 1]) * psis[:, 3]
+        c = np.conj(psis)
+        A1 = c[:, 2] * psis[:, 0] + c[:, 3] * psis[:, 1]
+        A2 = c[:, 0] * psis[:, 2] + c[:, 1] * psis[:, 3]
     else:
         # component formulas are a Dirac-dual statement; fall back to the
         # equivalent scalar combinations
@@ -160,7 +166,7 @@ def compute_batch(
         "S": S,
         "A1": A1,
         "A2": A2,
-        "scale": np.sum(np.abs(psis) ** 2, axis=1),
+        "scale": (np.abs(psis) ** 2).sum(axis=1),
     }
 
 
@@ -169,9 +175,14 @@ def compute(
     dual: DualKind = DualKind.DIRAC,
     xi: np.ndarray | None = None,
 ) -> Bilinears:
-    """All bilinear covariants of a single spinor."""
-    out = compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi)
-    return Bilinears(**one_row(out, True), dual=dual)
+    """All bilinear covariants of a single spinor: row 0 of ``compute_batch``,
+    with the Python numbers and row views ``errors.one_row`` would give.  The
+    record keeps the one-row dict, outside its fields, for ``as_batch``."""
+    rows = compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi)
+    item = {k: rows[k].item() for k in ("A", "B", "A1", "A2", "scale")}
+    b = Bilinears(J=rows["J"][0], K=rows["K"][0], S=rows["S"][0], dual=dual, **item)
+    object.__setattr__(b, "_rows", rows)
+    return b
 
 
 def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dict[str, np.ndarray]:
@@ -254,19 +265,27 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     k2 = np.einsum("nm,nm->n", K, Kl)
     jk = np.einsum("nm,nm->n", J, Kl)
 
-    r1 = np.abs(j2 - A**2 - B**2)
+    out = np.empty((J.shape[0], 4))
+    np.abs(j2 - A**2 - B**2, out=out[:, 0])
     # every entry, not the upper half: numpy's complex multiply may fuse, so
-    # for complex J, K the product x y can differ from y x in the last bit
+    # for complex J, K the product x y can differ from y x in the last bit;
+    # each product keeps its operand order, into the one scratch stack
     comb = Jl[:, :, None] * Kl[:, None, :]
-    comb -= Kl[:, :, None] * Jl[:, None, :]
-    comb += B[:, None, None] * (S * (_ETA[:, None] * _ETA))
-    comb -= (A / 2.0)[:, None, None] * (S.reshape(-1, 16).take(_HODGE_AT, axis=1) * _HODGE)
-    return np.stack([r1, np.max(np.abs(comb), axis=(1, 2)), np.abs(jk), np.abs(j2 + k2)], axis=1)
+    term = np.multiply(Kl[:, :, None], Jl[:, None, :])
+    comb -= term
+    comb += np.multiply(B[:, None, None], np.multiply(S, _ETA2, out=term), out=term)
+    # "clip" leaves the in-range table as it is; a "raise" take buffers its out
+    hodge = np.multiply(S.reshape(-1, 16).take(_HODGE_AT, axis=1, out=term, mode="clip"), _HODGE, out=term)
+    comb -= np.multiply((A / 2.0)[:, None, None], hodge, out=term)
+    np.abs(comb, out=term.real).max(axis=(1, 2), out=out[:, 1])
+    np.abs(jk, out=out[:, 2])
+    np.abs(j2 + k2, out=out[:, 3])
+    return out
 
 
 def fpk_residuals(b: Bilinears) -> np.ndarray:
     """Raw residuals of the four constraints for one covariant record."""
-    return np.real(fpk_residuals_batch(b.as_batch())[0])
+    return fpk_residuals_batch(b.as_batch())[0]
 
 
 def from_scalars(

@@ -76,8 +76,8 @@ def load_params(path: str | Path) -> tuple[complex, complex]:
     path = Path(path)
     obj = _read_json(path)
     try:
-        a = spinor.complex_from_json(obj["a"])
-        b = spinor.complex_from_json(obj["b"])
+        a = spinor.complex_from_json(obj["a"], "a")
+        b = spinor.complex_from_json(obj["b"], "b")
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"params need fields a/b with re/im ({exc})") from exc
     return a, b

@@ -12,7 +12,7 @@ same real arithmetic, on Python floats and on arrays.
 ``classify``, ``classify_by_coefficients`` and ``near_degenerate`` stay
 scalar code, the tests' reference for the batch routes and measured by the
 ``scalar-api`` benchmark workload: a one-row ``classify_by_coefficients_batch``
-call costs 60 us against 2.2 us (best of 5x3000 calls, 2-vCPU host).
+call costs 51-61 us against 2.3 us (best of 10x3000 calls, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -121,14 +121,15 @@ def classify_batch(
     raise) and near-degenerate flags (False on error rows).
     """
     scale = cov["scale"]
-    thr = opt.tol * np.maximum(1.0, scale)
-    index = (_magnitudes(cov) < thr[:, None]) @ np.array([8, 4, 2, 1])
+    thr = opt.tol * np.maximum(1.0, scale)[:, None]
+    mags = _magnitudes(cov)
+    index = (mags < thr) @ np.array([8, 4, 2, 1])
     classes = _CLASS_CODES[index]
     errors = _ERROR_CODES[index]
-    errors[np.max(np.abs(cov["J"]), axis=1) < thr] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
+    errors[np.max(np.abs(cov["J"]), axis=1) < thr[:, 0]] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
     errors[scale < opt.tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
     classes[errors != 0] = 0
-    return classes, errors, bilinears_near_degenerate(cov, opt) & (errors == 0)
+    return classes, errors, _near_band(mags, thr) & (errors == 0)
 
 
 _INVALID_BASE = (InvalidBase, "base must have A != 0 and B != 0")
@@ -256,8 +257,12 @@ def bilinears_near_degenerate(
 ) -> np.ndarray:
     """(n,) flags: a zero-test input sits just above its threshold, i.e. the
     assigned class would flip under a ``NEAR_BAND``-fold tolerance change."""
-    thr = opt.tol * np.maximum(1.0, cov["scale"])[:, None]
-    mags = _magnitudes(cov)
+    return _near_band(_magnitudes(cov), opt.tol * np.maximum(1.0, cov["scale"])[:, None])
+
+
+def _near_band(mags: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """(n,) flags: a row of ``_magnitudes`` within ``NEAR_BAND`` thresholds
+    above its (n, 1) threshold."""
     return np.any((thr < mags) & (mags <= NEAR_BAND * thr), axis=1)
 
 

@@ -8,6 +8,7 @@ Dual spinors are row arrays of shape (4,); right-multiply them onto columns.
 from __future__ import annotations
 
 import enum
+import json
 
 import numpy as np
 
@@ -124,6 +125,12 @@ def complex_to_json(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def complex_from_json(obj: dict) -> complex:
-    return complex(float(obj["re"]), float(obj["im"]))
+def complex_from_json(obj: dict, name: str = "z") -> complex:
+    """The number of a ``complex_to_json`` object; TypeError naming the part
+    of ``name`` that is not a number."""
+    re, im = obj["re"], obj["im"]
+    for key, part in (("re", re), ("im", im)):
+        if not is_number(part):
+            raise TypeError(f"{name}.{key} must be a number, got {json.dumps(part)}")
+    return complex(float(re), float(im))
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spinorlab import clifford
+
+# mantissas in [1, 10) with all 52 fraction bits drawn, so that products and
+# sums round; short ones (1.5, 9.999) would hide the order of an operation
+MANTISSAS = st.integers(2**52, 10 * 2**52 - 1).map(lambda k: k / 2**52)
 
 
 @pytest.fixture

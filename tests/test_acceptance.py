@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; trial counts, tolerances and runtime ceilings are pinned here.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import spinorlab
 from spinorlab.suites import SuiteConfig, run_suites
 
 SEED = 42
@@ -154,6 +157,8 @@ def test_criterion_09_mdo_suite():
 
 
 def test_criterion_10_determinism(tmp_path):
+    # the child imports the package these tests imported
+    env = dict(os.environ, PYTHONPATH=str(Path(spinorlab.__file__).parents[1]))
     t0 = time.perf_counter()
     outs = []
     for name in ("r1.json", "r2.json"):
@@ -173,6 +178,7 @@ def test_criterion_10_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())

@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, clifford, mdo, spinor
+from spinorlab.errors import one_row
 from spinorlab.spinor import DualKind, quartic_scale
 
-from conftest import random_spinor
+from conftest import MANTISSAS, random_spinor
 
 
 def oracle_bilinears(psi, dual_row=None):
@@ -219,7 +221,7 @@ def assert_same_bits(got, want):
 
 def _part(exponent):
     """One real part: +-0, or +-m 10^e with e near ``exponent``."""
-    value = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(exponent, exponent + 3))
+    value = st.builds(lambda m, e: m * 10.0**e, MANTISSAS, st.integers(exponent, exponent + 3))
     return st.one_of(st.sampled_from([0.0, -0.0]), value, value.map(lambda x: -x))
 
 
@@ -241,6 +243,9 @@ def spinor_stacks(draw):
 
 
 XI = mdo.xi(mdo.Momentum(1.0, 0.7, 0.4, 1.1))
+# full-precision complex rows at one scale: every product and sum rounds, so
+# a kernel that changes an operation's order or operands shows in its bits
+DENSE = np.random.default_rng(11).standard_normal((64, 4, 2)).view(complex)[..., 0]
 
 
 def _covariants(psis, kind):
@@ -251,6 +256,8 @@ def _covariants(psis, kind):
 
 
 @given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@example(psis=DENSE, kind=DualKind.DIRAC)
+@example(psis=DENSE, kind=DualKind.MDO)
 @settings(deadline=None, max_examples=150)
 def test_compute_batch_is_the_full_sandwich_bit_for_bit(psis, kind):
     cov, duals = _covariants(psis, kind)
@@ -265,6 +272,8 @@ def test_compute_batch_is_the_full_sandwich_bit_for_bit(psis, kind):
 
 
 @given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@example(psis=DENSE, kind=DualKind.DIRAC)
+@example(psis=DENSE, kind=DualKind.MDO)
 @settings(deadline=None, max_examples=150)
 def test_fpk_residuals_batch_is_the_full_contraction_bit_for_bit(psis, kind):
     cov, _ = _covariants(psis, kind)
@@ -273,6 +282,49 @@ def test_fpk_residuals_batch_is_the_full_contraction_bit_for_bit(psis, kind):
         one = bilinear.fpk_residuals_batch({k: v[-1:] for k, v in cov.items()})
     assert_same_bits(got, want)
     assert_same_bits(one[0], got[-1])
+
+
+FIELDS = ("A", "B", "J", "K", "S", "A1", "A2", "scale")
+
+
+def _record(psi, kind):
+    with np.errstate(all="ignore"):
+        return bilinear.compute(psi, kind, XI if kind is DualKind.MDO else None)
+
+
+@given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@settings(deadline=None, max_examples=100)
+def test_compute_is_one_row_of_its_batch(psis, kind):
+    b = _record(psis[-1], kind)
+    cov, _ = _covariants(psis[-1:], kind)
+    want = one_row(cov, True)
+    assert [f.name for f in dataclasses.fields(b)] == [*FIELDS[:7], "dual", "scale"]
+    assert b.dual is kind
+    for key in FIELDS:
+        got = getattr(b, key)
+        assert type(got) is type(want[key]), key
+        assert np.shape(got) == np.shape(want[key]), key
+        assert_same_bits(got, want[key])
+
+
+@given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
+@settings(deadline=None, max_examples=100)
+def test_as_batch_of_a_computed_record_is_the_rebuilt_dict(psis, kind):
+    b = _record(psis[-1], kind)
+    rebuilt = dataclasses.replace(b)  # the same fields, without the kept dict
+    assert repr(rebuilt) == repr(b)
+    want = rebuilt.as_batch()
+    for _ in range(2):
+        rows = b.as_batch()
+        assert sorted(rows) == sorted(want)
+        for key in FIELDS:
+            assert rows[key].shape == want[key].shape and rows[key].dtype == want[key].dtype, key
+            assert_same_bits(rows[key], want[key])
+        # what a caller does to its copy does not reach the next call
+        rows["A"] = np.zeros(1)
+        del rows["S"]
+    with np.errstate(all="ignore"):
+        assert_same_bits(bilinear.fpk_residuals(b), bilinear.fpk_residuals(rebuilt))
 
 
 @given(psis=spinor_stacks())

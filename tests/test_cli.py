@@ -558,6 +558,24 @@ def test_map_rejects_coefficients_that_are_not_numbers(field, value, detail, bas
     assert _only_error_line(capsys) == f"error: {path}: coefficient inputs need A, B [, M, m, theta, sign] ({detail})\n"
 
 
+@pytest.mark.parametrize(
+    "params, detail",
+    [
+        ({"a": {"re": True, "im": 0.2}, "b": {"re": 1, "im": -0.7}}, "a.re must be a number, got true"),
+        ({"a": {"re": 0.6, "im": 0.2}, "b": {"re": "0.6", "im": -0.7}}, 'b.re must be a number, got "0.6"'),
+        ({"a": {"re": 0.6, "im": "0.2"}, "b": {"re": 0.6, "im": -0.7}}, 'a.im must be a number, got "0.2"'),
+    ],
+    ids=["bool_re", "string_re", "string_im"],
+)
+def test_map_rejects_params_that_are_not_numbers(params, detail, base_setup, capsys):
+    _, _, _, _, files, tmp_path = base_setup
+    path = write_json(tmp_path / "bad_params.json", params)
+    argv = ["map", "--direction", "dirac-to-mdo", "--params", path, "--coeffs", files["coeffs"], "--input", files["base"]]
+    code = cli.main(argv)
+    assert code == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys) == f"error: {path}: params need fields a/b with re/im ({detail})\n"
+
+
 _SPINOR_SHAPE = '{"re": [4 numbers], "im": [4 numbers]}'
 
 

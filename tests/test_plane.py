@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto, plane, rim, spinor
@@ -20,7 +20,7 @@ from spinorlab.errors import (
 from spinorlab.generators import random_rim_bases, random_valid_params
 from spinorlab.spinor import block1, block2
 
-from conftest import coordinate_rows, random_spinor
+from conftest import MANTISSAS, coordinate_rows, random_spinor
 
 PARAMS = rim.validate(0.7 + 0.4j, 0.7 - 0.9j)
 
@@ -385,6 +385,47 @@ def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(width, rng):
     x = random_spinor(rng, 2000)[:, :width] * 10.0 ** rng.uniform(-3, 3, (2000, 1))
     want = np.array([np.linalg.norm(row) for row in x])
     assert spinor.row_norms(x).tobytes() == want.tobytes()
+
+
+@st.composite
+def norm_vectors(draw):
+    """(2,) and (4,) complex vectors with parts from 1e-300 to 1e300, all
+    near one scale, so that the order of a sum shows in the last bit, or
+    over all decades; in half of them, parts may be +-0, +-inf or NaN."""
+    n = draw(st.sampled_from([2, 4]))
+    shared = draw(st.integers(-300, 296))
+    exponents = st.integers(shared, shared + 1) if draw(st.booleans()) else st.integers(-300, 296)
+    value = st.builds(lambda m, e: m * 10.0**e, MANTISSAS, exponents)
+    part = st.one_of(value, value.map(lambda x: -x))
+    if draw(st.booleans()):
+        part = st.one_of(part, st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    return np.array([complex(draw(part), draw(part)) for _ in range(n)])
+
+
+# reversed, this vector's squares sum to other bits in logical order than in
+# the memory order np.linalg.norm's ravel adds them in
+@given(x=norm_vectors())
+@example(x=np.array([0.3, 0.7, 1.1, 1.3]) * np.exp(1j * np.array([1.0, 2.0, 3.0, 4.0])))
+@settings(deadline=None, max_examples=200)
+def test_decompose_norm_is_the_linalg_norm_bit_for_bit(x):
+    # decompose takes each norm with two dot products and math.sqrt, without
+    # np.linalg.norm's dispatch; the bits must be np.linalg.norm's, for
+    # complex and real vectors, contiguous, strided or reversed
+    strided = np.repeat(x, 2)[::2]
+    for v in (x, strided, x[::-1], x.real.copy(), x.real[::-1]):
+        with np.errstate(all="ignore"):
+            got, want = plane._norm(v), np.linalg.norm(v)
+        assert type(got) is float
+        assert math.isnan(got) == math.isnan(want)
+        assert math.isnan(got) or np.float64(got).tobytes() == want.tobytes()
+
+
+def test_decompose_of_an_integer_spinor_is_that_of_its_floats():
+    # int64 squares of 4e9 wrap; np.linalg.norm measures such a vector in floats
+    base = np.array([2, 1, 3, -1]) * 10**9
+    psi = plane.block_scale(base, 2.0, -1.0).real.astype(np.int64)
+    for x, b in ((psi, base), (base, base)):
+        assert plane.decompose(x, b) == plane.decompose(x.astype(float), b.astype(float))
 
 
 # the norm of a spinor scaled by this power of two overflows a double; the
