@@ -12,6 +12,16 @@ column i XOR s), so ``compute_batch`` sums only the nonzero products, in the
 same order and einsum kernel, and ``fpk_residuals_batch`` uses a sign vector
 and a Hodge table: both keep every bit of the full formulas (signed zeros
 and inf/NaN placement too), which ``tests/test_bilinear.py`` keeps as references.
+
+Both batch kernels run a corpus in blocks of ``_BLOCK`` = 1024 rows, written
+into outputs allocated once, so a pass holds its results plus one block of
+(m, 16)-sized temporaries instead of n-row ones whose fresh pages it would pay
+for.  Up to 1024 rows, n = 1 included, are one pass with no added allocation
+or copy.  Why 1024: over the acceptance verify suites in one process (medians
+of 8 alternating passes, 2-vCPU host), 512-row blocks were about 9% slower
+than one pass, as numpy's per-call cost outweighs the smaller temporaries,
+and 1024- and 2048-row blocks 7-14% faster; on a 10^4-row ``classify``,
+4096-row blocks raised the traced peak from 6.4 to 8.0 MiB.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ _ETA2 = _ETA[:, None] * _ETA  # eta_mm eta_nn, which lowers both indices of S
 # complementary a < b, is _HODGE[m, n] * S^{a b} with 4 a + b = _HODGE_AT[m, n]
 _HODGE_AT = np.array([[0, 11, 7, 6], [11, 0, 3, 2], [7, 3, 0, 1], [6, 2, 1, 0]])
 _HODGE = np.array([[0.0, 2.0, -2.0, 2.0], [-2.0, 0.0, 2.0, -2.0], [2.0, -2.0, 0.0, 2.0], [-2.0, 2.0, -2.0, 0.0]])
+_BLOCK = 1024  # rows per block of a batch kernel (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -120,31 +131,26 @@ def _sandwich_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(xor), np.array(coef).reshape(4, 4, 4), np.array([flat.index(g) for g in range(16)])
 
 
-def _sandwich(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """dual . F[f] . psi for every row and form: an (n, 10) block of A, B/i,
-    J and K, and the (n, 6) S^{mu nu} with mu < nu.  Each value sums the four
-    nonzero products (dual_i F[f]_{i, i^s}) psi_{i^s} over i = 0..3 from +0."""
+def _sandwich(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None, abjk: np.ndarray) -> np.ndarray:
+    """dual . F[f] . psi for every row and form: A, B/i, J and K written into
+    the (n, 10) ``abjk``, and the (n, 6) S^{mu nu} with mu < nu returned.  Each
+    value sums the four nonzero products (dual_i F[f]_{i, i^s}) psi_{i^s}
+    over i = 0..3 from +0."""
     if dual is DualKind.MDO and xi is None:
         raise ValueError("MDO dual requires the Xi operator")
     duals = dirac_dual(psis) if dual is DualKind.DIRAC else mdo_dual(psis, xi)
     xor, coef, at = _sandwich_tables()
     vals = np.einsum("in,sgi,sin->sgn", duals.T, coef, psis.T.take(xor, axis=0)).reshape(16, -1)
-    return vals.take(at[:10], axis=0).T.copy(), vals.take(at[10:], axis=0).T
+    abjk[...] = vals.take(at[:10], axis=0).T
+    return vals.take(at[10:], axis=0).T
 
 
-def compute_batch(
-    psis: np.ndarray,
-    dual: DualKind = DualKind.DIRAC,
-    xi: np.ndarray | None = None,
+def _covariants(
+    psis: np.ndarray, dual: DualKind, xi: np.ndarray | None, abjk: np.ndarray, S: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Vectorized covariants for a (n, 4) stack of spinors.
-
-    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4),
-    "A1", "A2", "scale".
-    """
-    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    abjk, s_upper = _sandwich(psis, dual, xi)
-    S = np.zeros((psis.shape[0], 4, 4), dtype=complex)
+    """``compute_batch`` of one block of rows: A, J and K are views of its
+    (n, 10) ``abjk`` and S is its zeroed (n, 4, 4) ``S``, both filled here."""
+    s_upper = _sandwich(psis, dual, xi, abjk)
     S[:, _MU, _NU] = s_upper
     S[:, _NU, _MU] = np.negative(s_upper, out=s_upper)
     A = abjk[:, 0]
@@ -168,6 +174,37 @@ def compute_batch(
         "A2": A2,
         "scale": (np.abs(psis) ** 2).sum(axis=1),
     }
+
+
+def _blocks(n: int):
+    """Row slices of the blocks of an n-row pass."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def compute_batch(
+    psis: np.ndarray,
+    dual: DualKind = DualKind.DIRAC,
+    xi: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Vectorized covariants for a (n, 4) stack of spinors.
+
+    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4),
+    "A1", "A2", "scale"; A, J and K are views of one (n, 10) array.  ``xi``
+    is one Xi for every row or an (n, 4, 4) stack, sliced with the blocks.
+    """
+    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
+    n = psis.shape[0]
+    abjk = np.empty((n, 10), dtype=complex)
+    S = np.zeros((n, 4, 4), dtype=complex)
+    if n <= _BLOCK:
+        return _covariants(psis, dual, xi, abjk, S)
+    out = {"A": abjk[:, 0], "B": np.empty(n, complex), "J": abjk[:, 2:6], "K": abjk[:, 6:10], "S": S}
+    out.update(A1=np.empty(n, complex), A2=np.empty(n, complex), scale=np.empty(n))
+    for rows in _blocks(n):
+        block = _covariants(psis[rows], dual, xi if np.ndim(xi) < 3 else xi[rows], abjk[rows], S[rows])
+        for key in ("B", "A1", "A2", "scale"):  # A, J, K and S are written in place
+            out[key][rows] = block[key]
+    return out
 
 
 def compute(
@@ -258,6 +295,18 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     eps^0123 = +1) and lower indices come from eta, for an antisymmetric S.
     """
     J, K, S, A, B = b["J"], b["K"], b["S"], b["A"], b["B"]
+    n = J.shape[0]
+    out = np.empty((n, 4))
+    if n <= _BLOCK:
+        _fpk_residuals(J, K, S, A, B, out)
+    else:
+        for rows in _blocks(n):
+            _fpk_residuals(J[rows], K[rows], S[rows], A[rows], B[rows], out[rows])
+    return out
+
+
+def _fpk_residuals(J, K, S, A, B, out: np.ndarray) -> None:
+    """``fpk_residuals_batch`` of one block of rows, written into its (n, 4) ``out``."""
     Jl = J * _ETA
     Kl = K * _ETA
 
@@ -265,7 +314,6 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     k2 = np.einsum("nm,nm->n", K, Kl)
     jk = np.einsum("nm,nm->n", J, Kl)
 
-    out = np.empty((J.shape[0], 4))
     np.abs(j2 - A**2 - B**2, out=out[:, 0])
     # every entry, not the upper half: numpy's complex multiply may fuse, so
     # for complex J, K the product x y can differ from y x in the last bit;
@@ -280,7 +328,6 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     np.abs(comb, out=term.real).max(axis=(1, 2), out=out[:, 1])
     np.abs(jk, out=out[:, 2])
     np.abs(j2 + k2, out=out[:, 3])
-    return out
 
 
 def fpk_residuals(b: Bilinears) -> np.ndarray:

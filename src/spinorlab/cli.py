@@ -1,9 +1,10 @@
 """Batch command-line front-end.
 
 Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
-0 success, 1 classification produced but with near-degenerate flags,
-2 invalid input or an --output that cannot be written, 3 identity-suite
-failure; stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
+0 success, 1 classification produced but with near-degenerate flags (or an
+``mdo`` report whose Dirac-like sign is unresolved), 2 invalid input or an
+--output that cannot be written, 3 identity-suite failure, 4 an internal
+error (any other exception); stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
 variable overrides the default tolerance (1e-9); report order always equals
 input order.  ``classify`` and ``decompose`` each make one vectorised pass
 over the corpus (covariants or plane coordinates, then classes) and hand
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_FLAGGED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_SUITE_FAILURE = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _tol_default() -> float:
@@ -340,7 +342,8 @@ def _cmd_mdo(args) -> int:
     except ValueError as exc:  # a non-finite field, named by io.dumps_report
         where = f"momentum m={mom.m!r}, p={mom.p!r}, theta={mom.theta!r}, phi={mom.phi!r}"
         raise NonFiniteMomentum(f"{where}: {exc}") from exc
-    return EXIT_OK
+    # sign 0: rounding hides which sign the Dirac-like relation takes (p/m >~ 2e7)
+    return EXIT_OK if eta else EXIT_FLAGGED
 
 
 def _cmd_verify(args) -> int:
@@ -380,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         except SpinorlabError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
+        except Exception as exc:  # a defect, not an input: never 1, "flagged"
+            print(f"error: internal: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+            return EXIT_INTERNAL_ERROR
 
 
 def entry() -> None:

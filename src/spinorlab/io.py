@@ -7,6 +7,13 @@ dumped with sorted keys and a fixed layout so identical inputs give
 byte-identical files.  The small reports go through ``json.dumps``; the
 corpus reports are streamed from numpy columns by ``write_rows_report``,
 whose bytes equal ``json.dumps`` of the same report.
+
+A streamed report is rendered ``_ROWS_PER_SLICE`` = 256 rows at a time, so
+only one slice's Python objects (34 per ``classify`` row) and text are alive
+at once: under 1 MiB, where a 2048-row slice held about 7 MiB, more than
+the covariants of a 10^4-row corpus.  On that corpus 256-, 512- and
+2048-row slices render equally fast (medians of 8 alternating in-process
+``classify`` passes), and 128-row slices save only 0.2 MiB more.
 """
 
 from __future__ import annotations
@@ -174,9 +181,8 @@ def write_report(report: dict, path: str | Path | None) -> str:
     return text
 
 
-# Rows rendered per write of a streamed report: only one slice's Python
-# objects are alive at a time.
-_ROWS_PER_SLICE = 2048
+# Rows rendered per write of a streamed report (see the module docstring).
+_ROWS_PER_SLICE = 256
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
 _CONVERSIONS = {"f": "%r", "i": "%d", "u": "%d"}  # any other kind is JSON text, %s
 

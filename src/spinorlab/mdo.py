@@ -187,15 +187,24 @@ def diraclike_residual(e: ElkoSpinor, mom: Momentum):
     """Residual of (slash(p) Xi - eta m) lambda minimized over eta = +-1.
 
     Returns (residual, realized eta), (n,) arrays for n momenta; the
-    realized sign must match DIRACLIKE_SIGN[conj].
+    realized sign must match DIRACLIKE_SIGN[conj].  The two residuals lie
+    2 m |lambda| apart, so eta is 0, unresolved, unless the smaller one and
+    its rounding floor eps |slash(p)| |Xi| |lambda| (Frobenius norms) stay
+    below m |lambda|: slash(p) and Xi have entries ~ p and p/m that cancel
+    to m, so that floor reaches m |lambda| near p/m = 2e7.
     """
     lam = np.atleast_2d(e.spinor)
     m = mom.rows()[0][:, None]
-    v = (slash(four_momentum(mom)) @ xi(mom) @ lam[..., None])[..., 0].reshape(lam.shape)
+    sp, x = slash(four_momentum(mom)), xi(mom)
+    v = (sp @ x @ lam[..., None])[..., 0].reshape(lam.shape)
     plus = row_norms(v - m * lam)
     minus = row_norms(v + m * lam)
     flip = minus < plus
-    return one_row((np.where(flip, minus, plus), np.where(flip, -1, +1)), mom.one)
+    res = np.where(flip, minus, plus)
+    nrm = row_norms(lam)
+    floor = np.finfo(float).eps * np.linalg.norm(sp, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1)) * nrm
+    resolved = np.maximum(res, floor) < m[:, 0] * nrm
+    return one_row((res, np.where(resolved, np.where(flip, -1, +1), 0)), mom.one)
 
 
 def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinorlab import bilinear, clifford, mdo, spinor
 from spinorlab.errors import one_row
+from spinorlab.generators import random_momenta
 from spinorlab.spinor import DualKind, quartic_scale
 
 from conftest import MANTISSAS, random_spinor
@@ -282,6 +284,45 @@ def test_fpk_residuals_batch_is_the_full_contraction_bit_for_bit(psis, kind):
         one = bilinear.fpk_residuals_batch({k: v[-1:] for k, v in cov.items()})
     assert_same_bits(got, want)
     assert_same_bits(one[0], got[-1])
+
+
+@st.composite
+def blocked_batches(draw):
+    """(n, 4) spinors with n around blocks of 3 rows, a dual and its Xi:
+    none, one for every row, or an (n, 4, 4) stack of one per row."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 10]))
+    psis = np.array(draw(st.lists(_part(-2), min_size=8 * n, max_size=8 * n))).view(complex).reshape(n, 4)
+    kind = draw(st.sampled_from(["dirac", "one xi", "xi stack"]))
+    if kind == "dirac":
+        return psis, DualKind.DIRAC, None
+    if kind == "one xi":
+        return psis, DualKind.MDO, XI
+    momenta = random_momenta(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return psis, DualKind.MDO, mdo.xi(mdo.Momentum(*momenta.T))
+
+
+def assert_same_array(got, want):
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert_same_bits(got, want)
+
+
+@given(case=blocked_batches())
+@settings(deadline=None, max_examples=150)
+def test_blocks_of_rows_give_the_single_pass_bit_for_bit(case):
+    psis, kind, xi = case
+    with np.errstate(all="ignore"):
+        whole = bilinear.compute_batch(psis, kind, xi)  # n <= _BLOCK: one pass
+        whole_fpk = bilinear.fpk_residuals_batch(whole)
+        with mock.patch.object(bilinear, "_BLOCK", 3):
+            blocked = bilinear.compute_batch(psis, kind, xi)
+            blocked_fpk = bilinear.fpk_residuals_batch(whole)
+    assert list(blocked) == list(whole)
+    for key in whole:
+        assert_same_array(blocked[key], whole[key])
+    assert_same_array(blocked_fpk, whole_fpk)
+    # A, J and K are views of one (n, 10) array
+    assert blocked["A"].base is blocked["J"].base is blocked["K"].base
+    assert blocked["J"].base.shape == (len(psis), 10)
 
 
 FIELDS = ("A", "B", "J", "K", "S", "A1", "A2", "scale")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, cli, io, lounesto, plane, rim, spinor
+from spinorlab import bilinear, cli, io, lounesto, mdo, plane, rim, spinor
 from spinorlab.errors import SpinorlabError
 from spinorlab.generators import random_rim_bases
 from spinorlab.lounesto import LounestoClass
@@ -73,6 +74,28 @@ def test_classify_csv_corpus(tmp_path, capsys):
     code, rep = run_cli(["classify", "--input", str(path)], capsys)
     assert code == 0
     assert [r["id"] for r in rep["rows"]] == [0, 1]
+
+
+def test_classify_corpus_holds_its_results_plus_one_block(tmp_path, monkeypatch):
+    # 10^4 rows hold about 5.4 MiB of spinors, covariants and residuals;
+    # n-row temporaries in the kernels and a 2048-row render slice read 14.3 MiB
+    rng = np.random.default_rng(5)
+    n = 10_000
+    path = tmp_path / "corpus.csv"
+    np.savetxt(path, rng.standard_normal((n, 8)) * 10.0 ** rng.uniform(-3, 3, (n, 1)), delimiter=",")
+    tracemalloc.start()
+    try:
+        code = cli.main(["classify", "--input", str(path), "--output", str(tmp_path / "blocks.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 9 * 2**20
+    # the same bytes as one pass over all the rows
+    monkeypatch.setattr(bilinear, "_BLOCK", n)
+    monkeypatch.setattr(io, "_ROWS_PER_SLICE", n)
+    assert cli.main(["classify", "--input", str(path), "--output", str(tmp_path / "one.json")]) == cli.EXIT_OK
+    assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
 def test_classify_bad_file(tmp_path, capsys):
@@ -496,18 +519,53 @@ def test_mdo_non_finite_report_names_the_momentum_and_field(tmp_path, capsys, p,
     assert captured.err == f"error: NonFiniteMomentum: momentum m=1.0, p={p!r}, theta=0.5, phi=0.2: {field} is not finite\n"
 
 
-@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
-@pytest.mark.parametrize("p", [1e7, 1e8, 1e9])
-def test_mdo_large_p_over_m_exits_0_with_a_small_residual(tmp_path, capsys, p):
+def _large_p_mdo(tmp_path, capsys, p):
+    """The mdo report (S, helicity +) at m = 1 and momentum p, after the
+    checks of its spinor and residual that hold at every p/m up to 1e9."""
+    path = write_json(tmp_path / "mom.json", {"m": 1, "p": p, "theta": 0.5, "phi": 0.2})
+    code, rep = run_cli(["mdo", "--momentum", path, "--conj", "S", "--helicity", "+"], capsys)
     # E rounds to p: sqrt(E - p) is formed as sqrt(m^2 / (E + p)), so the
     # helicity-(+) block keeps its norm^2 m^2 / (E + p) instead of cancelling
-    path = write_json(tmp_path / "mom.json", {"m": 1, "p": p, "theta": 0.5, "phi": 0.2})
-    code, rep = run_cli(["mdo", "--momentum", path], capsys)
-    assert code == cli.EXIT_OK
     lam = np.array(rep["spinor"]["re"]) + 1j * np.array(rep["spinor"]["im"])
     assert np.sum(np.abs(lam[2:]) ** 2) == pytest.approx(1.0 / (rep["energy"] + p), rel=1e-14)
-    # slash(p) Xi has entries ~ p^2 / m, so rounding leaves ~ eps (p/m)^2 m |lambda|
+    # slash(p) and Xi have entries ~ p and p/m, so rounding leaves ~ eps (p/m)^2 m |lambda|
     assert rep["diraclike_residual"] <= 1e-15 * p**2 * np.linalg.norm(lam)
+    return code, rep
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+@pytest.mark.parametrize("p", [1e7])
+def test_mdo_large_p_over_m_exits_0_with_a_small_residual(tmp_path, capsys, p):
+    code, rep = _large_p_mdo(tmp_path, capsys, p)
+    assert (code, rep["diraclike_sign"]) == (cli.EXIT_OK, mdo.DIRACLIKE_SIGN["S"])
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave cli.main
+@pytest.mark.parametrize("p", [1e8, 1e9])
+def test_mdo_unresolved_diraclike_sign_is_flagged(tmp_path, capsys, p):
+    # the rounding floor of slash(p) Xi lambda is past m |lambda|, half the
+    # gap between the two signs' residuals: the sign read there could be -1
+    code, rep = _large_p_mdo(tmp_path, capsys, p)
+    assert (code, rep["diraclike_sign"]) == (cli.EXIT_FLAGGED, 0)
+
+
+@pytest.mark.parametrize(
+    "exc, err",
+    [
+        (KeyError("no such field"), "error: internal: KeyError: 'no such field'\n"),
+        (RuntimeError("first line\nsecond line"), "error: internal: RuntimeError: first line second line\n"),
+    ],
+    ids=["KeyError", "two-line message"],
+)
+def test_an_internal_error_exits_4_with_one_line(monkeypatch, capsys, exc, err):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    code = cli.main(["classify", "--input", "corpus.csv"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR == 4
+    assert (captured.out, captured.err) == ("", err)
 
 
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinorlab import bilinear, clifford, mdo, rim
 from spinorlab.generators import random_momenta, random_rim_bases, random_valid_params
@@ -131,6 +133,25 @@ def test_diraclike_residual_and_fixture(rng):
                 res, eta = mdo.diraclike_residual(e, mom)
                 assert res < 1e-9 * mom.m * np.linalg.norm(e.spinor)
                 assert eta == mdo.DIRACLIKE_SIGN[conj]
+
+
+@given(
+    log_p_over_m=st.floats(0.0, 9.0),
+    log_m=st.floats(-3.0, 3.0),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    conj=st.sampled_from(["S", "A"]),
+    h=st.sampled_from([+1, -1]),
+)
+@example(log_p_over_m=8.0, log_m=0.0, theta=0.5, phi=0.2, conj="S", h=+1)  # read -1
+@settings(deadline=None, max_examples=300)
+def test_every_reported_diraclike_sign_is_its_conjugacys(log_p_over_m, log_m, theta, phi, conj, h):
+    m = 10.0**log_m
+    mom = mdo.Momentum(m, m * 10.0**log_p_over_m, theta, phi)
+    res, eta = mdo.diraclike_residual(mdo.elko(mom, h, conj), mom)
+    assert eta in (0, mdo.DIRACLIKE_SIGN[conj])
+    # the rounding floor stays below half the gap up to p/m ~ 2e7
+    assert eta != 0 or log_p_over_m > 7.0
 
 
 def test_diraclike_mass_rescaling():
