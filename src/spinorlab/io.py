@@ -39,7 +39,7 @@ def _fail(path, msg: str) -> InputError:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: also an int of more digits than int() takes
         raise _fail(path, f"cannot parse JSON ({exc})") from exc
 
 

@@ -117,8 +117,12 @@ def from_json(obj: dict) -> np.ndarray:
 
 
 def is_number(x) -> bool:
-    """An int or float, not a bool (json reads true as one) or a string."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or float, not a bool (json reads true as one), a string or an
+    int from _FLOAT_OVERFLOW up, which float() rounds past the largest float."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool) and abs(x) < _FLOAT_OVERFLOW)
+
+
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the largest float plus half its ulp
 
 
 def complex_to_json(z: complex) -> dict:

@@ -634,6 +634,32 @@ def test_map_rejects_params_that_are_not_numbers(params, detail, base_setup, cap
     assert _only_error_line(capsys) == f"error: {path}: params need fields a/b with re/im ({detail})\n"
 
 
+@pytest.mark.parametrize("digits", [401, 5001], ids=["beyond_float", "beyond_int_parsing"])
+@pytest.mark.parametrize("loader", ["classify --input", "map --params", "map --coeffs", "mdo --momentum"])
+def test_an_integer_beyond_float_range_exits_2_naming_the_file(loader, digits, base_setup, capsys):
+    # 10^400 is too large for float(); from 4301 digits json cannot parse an int at all
+    _, _, _, _, files, tmp_path = base_setup
+    params = json.loads(Path(files["params"]).read_text())
+    coeffs = json.loads(Path(files["coeffs"]).read_text())
+    bad = {
+        "classify --input": {"re": ["BIG", 0, 0, 0], "im": [0, 0, 0, 0]},
+        "map --params": {**params, "b": {"re": 0.6, "im": "BIG"}},
+        "map --coeffs": {**coeffs, "M": "BIG"},
+        "mdo --momentum": {"m": 1.0, "p": "BIG"},
+    }[loader]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad).replace('"BIG"', "1" + "0" * (digits - 1)))
+    map_argv = ["map", "--direction", "dirac-to-mdo", "--input", files["base"]]
+    argv = {
+        "classify --input": ["classify", "--input", str(path)],
+        "map --params": map_argv + ["--params", str(path), "--coeffs", files["coeffs"]],
+        "map --coeffs": map_argv + ["--params", files["params"], "--coeffs", str(path)],
+        "mdo --momentum": ["mdo", "--momentum", str(path)],
+    }[loader]
+    assert cli.main(argv) == cli.EXIT_INVALID_INPUT
+    assert _only_error_line(capsys).startswith(f"error: {path}: ")
+
+
 _SPINOR_SHAPE = '{"re": [4 numbers], "im": [4 numbers]}'
 
 
