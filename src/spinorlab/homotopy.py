@@ -163,10 +163,11 @@ def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> Homotop
     """Path between two spinors given as coordinates in one shared basis."""
     if psi_coords.basis != phi_coords.basis:
         raise BasisMismatch(f"{psi_coords.basis!r} vs {phi_coords.basis!r}")
+    zero = False  # per row, either endpoint, so that the first failing row is named
     for c in (psi_coords, phi_coords):
         r1, r2 = np.abs(c.r1), np.abs(c.r2)
-        zero = r1 <= _PARAM_TOL * np.fmax(1.0, np.fmax(r1, r2))
-        raise_first(zero, DegenerateParameter, "coordinate-function form needs r1 != 0")
+        zero = zero | (r1 <= _PARAM_TOL * np.fmax(1.0, np.fmax(r1, r2)))
+    raise_first(zero, DegenerateParameter, "coordinate-function form needs r1 != 0")
     f = CoordFunction(num=psi_coords.r2, den=psi_coords.r1)
     g = CoordFunction(num=phi_coords.r2, den=phi_coords.r1)
     return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w), basis=psi_coords.basis)

@@ -278,6 +278,13 @@ def test_degenerate_t_of_antipodal_paths_in_an_array():
         homotopy.sample_basis(path, random_rim_bases(np.random.default_rng(0), 2), 0.5)
 
 
+def test_spinor_homotopy_names_the_first_row_zero_in_either_endpoint():
+    psi = plane.PlaneCoords(np.array([1.0, 1e-14]), np.array([1.0, 1.0]))
+    phi = plane.PlaneCoords(np.array([1e-14, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(homotopy.DegenerateParameter, match="row 0: coordinate-function form needs r1 != 0"):
+        homotopy.spinor_homotopy(psi, phi)
+
+
 @given(seed=seeds, n=rows, span=decades, off=st.integers(min_value=0, max_value=9))
 @settings(deadline=None, max_examples=EXAMPLES)
 def test_decompose_batch_against_per_row_bases(seed, n, span, off):
