@@ -181,6 +181,24 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
+def by_row_blocks(fn, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(*arrays) on the row blocks of its n-row arrays: each of the per-row
+    arrays fn returns is written into an n-row output allocated once, so a
+    pass holds those and one block's temporaries.  Up to ``_BLOCK`` rows are
+    one call, returned as it is."""
+    n = len(arrays[0])
+    if n <= _BLOCK:
+        return fn(*arrays)
+    outs = None
+    for rows in _blocks(n):
+        part = fn(*(a[rows] for a in arrays))
+        if outs is None:
+            outs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
+        for out, p in zip(outs, part):
+            out[rows] = p
+    return outs
+
+
 def compute_batch(
     psis: np.ndarray,
     dual: DualKind = DualKind.DIRAC,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bilinear import compute_batch
+from .bilinear import by_row_blocks, compute_batch
 
 
 def random_spinors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -30,15 +30,17 @@ def random_rim_bases(rng: np.random.Generator, n: int, margin: float = 1e-2) -> 
     have = 0
     while have < n:
         cand = random_spinors(rng, 2 * (n - have) + 8)
-        cov = compute_batch(cand)
-        a = np.real(cov["A"])
-        b = np.real(cov["B"])
-        s = cov["scale"]
-        keep = (np.abs(a) > margin * s) & (np.abs(b) > margin * s) & (np.abs(np.abs(a) - np.abs(b)) > margin * s)
-        took = cand[keep][: n - have]
+        took = cand[by_row_blocks(lambda rows: _clear_of_margin(rows, margin), cand)[0]][: n - have]
         out[have : have + took.shape[0]] = took
         have += took.shape[0]
     return out
+
+
+def _clear_of_margin(cand: np.ndarray, margin: float) -> tuple[np.ndarray]:
+    """Whether each candidate's |A|, |B| and ||A| - |B|| exceed margin * scale."""
+    cov = compute_batch(cand)
+    a, b, s = np.abs(cov["A"].real), np.abs(cov["B"].real), margin * cov["scale"]
+    return ((a > s) & (b > s) & (np.abs(a - b) > s),)
 
 
 def random_valid_params(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

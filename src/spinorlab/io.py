@@ -90,15 +90,6 @@ def load_params(path: str | Path) -> tuple[complex, complex]:
     return a, b
 
 
-def _number(obj: dict, key: str, default: float | None = None) -> float:
-    """obj[key], or ``default`` where it is absent and there is one, as a
-    float; TypeError for a bool or a string, which float() would take."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if not spinor.is_number(value):
-        raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
 def load_coeff_inputs(path: str | Path) -> dict:
     """Map inputs {A, B, M, m, theta, sign} for the coefficient set; sign is
     "+", "-", 1 or -1, and is returned as +1 or -1."""
@@ -106,11 +97,11 @@ def load_coeff_inputs(path: str | Path) -> dict:
     obj = _read_json(path)
     try:
         inputs = {
-            "A": _number(obj, "A"),
-            "B": _number(obj, "B"),
-            "M": _number(obj, "M", 0.0),
-            "m": _number(obj, "m", 0.0),
-            "theta": _number(obj, "theta", 0.0),
+            "A": spinor.as_number(obj["A"], "A"),
+            "B": spinor.as_number(obj["B"], "B"),
+            "M": spinor.as_number(obj.get("M", 0.0), "M"),
+            "m": spinor.as_number(obj.get("m", 0.0), "m"),
+            "theta": spinor.as_number(obj.get("theta", 0.0), "theta"),
             "sign": obj.get("sign", "+"),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -129,10 +120,10 @@ def load_momentum(path: str | Path) -> dict:
     obj = _read_json(path)
     try:
         mom = {
-            "m": _number(obj, "m"),
-            "p": _number(obj, "p"),
-            "theta": _number(obj, "theta", 0.0),
-            "phi": _number(obj, "phi", 0.0),
+            "m": spinor.as_number(obj["m"], "m"),
+            "p": spinor.as_number(obj["p"], "p"),
+            "theta": spinor.as_number(obj.get("theta", 0.0), "theta"),
+            "phi": spinor.as_number(obj.get("phi", 0.0), "phi"),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(path, f"momentum needs m, p [, theta, phi] ({exc})") from exc

@@ -3,6 +3,7 @@ derivative-condition identities.
 
 Every function computes over rows; a scalar call (one (4,) spinor, one
 Bilinears, scalar angles) is one row, unwrapped by ``errors.one_row``.
+``pointwise_residuals`` runs in row blocks; ``rim_derivative`` is one pass.
 
 The derivative condition reads d_mu psi = (a J_mu - b K_mu gamma5) psi.
 Sign constraint: with the stored K^mu = psibar gamma5 gamma^mu psi one has
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import Bilinears, compute_batch
+from .bilinear import Bilinears, by_row_blocks, compute_batch
 from .clifford import build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
 from .lounesto import ClassifyOptions
@@ -161,7 +162,7 @@ def vartheta(params: RimParams, pots: Potentials):
     return one_row(np.exp(2j * np.atleast_1d(params.s) * pots.R), np.ndim(params.s) == np.ndim(pots.R) == 0)
 
 
-def _pointwise(psi, params: RimParams) -> tuple:
+def _pointwise(psi, a, b) -> tuple:
     """The pass behind the pointwise identities: the (n, 4) spinors, their
     covariants, gamma5 psi, J_mu and K_mu (the stored currents lowered with
     eta), the (n,) couplings and the (n, 4mu, 4) stack D_mu psi =
@@ -170,7 +171,7 @@ def _pointwise(psi, params: RimParams) -> tuple:
     psis = np.atleast_2d(np.asarray(psi, dtype=complex))
     cov = compute_batch(psis)
     g5psi = psis @ build().gamma5.T
-    a, b = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (params.a, params.b))
+    a, b = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (a, b))
     jl = cov["J"] * _ETA
     kl = cov["K"] * _ETA
     d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
@@ -180,7 +181,7 @@ def _pointwise(psi, params: RimParams) -> tuple:
 def rim_derivative(psi: np.ndarray, params: RimParams) -> np.ndarray:
     """The four coordinate derivatives D_mu psi implied by the condition:
     (4mu, 4) for one spinor, (n, 4mu, 4) for an (n, 4) stack."""
-    return one_row(_pointwise(psi, params)[-1], np.ndim(psi) == 1)
+    return one_row(_pointwise(psi, params.a, params.b)[-1], np.ndim(psi) == 1)
 
 
 def pointwise_residuals(psi: np.ndarray, params: RimParams):
@@ -197,10 +198,17 @@ def pointwise_residuals(psi: np.ndarray, params: RimParams):
     Floats for one (4,) spinor, (n,) arrays for an (n, 4) stack, whose
     couplings may be scalars or (n,) arrays.
     """
-    psis, cov, g5psi, jl, kl, a, b, d = _pointwise(psi, params)
+    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
+    couplings = (np.broadcast_to(np.atleast_1d(c), len(psis)) for c in (params.a, params.b, params.s))
+    return one_row(by_row_blocks(_residuals, psis, *couplings), np.ndim(psi) == 1)
+
+
+def _residuals(psis: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple:
+    """``pointwise_residuals`` of one block of rows and its (m,) couplings."""
+    psis, cov, g5psi, jl, kl, a, b, d = _pointwise(psis, a, b)
     g = build()
     lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
-    rhs = 2.0 * np.atleast_1d(params.s)[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
+    rhs = 2.0 * s[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
     heisenberg = np.linalg.norm(lhs - rhs, axis=1)
     g0 = g.gamma[0]
     dbar = np.conj(d) @ g0  # (n, 4mu, 4)
@@ -214,7 +222,7 @@ def pointwise_residuals(psi: np.ndarray, params: RimParams):
     rhs_b = two_re_a * cov["B"][:, None] * jl - i_two_im_b * cov["A"][:, None] * kl
     del_a = np.max(np.abs(da - rhs_a), axis=1)
     del_b = np.max(np.abs(db - rhs_b), axis=1)
-    return one_row((heisenberg, del_a, del_b), np.ndim(psi) == 1)
+    return heisenberg, del_a, del_b
 
 
 def heisenberg_residual(psi: np.ndarray, params: RimParams):

@@ -133,8 +133,15 @@ def complex_from_json(obj: dict, name: str = "z") -> complex:
     """The number of a ``complex_to_json`` object; TypeError naming the part
     of ``name`` that is not a number."""
     re, im = obj["re"], obj["im"]
-    for key, part in (("re", re), ("im", im)):
-        if not is_number(part):
-            raise TypeError(f"{name}.{key} must be a number, got {json.dumps(part)}")
-    return complex(float(re), float(im))
+    return complex(as_number(re, f"{name}.re"), as_number(im, f"{name}.im"))
+
+
+def as_number(x, name: str) -> float:
+    """x as a float, or TypeError naming ``name`` unless ``is_number(x)``; an
+    integer beyond float range is shown by its first digits and its length."""
+    if is_number(x):
+        return float(x)
+    huge = isinstance(x, int) and not isinstance(x, bool)
+    got = f"{str(x)[:6 + (x < 0)]}... ({len(str(abs(x)))} digits)" if huge else json.dumps(x)
+    raise TypeError(f"{name} must be a number{' in float range' if huge else ''}, got {got}")
 

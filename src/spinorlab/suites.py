@@ -15,7 +15,8 @@ Every randomised check is one array pass over its draws, the ``homotopy``
 bisection included, which moves all its paths in lockstep.  Draws that a
 check once took trial by trial are taken in bulk in the same order, except
 the synthetic rejections of ``props``, which draw all coordinates and then
-all scales.
+all scales.  The large covariant passes of ``fpk``, ``props`` and ``rim``
+run in row blocks and keep only the per-trial arrays their checks read.
 
 ``trials`` is the number of draws of every randomised check but these,
 which cap their draws below it (README lists the caps) and report the
@@ -53,7 +54,8 @@ def _check(name: str, tol: float, *per_trial: np.ndarray, fixed: bool = False) -
     its length; the arrays of a ``fixed`` identity hold residuals of
     constant matrices, not draws, and report 0 trials.  ``value`` is the
     number of set flags over bool arrays, else the largest |value| (0 over
-    no rows).  Both are numpy reductions, so a NaN anywhere fails the check.
+    no rows).  Both are numpy reductions, so a NaN anywhere fails the check;
+    a value that is not finite is reported as None (JSON null).
     """
     arrays = [np.asarray(a) for a in per_trial]
     trials = 0 if fixed else len(arrays[0])
@@ -62,7 +64,8 @@ def _check(name: str, tol: float, *per_trial: np.ndarray, fixed: bool = False) -
         value = float(sum(np.count_nonzero(a) for a in arrays))
     else:
         value = float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays]))
-    return {"name": name, "trials": trials, "value": value, "tol": float(tol), "pass": bool(value <= tol)}
+    row = {"name": name, "trials": trials, "value": value, "tol": float(tol), "pass": bool(value <= tol)}
+    return row if math.isfinite(value) else {**row, "value": None}
 
 
 def _report(suite: str, checks: list[dict]) -> dict:
@@ -79,6 +82,16 @@ def _per_row(x, like) -> np.ndarray:
 def _rel(diff, scale) -> np.ndarray:
     """|diff| / max(1, |scale|), with the scale ``_per_row`` over diff."""
     return np.abs(diff) / _per_row(np.maximum(1.0, np.abs(scale)), diff)
+
+
+def _row_max(*arrays) -> np.ndarray:
+    """Each row's largest |value| over (n, ...) arrays, NaN where one is NaN."""
+    return np.max([np.max(np.abs(a), axis=tuple(range(1, a.ndim))) for a in arrays], axis=0)
+
+
+def _cov_rows(fn, psis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn's per-row arrays of the covariants of a spinor stack, in row blocks."""
+    return bilinear.by_row_blocks(lambda rows: fn(bilinear.compute_batch(rows)), psis)
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +139,37 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
     n = cfg.trials
     checks = []
 
-    psis = generators.random_spinors(gen, n)
-    cov = bilinear.compute_batch(psis)
-    quartic = quartic_scale(psis)
-    quad = quad_scale(psis)
+    def covariant_rows(psis):
+        cov = bilinear.compute_batch(psis)
+        quad = quad_scale(psis)
+        a_split = _rel(cov["A"] - (cov["A1"] + cov["A2"]), quad)
+        b_split = _rel(cov["B"] - 1j * (-cov["A1"] + cov["A2"]), quad)
+        reality = _row_max(*(_rel(cov[k].imag, quad) for k in "ABJKS"))
+        return bilinear.fpk_residuals_batch(cov) / quartic_scale(psis)[:, None], reality, _row_max(a_split, b_split)
 
-    res = bilinear.fpk_residuals_batch(cov) / quartic[:, None]
+    def fast_vs_matrix_rows(bases, r1, r2):
+        psis2 = plane.block_scale(bases, r1, r2)
+        oracle = bilinear.compute_batch(psis2)
+        fast = bilinear.compute_fast_batch(bases, r1, r2)
+        scale2 = quad_scale(psis2)
+        diffs = (
+            [fast[k] - oracle[k] for k in "ABJ"]
+            + [fast["K0"] - oracle["K"][:, 0]]
+            + [fast[f"S{mu}{nu}"] - oracle["S"][:, mu, nu] for mu in range(4) for nu in range(mu + 1, 4)]
+        )
+        return (_row_max(*(_rel(d, scale2) for d in diffs)),)
+
+    psis = generators.random_spinors(gen, n)
+    res, reality, split = bilinear.by_row_blocks(covariant_rows, psis)
     for i, name in enumerate(["fpk_j2_ab", "fpk_axial_tensor", "fpk_jk_orthogonal", "fpk_j2_k2"]):
         checks.append(_check(name, 1e-10, res[:, i]))
-
-    checks.append(_check("dirac_dual_reality", 1e-10, *(_rel(cov[k].imag, quad) for k in "ABJKS")))
-
-    a_split = _rel(cov["A"] - (cov["A1"] + cov["A2"]), quad)
-    b_split = _rel(cov["B"] - 1j * (-cov["A1"] + cov["A2"]), quad)
-    checks.append(_check("chiral_overlap_split", 1e-10, a_split, b_split))
+    checks.append(_check("dirac_dual_reality", 1e-10, reality))
+    checks.append(_check("chiral_overlap_split", 1e-10, split))
 
     bases = generators.random_spinors(gen, n)
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    psis2 = plane.block_scale(bases, r1, r2)
-    oracle = bilinear.compute_batch(psis2)
-    fast = bilinear.compute_fast_batch(bases, r1, r2)
-    scale2 = quad_scale(psis2)
-    diffs = (
-        [fast[k] - oracle[k] for k in "ABJ"]
-        + [fast["K0"] - oracle["K"][:, 0]]
-        + [fast[f"S{mu}{nu}"] - oracle["S"][:, mu, nu] for mu in range(4) for nu in range(mu + 1, 4)]
-    )
-    checks.append(_check("fast_vs_matrix", 1e-10, *(_rel(d, scale2) for d in diffs)))
+    checks.append(_check("fast_vs_matrix", 1e-10, *bilinear.by_row_blocks(fast_vs_matrix_rows, bases, r1, r2)))
 
     m = min(n, 2000)
     sub = psis[:m]
@@ -177,7 +193,7 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
 
 def _classes(psis: np.ndarray, opt: lounesto.ClassifyOptions) -> np.ndarray:
     """Brute-force class codes of a spinor stack; 0 where classify would raise."""
-    return lounesto.classify_batch(bilinear.compute_batch(psis), opt)[0]
+    return _cov_rows(lambda cov: lounesto.classify_batch(cov, opt)[:1], psis)[0]
 
 
 def suite_props(cfg: SuiteConfig) -> dict:
@@ -191,10 +207,13 @@ def suite_props(cfg: SuiteConfig) -> dict:
         """Class codes of the coefficient route, 0 on an error row."""
         return lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)[0]
 
+    def lemma4_rows(cov6):  # brute-force type 6 with K nonzero and S zero
+        thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
+        type6 = lounesto.classify_batch(cov6, opt)[0] == T6
+        return (type6 & (np.max(np.abs(cov6["K"]), axis=1) > thr6) & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6),)
+
     bases = generators.random_rim_bases(gen, n)
-    base_cov = bilinear.compute_batch(bases)
-    a_vals = np.real(base_cov["A"])
-    b_vals = np.real(base_cov["B"])
+    a_vals, b_vals = _cov_rows(lambda cov: (cov["A"].real, cov["B"].real), bases)
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
@@ -209,13 +228,7 @@ def suite_props(cfg: SuiteConfig) -> dict:
     fast = coefficient_classes(rr1, rr2, a_vals, b_vals)
     checks.append(_check("real_pairs_type1", 0, (fast != T1) | (brute != T1)))
 
-    cov6 = bilinear.compute_batch(plane.block_scale(bases, r1, np.zeros(n, dtype=complex)))
-    thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
-    lemma4 = (
-        (lounesto.classify_batch(cov6, opt)[0] == T6)
-        & (np.max(np.abs(cov6["K"]), axis=1) > thr6)
-        & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6)
-    )
+    (lemma4,) = _cov_rows(lemma4_rows, plane.block_scale(bases, r1, np.zeros(n, dtype=complex)))
     fast = coefficient_classes(r1, np.zeros(n), a_vals, b_vals)
     checks.append(_check("one_zero_type6_lemma4", 0, ~((fast == T6) & lemma4)))
 
@@ -287,6 +300,7 @@ def suite_rim(cfg: SuiteConfig) -> dict:
         x, y = phi1[tags == dom], phi2[tags == dom]
         membership += (x.min() <= phi1) & (phi1 <= x.max()) & (y.min() <= phi2) & (phi2 <= y.max())
     checks.append(_check("domain_disjointness", 0, membership > 1))
+    del phi1, phi2, tags, membership  # at least 10^5 rows each
 
     psis = generators.random_spinors(gen, n)
     quartic = quartic_scale(psis)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -310,6 +311,25 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, rep = run_cli(["verify", "--suite", "clifford", "--trials", "10", "--seed", "1"], capsys)
     assert code == 3
     assert rep["pass"] is False
+
+
+def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypatch, capsys):
+    chi_factors = plane.chi_factors
+
+    def with_nan(c):
+        chi = chi_factors(c)
+        chi2_inv = np.array(chi.chi2_inv)
+        chi2_inv[3] = np.nan
+        return dataclasses.replace(chi, chi2_inv=chi2_inv)
+
+    monkeypatch.setattr(plane, "chi_factors", with_nan)
+    code = cli.main(["verify", "--suite", "plane", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_SUITE_FAILURE and captured.err == ""
+    rep = json.loads(captured.out)
+    checks = {c["name"]: c for c in rep["suites"][0]["checks"]}
+    assert checks["chi_roundtrip"] == {"name": "chi_roundtrip", "trials": 10, "value": None, "tol": 1e-12, "pass": False}
+    assert rep["pass"] is False and sum(not c["pass"] for c in checks.values()) == 1
 
 
 def test_verify_deterministic_reports(tmp_path):
@@ -657,7 +677,10 @@ def test_an_integer_beyond_float_range_exits_2_naming_the_file(loader, digits, b
         "mdo --momentum": ["mdo", "--momentum", str(path)],
     }[loader]
     assert cli.main(argv) == cli.EXIT_INVALID_INPUT
-    assert _only_error_line(capsys).startswith(f"error: {path}: ")
+    line = _only_error_line(capsys)
+    assert line.startswith(f"error: {path}: ") and len(line.replace(str(path), "PATH")) < 200
+    if digits == 401 and loader != "classify --input":  # shown by its first digits
+        assert "must be a number in float range, got 100000... (401 digits)" in line
 
 
 _SPINOR_SHAPE = '{"re": [4 numbers], "im": [4 numbers]}'

@@ -139,3 +139,12 @@ def test_from_json_rejects_wrong_length():
 def test_as_spinor_rejects_nan():
     with pytest.raises(ValueError):
         spinor.as_spinor([np.nan, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "x, got", [(10**400, "100000... (401 digits)"), (-(10**400), "-100000... (401 digits)")], ids=["positive", "negative"]
+)
+def test_an_integer_beyond_float_range_is_named_by_its_first_digits(x, got):
+    with pytest.raises(TypeError) as exc:
+        spinor.as_number(x, "p")
+    assert str(exc.value) == f"p must be a number in float range, got {got}"
