@@ -6,11 +6,12 @@ Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 --output that cannot be written, 3 identity-suite failure, 4 an internal
 error (any other exception); stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
 variable overrides the default tolerance (1e-9); report order always equals
-input order.  ``classify`` and ``decompose`` each make one vectorised pass
-over the corpus (covariants or plane coordinates, then classes) and hand
-the report's header, numpy columns and per-row layouts to
-``io.write_rows_report``, which checks that every float is finite and then
-streams the rows through one template per layout.  A row whose covariants,
+input order.  ``classify`` and ``decompose`` each make one pass over the corpus
+in ``bilinear._blocks`` of 1024 rows (covariants or plane coordinates,
+then classes) and hand ``io.write_rows_report`` the report's header and,
+block by block, the numpy columns and per-row layouts; it checks that each
+block's floats are finite and streams its rows through one template per
+layout before the next block is computed.  A row whose covariants,
 residuals or plane coordinates overflow is a ``NonFiniteValue`` error row
 naming its first such field, and the rest of the corpus is written.  ``homotopy``
 takes its rows' classes and its transition from one sweep of the rows'
@@ -160,74 +161,93 @@ def _non_finite_rows(columns: dict, rows: np.ndarray, names, details, near) -> n
     return over
 
 
+def _write_blocks(header: dict, n: int, block, output: str | None) -> int:
+    """Stream the report of an n-row corpus, one ``bilinear._blocks`` block
+    at a time: ``block(rows, flagged)`` gives the block's (layouts, codes)
+    for ``io.write_rows_report`` and appends to ``flagged`` whether any of
+    its rows is near-degenerate.  Returns the exit code."""
+    flagged: list[bool] = []
+    io.write_rows_report(header, (block(rows, flagged) for rows in bilinear._blocks(n)), output)
+    return EXIT_FLAGGED if any(flagged) else EXIT_OK
+
+
 def _cmd_classify(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
-    cov = bilinear.compute_batch(io.load_spinors(args.input))
-    classes, errors, near = lounesto.classify_batch(cov, opt)
-    residuals = bilinear.fpk_residuals_batch(cov)
-    ids = np.arange(classes.size)
-    names, details = _error_texts(lounesto.ROW_ERRORS, errors)
-    class_row = {
-        "id": ids,
-        "lounesto_class": classes,
-        "regular": _REGULAR[classes],
-        "near_degenerate": near,
-        "A": np.real(cov["A"]),
-        "B": np.real(cov["B"]),
-        "J": np.real(cov["J"]),
-        "K": np.real(cov["K"]),
-        "S": np.real(cov["S"]),
-        "fpk_residuals": np.real(residuals),
-    }
-    # a class row whose covariants or residuals overflow is an error row naming its first such field
-    floats = {k: class_row[k] for k in ("A", "B", "J", "K", "S", "fpk_residuals")}
-    over = _non_finite_rows(floats, errors == 0, names, details, near)
-    error_row = {"id": ids, "error": names, "detail": details}
+    psis = io.load_spinors(args.input)
+
+    def block(rows, flagged):
+        cov = bilinear.compute_batch(psis[rows])
+        classes, errors, near = lounesto.classify_batch(cov, opt)
+        residuals = bilinear.fpk_residuals_batch(cov)
+        ids = np.arange(rows.start, rows.start + classes.size)
+        names, details = _error_texts(lounesto.ROW_ERRORS, errors)
+        class_row = {
+            "id": ids,
+            "lounesto_class": classes,
+            "regular": _REGULAR[classes],
+            "near_degenerate": near,
+            "A": np.real(cov["A"]),
+            "B": np.real(cov["B"]),
+            "J": np.real(cov["J"]),
+            "K": np.real(cov["K"]),
+            "S": np.real(cov["S"]),
+            "fpk_residuals": np.real(residuals),
+        }
+        # a class row whose covariants or residuals overflow is an error row naming its first such field
+        floats = {k: class_row[k] for k in ("A", "B", "J", "K", "S", "fpk_residuals")}
+        over = _non_finite_rows(floats, errors == 0, names, details, near)
+        error_row = {"id": ids, "error": names, "detail": details}
+        flagged.append(bool(near.any()))
+        return [class_row, error_row], (errors != 0) | over
+
     header = {"command": "classify", "config": {"tol": args.tol, "input": str(args.input)}}
-    io.write_rows_report(header, [class_row, error_row], (errors != 0) | over, args.output)
-    return EXIT_FLAGGED if near.any() else EXIT_OK
+    return _write_blocks(header, psis.shape[0], block, args.output)
 
 
 def _cmd_decompose(args) -> int:
     opt = lounesto.ClassifyOptions(tol=args.tol)
     psis = io.load_spinors(args.input)
     base, a_val, b_val = _load_base(args.base)
-    coords, residuals, failures = plane.decompose_batch(psis, base)
-    classes, errors, near = lounesto.classify_by_coefficients_batch(
-        coords[:, 0], coords[:, 1], a_val, b_val, opt
-    )
-    # layouts: 0 class row, 1 coefficient-error row, 2 failed row
-    layout = np.minimum(errors, 1)
-    names, details = _error_texts(lounesto.COEFFICIENT_ERRORS, errors)
-    failed = list(failures)
-    layout[failed] = 2
-    near[failed] = False
-    names[failed] = [type(exc).__name__ for exc in failures.values()]
-    details[failed] = [str(exc) for exc in failures.values()]
-    # a row whose coordinates or residuals overflow is an error row naming its first such field
-    floats = {"r1": coords[:, 0], "r2": coords[:, 1], "residuals": residuals}
-    layout[_non_finite_rows(floats, layout != 2, names, details, near)] = 2
-    ids = np.arange(psis.shape[0])
-    r1 = {"re": coords[:, 0].real, "im": coords[:, 0].imag}
-    r2 = {"re": coords[:, 1].real, "im": coords[:, 1].imag}
-    class_row = {
-        "id": ids,
-        "r1": r1,
-        "r2": r2,
-        "residuals": residuals,
-        "lounesto_class": classes,
-        "regular": _REGULAR[classes],
-        "near_degenerate": near,
-    }
-    coefficient_error_row = {"id": ids, "r1": r1, "r2": r2, "residuals": residuals, "error": names, "detail": details}
-    error_row = {"id": ids, "error": names, "detail": details}
+
+    def block(rows, flagged):
+        coords, residuals, failures = plane.decompose_batch(psis[rows], base)
+        classes, errors, near = lounesto.classify_by_coefficients_batch(
+            coords[:, 0], coords[:, 1], a_val, b_val, opt
+        )
+        # layouts: 0 class row, 1 coefficient-error row, 2 failed row
+        layout = np.minimum(errors, 1)
+        names, details = _error_texts(lounesto.COEFFICIENT_ERRORS, errors)
+        failed = list(failures)
+        layout[failed] = 2
+        near[failed] = False
+        names[failed] = [type(exc).__name__ for exc in failures.values()]
+        details[failed] = [str(exc) for exc in failures.values()]
+        # a row whose coordinates or residuals overflow is an error row naming its first such field
+        floats = {"r1": coords[:, 0], "r2": coords[:, 1], "residuals": residuals}
+        layout[_non_finite_rows(floats, layout != 2, names, details, near)] = 2
+        ids = np.arange(rows.start, rows.start + classes.size)
+        r1 = {"re": coords[:, 0].real, "im": coords[:, 0].imag}
+        r2 = {"re": coords[:, 1].real, "im": coords[:, 1].imag}
+        class_row = {
+            "id": ids,
+            "r1": r1,
+            "r2": r2,
+            "residuals": residuals,
+            "lounesto_class": classes,
+            "regular": _REGULAR[classes],
+            "near_degenerate": near,
+        }
+        error_row = {"id": ids, "error": names, "detail": details}
+        coefficient_error_row = {**error_row, "r1": r1, "r2": r2, "residuals": residuals}
+        flagged.append(bool(near.any()))
+        return [class_row, coefficient_error_row, error_row], layout
+
     header = {
         "command": "decompose",
         "config": {"tol": args.tol, "input": str(args.input), "base": str(args.base)},
         "base": {"A": a_val, "B": b_val},
     }
-    io.write_rows_report(header, [class_row, coefficient_error_row, error_row], layout, args.output)
-    return EXIT_FLAGGED if near.any() else EXIT_OK
+    return _write_blocks(header, psis.shape[0], block, args.output)
 
 
 def _cmd_map(args) -> int:

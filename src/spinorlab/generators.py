@@ -9,10 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .bilinear import by_row_blocks, compute_batch
+from .spinor import complex_view
 
 
 def random_spinors(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    """n spinors from one draw of 8n normals: the real parts, then the imaginary."""
+    pairs = np.empty((n, 8))
+    pairs[:, 0::2], pairs[:, 1::2] = rng.standard_normal((2, n, 4))
+    return complex_view(pairs)
 
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:

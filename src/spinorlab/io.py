@@ -8,12 +8,17 @@ byte-identical files.  The small reports go through ``json.dumps``; the
 corpus reports are streamed from numpy columns by ``write_rows_report``,
 whose bytes equal ``json.dumps`` of the same report.
 
-A streamed report is rendered ``_ROWS_PER_SLICE`` = 256 rows at a time, so
-only one slice's Python objects (34 per ``classify`` row) and text are alive
-at once: under 1 MiB, where a 2048-row slice held about 7 MiB, more than
-the covariants of a 10^4-row corpus.  On that corpus 256-, 512- and
-2048-row slices render equally fast (medians of 8 alternating in-process
-``classify`` passes), and 128-row slices save only 0.2 MiB more.
+A streamed report takes its rows one block at a time from an iterable, so
+the CLI computes each 1024-row block (``bilinear._blocks``) just before its
+text is written and holds no n-row result column.  Each block is rendered
+``_ROWS_PER_SLICE`` = 256 rows at a time, so only one slice's Python
+objects (34 per ``classify`` row) and text are alive at once: under 1 MiB,
+where a 2048-row slice held about 7 MiB.  On a 10^4-row corpus 256-, 512-
+and 2048-row slices render equally fast (medians of 8 alternating
+in-process ``classify`` passes), and 128-row slices save only 0.2 MiB more.
+
+A CSV corpus is parsed into one (n, 8) float array and returned as its
+(n, 4) complex view, with no copy.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ def _load_csv(path: Path) -> np.ndarray:
     finite = np.isfinite(raw).all(axis=1)
     if not finite.all():
         raise _fail(path, f"data row {int(np.argmin(finite)) + 1} has a non-finite value")
-    return raw[:, 0::2] + 1j * raw[:, 1::2]
+    return spinor.complex_view(raw)
 
 
 def load_params(path: str | Path) -> tuple[complex, complex]:
@@ -190,92 +195,126 @@ def _python_columns(block: np.ndarray) -> list[list]:
     return block.T.tolist()
 
 
+def _columns(node) -> list[np.ndarray]:
+    """The leaves of a row layout's dict, in its order, each as an (m, width) array."""
+    if isinstance(node, dict):
+        return [column for value in node.values() for column in _columns(value)]
+    column = np.asarray(node)
+    return [column.reshape(column.shape[0], -1)]
+
+
 class _RowLayout:
     """One row layout of a streamed report, compiled to a %-template.
 
-    ``row`` is a dict whose leaves are arrays over all n rows of the report
+    ``row`` is a dict whose leaves are arrays over the m rows of a block
     (row i is ``leaf[i]``, which may itself be an array): float, int or bool
     arrays, or str arrays.  The template is ``json.dumps(indent=2,
     sort_keys=True)`` of a skeleton row whose leaves are sentinel strings,
     each swapped for a conversion (%r for floats, %d for ints, %s for JSON
-    text), so key order and whitespace are the stdlib's.
+    text), so key order and whitespace are the stdlib's.  It is compiled
+    once, from the first block, and renders every block's ``_columns``.
     """
 
     def __init__(self, row: dict, newline: str) -> None:
-        self.leaves: list[tuple[str, np.ndarray, int]] = []  # (field, (n, width) column, its first slot)
+        self.leaves: list[tuple[str, int, str]] = []  # (field, its first slot, dtype kind)
         self.width = 0  # slots in a row
         skeleton = self._skeleton(row, "")
         text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%").replace("\n", newline)
         at = [text.index(f'"@{j}@"') for j in range(self.width)]
-        for _, column, start in self.leaves:
-            for j in range(start, start + column.shape[1]):
-                text = text.replace(f'"@{j}@"', _CONVERSIONS.get(column.dtype.kind, "%s"))
+        starts = [start for _, start, _ in self.leaves] + [self.width]
+        for (_, start, kind), end in zip(self.leaves, starts[1:]):
+            for j in range(start, end):
+                text = text.replace(f'"@{j}@"', _CONVERSIONS.get(kind, "%s"))
         self.template = text
         # the template's k-th slot takes the leaves' column order[k]
         self.order = sorted(range(self.width), key=at.__getitem__)
-        self.floats = [(at[start], field, column) for field, column, start in self.leaves if column.dtype.kind == "f"]
+        # (place in the template, field, leaf) of each float leaf
+        self.floats = [(at[start], field, k) for k, (field, start, kind) in enumerate(self.leaves) if kind == "f"]
 
     def _skeleton(self, node, field: str):
         if isinstance(node, dict):
             return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in node.items()}
         column = np.asarray(node)
-        flat = column.reshape(column.shape[0], -1)
-        self.leaves.append((field, flat, self.width))
-        sentinels = np.array([f"@{j}@" for j in range(self.width, self.width + flat.shape[1])], dtype=object)
-        self.width += flat.shape[1]
-        return sentinels.reshape(column.shape[1:]).tolist()
+        self.leaves.append((field, self.width, column.dtype.kind))
+        slots = range(self.width, self.width + math.prod(column.shape[1:]))
+        self.width += len(slots)
+        return np.array([f"@{j}@" for j in slots], dtype=object).reshape(column.shape[1:]).tolist()
 
-    def render(self, rows: np.ndarray) -> list[str]:
-        cols = [col for _, column, _ in self.leaves for col in _python_columns(column[rows])]
+    def render(self, columns: list[np.ndarray], rows: np.ndarray) -> list[str]:
+        cols = [col for column in columns for col in _python_columns(column[rows])]
         return list(map(self.template.__mod__, zip(*[cols[j] for j in self.order])))
 
 
-def _check_finite(layouts: list[_RowLayout], codes: np.ndarray) -> None:
+def _check_finite(layouts: list[_RowLayout], columns: list[list[np.ndarray]], codes: np.ndarray, offset: int) -> None:
     """ValueError naming the first row that would write a non-finite float,
-    and its first such field in key order."""
+    by its index in the report (``offset`` plus its index in ``codes``), and
+    its first such field in key order."""
     first = None  # (row, place in the template, field)
-    for k, layout in enumerate(layouts):
+    for k, (layout, leaves) in enumerate(zip(layouts, columns)):
         written = codes == k
-        for at, field, column in layout.floats:
-            bad = np.flatnonzero(written & ~np.isfinite(column).all(axis=1))
+        for at, field, leaf in layout.floats:
+            bad = np.flatnonzero(written & ~np.isfinite(leaves[leaf]).all(axis=1))
             if bad.size:
                 first = min(first or (int(bad[0]), at, field), (int(bad[0]), at, field))
     if first is not None:
-        raise ValueError(f"row {first[0]}: {first[2]} is not finite")
+        raise ValueError(f"row {first[0] + offset}: {first[2]} is not finite")
 
 
-def _row_chunks(header: dict, layouts: list[dict], codes: np.ndarray):
-    if codes.size == 0:
-        yield dumps_report({**header, "rows": []})
-        return
+def _slice_text(
+    layouts: list[_RowLayout], columns: list[list[np.ndarray]], codes: np.ndarray, start: int, sep: str
+) -> str:
+    """The text of the block's rows start, start + 1, ... that ``codes`` lays out."""
+    pieces = [""] * codes.size
+    for k, layout in enumerate(layouts):
+        at = np.flatnonzero(codes == k)
+        if at.size:
+            for i, text in zip(at.tolist(), layout.render(columns[k], at + start)):
+                pieces[i] = text
+    return sep.join(pieces)
+
+
+def _row_chunks(header: dict, blocks):
+    """The report's text in pieces: the header's, then each slice's rows."""
     # the stdlib's text around a one-row report: rows is the last key
     head, _, tail = dumps_report({**header, "rows": [0]}).rpartition("0")
     newline = head[head.rindex("\n") :]
-    compiled = [_RowLayout(row, newline) for row in layouts]
-    _check_finite(compiled, codes)
     sep = "," + newline
-    for start in range(0, codes.size, _ROWS_PER_SLICE):
-        part = codes[start : start + _ROWS_PER_SLICE]
-        pieces = [""] * part.size
-        for k, layout in enumerate(compiled):
-            at = np.flatnonzero(part == k)
-            if at.size:
-                for i, text in zip(at.tolist(), layout.render(at + start)):
-                    pieces[i] = text
-        yield (head if start == 0 else sep) + sep.join(pieces)
-    yield tail
+    lead = head  # the text before the next slice
+    done = 0  # rows of the blocks before this one
+    compiled = None  # the layouts' templates, made from the first block with rows
+    for layouts, codes in blocks:
+        codes = np.asarray(codes)
+        if codes.size == 0:
+            continue
+        compiled = compiled or [_RowLayout(row, newline) for row in layouts]
+        columns = [_columns(row) for row in layouts]
+        _check_finite(compiled, columns, codes, done)
+        for start in range(0, codes.size, _ROWS_PER_SLICE):
+            yield lead
+            yield _slice_text(compiled, columns, codes[start : start + _ROWS_PER_SLICE], start, sep)
+            lead = sep
+        done += codes.size
+        del layouts, codes, columns  # this block is freed before the next is made
+    yield tail if done else dumps_report({**header, "rows": []})
 
 
-def write_rows_report(header: dict, layouts: list[dict], codes: np.ndarray, path: str | Path | None) -> None:
+def write_rows_report(header: dict, blocks, path: str | Path | None) -> None:
     """Stream ``{**header, "rows": rows}`` to ``path``, or to stdout when it
-    is None, with the bytes ``dumps_report`` would give.  Row i is rendered
-    from ``layouts[codes[i]]`` (see ``_RowLayout``); every key of ``header``
-    sorts before "rows".  The header and every float of a written row are
-    checked before the output is opened: a non-finite one raises
-    ValueError, naming the first such row and field.  A write that fails
-    removes the partial file.
+    is None, with the bytes ``dumps_report`` would give.
+
+    ``blocks`` yields ``(layouts, codes)`` per block of consecutive rows:
+    the block's row j is rendered from ``layouts[codes[j]]`` (see
+    ``_RowLayout``), and the rows of all blocks make one list.  Each
+    block's layouts have the keys, leaf shapes and dtype kinds of the
+    first block's, whose templates render them all.  Every key of
+    ``header`` sorts before "rows".  The header and the first block are
+    checked before the output is opened, and each later block before its
+    text is written: a non-finite written float raises ValueError naming
+    the first such row, by its index in the report, and field.  A failure,
+    a later block's check included, removes the partial file; on stdout the
+    blocks already written stay written.
     """
-    chunks = _row_chunks(header, layouts, np.asarray(codes))
+    chunks = _row_chunks(header, blocks)
     first = next(chunks)
     if path is None:
         import sys

@@ -75,6 +75,17 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
+def complex_view(pairs: np.ndarray) -> np.ndarray:
+    """The (n, 2k) float ``pairs`` of re/im columns as their (n, k) complex
+    view, with no copy.  re += 0 im - 0 and then im += 0, in place, give the
+    bits of ``re + 1j * im`` (numpy's complex product and sum), signed zeros
+    included, for finite values."""
+    re, im = pairs[:, 0::2], pairs[:, 1::2]
+    re += 0.0 * im - 0.0
+    im += 0.0
+    return pairs.view(complex)
+
+
 def block1(psi: np.ndarray) -> np.ndarray:
     return np.asarray(psi)[:2]
 

@@ -171,19 +171,22 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
     r2 = generators.random_complex(gen, n)
     checks.append(_check("fast_vs_matrix", 1e-10, *bilinear.by_row_blocks(fast_vs_matrix_rows, bases, r1, r2)))
 
-    m = min(n, 2000)
-    sub = psis[:m]
-    theta = gen.uniform(0.0, 2.0 * np.pi, m)
-    rotated = bilinear.compute_batch(np.exp(1j * theta)[:, None] * sub)
-    base_cov = bilinear.compute_batch(sub)
-    subquad = quad_scale(sub)
-    checks.append(_check("phase_invariance", 1e-10, *(_rel(rotated[k] - base_cov[k], subquad) for k in "ABJKS")))
+    def invariance_rows(sub, theta, c):
+        base_cov = bilinear.compute_batch(sub)
+        rotated = bilinear.compute_batch(np.exp(1j * theta)[:, None] * sub)
+        subquad = quad_scale(sub)
+        phase = _row_max(*(_rel(rotated[k] - base_cov[k], subquad) for k in "ABJKS"))
+        scaled_cov = bilinear.compute_batch(c[:, None] * sub)
+        c2 = c**2
+        scaling = [np.abs(scaled_cov[k] - _per_row(c2, base_cov[k]) * base_cov[k]) for k in "AJS"]
+        return phase, _row_max(*(d / _per_row(c2 * subquad, d) for d in scaling))
 
+    m = min(n, 2000)
+    theta = gen.uniform(0.0, 2.0 * np.pi, m)
     c = gen.uniform(0.3, 2.5, m)
-    scaled_cov = bilinear.compute_batch(c[:, None] * sub)
-    c2 = c**2
-    scaling = [np.abs(scaled_cov[k] - _per_row(c2, base_cov[k]) * base_cov[k]) for k in "AJS"]
-    checks.append(_check("quadratic_scaling", 1e-10, *(d / _per_row(c2 * subquad, d) for d in scaling)))
+    phase, scaling = bilinear.by_row_blocks(invariance_rows, psis[:m], theta, c)
+    checks.append(_check("phase_invariance", 1e-10, phase))
+    checks.append(_check("quadratic_scaling", 1e-10, scaling))
     return _report("fpk", checks)
 
 

@@ -3,8 +3,8 @@
 Every command that reads files gets generated ones: JSON of the right
 shape with odd leaves (bools, numeric strings, null, integers beyond float
 range, magnitudes from 1e-320 to 1e308), JSON of the wrong shape or not
-JSON at all, CSV corpora with wrong column counts, and --output paths that
-cannot be written.  Exit 4, a traceback or a second stderr line is a
+JSON at all, CSV corpora with wrong column counts, CSV corpora of more
+than one row block, and --output paths that cannot be written.  Exit 4, a traceback or a second stderr line is a
 defect.
 """
 
@@ -15,7 +15,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinorlab import cli
+from spinorlab import bilinear, cli
 
 _SIGNS = st.sampled_from([1.0, -1.0])
 _MAGNITUDES = st.one_of(
@@ -66,9 +66,12 @@ def _json(kind):
 
 @st.composite
 def _csv(draw):
-    """A corpus of 8 columns or of a wrong count, its last row maybe short."""
+    """A corpus of 8 columns or of a wrong count, its last row maybe short;
+    about one in ten repeats its rows past a 1024-row block boundary."""
     width = draw(st.sampled_from([8, 8, 1, 7, 9]))
     rows = draw(st.lists(st.lists(_FLOATS, min_size=width, max_size=width), max_size=4))
+    if rows and draw(st.sampled_from(range(10))) == 9:
+        rows = rows * (bilinear._BLOCK // len(rows) + 1)
     if rows and draw(st.booleans()):
         rows[-1] = rows[-1][:-1]
     return "".join(",".join(map(repr, row)) + "\n" for row in rows)

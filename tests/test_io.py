@@ -1,6 +1,7 @@
 """The streamed corpus report writer against the stdlib encoder: for every
-row layout, ``io.write_rows_report`` writes the bytes of
-``io.dumps_report`` of the same report as a dict."""
+row layout, and however the rows are cut into blocks,
+``io.write_rows_report`` writes the bytes of ``io.dumps_report`` of the
+same report as a dict."""
 
 import numpy as np
 import pytest
@@ -58,7 +59,22 @@ def corpus_reports(draw):
         header = {"command": command, "config": {**config, "base": draw(TEXTS)}, "base": base}
     codes = draw(arrays(np.int64, n, elements=st.integers(0, len(layouts) - 1)))
     rows = [_plain(layouts[code], i) for i, code in enumerate(codes.tolist())]
-    return header, layouts, codes, rows
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return header, _blocks(layouts, codes, cuts), rows
+
+
+def _rows_of(node, rows: slice):
+    """The layout ``node`` cut to ``rows``."""
+    if isinstance(node, dict):
+        return {key: _rows_of(value, rows) for key, value in node.items()}
+    return node[rows]
+
+
+def _blocks(layouts, codes, cuts=()):
+    """The (layouts, codes) blocks of the rows between consecutive ``cuts``,
+    empty blocks included."""
+    edges = [0, *cuts, len(codes)]
+    return [([_rows_of(row, slice(a, b)) for row in layouts], codes[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def _plain(node, i):
@@ -71,9 +87,9 @@ def _plain(node, i):
 @given(report=corpus_reports())
 @settings(deadline=None, max_examples=50)
 def test_writer_bytes_equal_the_stdlib_encoder(report, tmp_path_factory):
-    header, layouts, codes, rows = report
+    header, blocks, rows = report
     out = tmp_path_factory.mktemp("report") / "report.json"
-    io.write_rows_report(header, layouts, codes, out)
+    io.write_rows_report(header, blocks, out)
     assert out.read_bytes() == io.dumps_report({**header, "rows": rows}).encode()
 
 
@@ -93,9 +109,9 @@ def test_rows_across_slices_and_stdout(n, tmp_path, capsys, monkeypatch):
     header = {"command": "test", "config": {"input": "a%sb"}}
     want = io.dumps_report({**header, "rows": rows})
     out = tmp_path / "report.json"
-    io.write_rows_report(header, layouts, codes, out)
+    io.write_rows_report(header, _blocks(layouts, codes), out)
     assert out.read_text() == want
-    io.write_rows_report(header, layouts, codes, None)
+    io.write_rows_report(header, _blocks(layouts, codes), None)
     assert capsys.readouterr().out == want
 
 
@@ -109,9 +125,9 @@ def test_non_finite_written_float_names_the_first_row_and_field_and_writes_nothi
     # row 0's b is not finite, but row 0 is written by the layout without b
     for codes, message in [([1, 0, 0, 1], "row 2: a is not finite"), ([1, 1, 0, 0], "row 1: c is not finite")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            io.write_rows_report({"command": "test"}, layouts, np.array(codes), out)
+            io.write_rows_report({"command": "test"}, _blocks(layouts, np.array(codes)), out)
         assert not out.exists()
-    io.write_rows_report({"command": "test"}, layouts, np.array([1, 0, 1, 0]), out)
+    io.write_rows_report({"command": "test"}, _blocks(layouts, np.array([1, 0, 1, 0])), out)
     assert out.exists()
 
 
@@ -119,13 +135,13 @@ def test_first_non_finite_field_is_first_in_key_order_not_by_name(tmp_path):
     # json puts "a" (and a.x) before "a-b", although "a-b" < "a.x" as strings
     nan = np.array([np.nan])
     with pytest.raises(ValueError, match=r"^row 0: a\.x is not finite$"):
-        io.write_rows_report({}, [{"a-b": nan, "a": {"x": nan}}], np.zeros(1, int), tmp_path / "report.json")
+        io.write_rows_report({}, [([{"a-b": nan, "a": {"x": nan}}], np.zeros(1, int))], tmp_path / "report.json")
 
 
 def test_non_finite_header_writes_nothing(tmp_path):
     out = tmp_path / "report.json"
     with pytest.raises(ValueError):
-        io.write_rows_report({"base": {"A": np.inf}}, [{"id": np.arange(1)}], np.zeros(1, int), out)
+        io.write_rows_report({"base": {"A": np.inf}}, [([{"id": np.arange(1)}], np.zeros(1, int))], out)
     assert not out.exists()
 
 
@@ -134,14 +150,79 @@ def test_a_write_that_fails_midway_removes_the_partial_file(tmp_path, monkeypatc
     render = io._RowLayout.render
     calls = []
 
-    def fail_on_the_second_slice(self, rows):
+    def fail_on_the_second_slice(self, columns, rows):
         calls.append(rows)
         if len(calls) == 2:
             raise OSError("No space left on device")
-        return render(self, rows)
+        return render(self, columns, rows)
 
     monkeypatch.setattr(io._RowLayout, "render", fail_on_the_second_slice)
     out = tmp_path / "report.json"
     with pytest.raises(OSError, match="No space left"):
-        io.write_rows_report({}, [{"id": np.arange(3)}], np.zeros(3, int), out)
+        io.write_rows_report({}, [([{"id": np.arange(3)}], np.zeros(3, int))], out)
     assert len(calls) == 2 and not out.exists()
+
+
+def test_a_non_finite_float_in_a_later_block_names_its_report_row(tmp_path, capsys):
+    ids = np.arange(6)
+    x = np.array([1.0, 2.0, 3.0, 4.0, np.inf, 6.0])
+    blocks = _blocks([{"id": ids, "x": x}], np.zeros(6, int), [3])
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="^row 4: x is not finite$"):
+        io.write_rows_report({"command": "test"}, blocks, out)
+    assert not out.exists()
+    # on stdout the first block stays written
+    with pytest.raises(ValueError, match="^row 4: x is not finite$"):
+        io.write_rows_report({"command": "test"}, blocks, None)
+    written = capsys.readouterr().out
+    assert '"id": 2' in written and '"id": 3' not in written
+
+
+def test_the_first_block_is_checked_before_the_output_is_opened(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("an earlier report")
+    blocks = _blocks([{"x": np.array([np.nan, 1.0])}], np.zeros(2, int), [1])
+    with pytest.raises(ValueError, match="^row 0: x is not finite$"):
+        io.write_rows_report({}, blocks, out)
+    assert out.read_text() == "an earlier report"
+
+
+def test_blocks_are_taken_one_at_a_time():
+    made = []
+
+    def blocks():
+        for start in range(0, 10, 4):
+            made.append(start)
+            ids = np.arange(start, min(start + 4, 10))
+            yield [{"id": ids}], np.zeros(ids.size, int)
+
+    chunks = io._row_chunks({}, blocks())
+    text = next(chunks)  # the header's text, once the first block is checked
+    assert made == [0]
+    text += next(chunks)  # the first block's rows
+    assert made == [0]
+    text += "".join(chunks)
+    assert made == [0, 4, 8]
+    assert text == io.dumps_report({"rows": [{"id": i} for i in range(10)]})
+
+
+# signed zeros, subnormals and the extremes of range, in the real and the imaginary columns
+CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, 1.5]
+
+
+def _csv_bits_match(raw: np.ndarray, path) -> None:
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in raw.tolist()))
+    old = raw[:, 0::2] + 1j * raw[:, 1::2]
+    assert io.load_spinors(path).tobytes() == old.tobytes()
+
+
+def test_csv_corpus_of_every_edge_pair_has_the_bits_of_re_plus_1j_im(tmp_path):
+    pairs = np.array([(re, im) for re in CSV_EDGES for im in CSV_EDGES])
+    pairs = np.concatenate([pairs, pairs[: -len(pairs) % 4]])  # whole rows of 4 pairs
+    _csv_bits_match(pairs.reshape(-1, 8), tmp_path / "edges.csv")
+
+
+@given(raw=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(8)), elements=st.sampled_from(CSV_EDGES) | FLOATS))
+@settings(deadline=None, max_examples=60)
+def test_csv_corpus_has_the_bits_of_re_plus_1j_im(raw, tmp_path_factory):
+    _csv_bits_match(raw, tmp_path_factory.mktemp("csv") / "corpus.csv")

@@ -4,7 +4,8 @@
 ``bilinear.by_row_blocks`` and keep only the per-trial arrays their checks
 read, so their memory does not grow with n-row covariant stacks.  The
 blocks give the bytes of one pass, and a NaN in any block still fails its
-check.
+check.  ``generators.random_spinors`` draws its spinors in one call, with
+the bits and the stream position of two.
 """
 
 import tracemalloc
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from spinorlab import bilinear, cli, generators, rim
-from spinorlab.suites import SuiteConfig, suite_fpk, suite_rim
+from spinorlab import rng as streams
+from spinorlab.spinor import quad_scale
+from spinorlab.suites import SuiteConfig, _per_row, _rel, suite_fpk, suite_rim
 
 
 def _checks(report) -> dict:
@@ -105,3 +108,36 @@ def test_verify_holds_its_per_trial_arrays_plus_one_block(suite, tmp_path):
         tracemalloc.stop()
     assert code == cli.EXIT_OK
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 20_008])
+def test_random_spinors_has_the_bits_and_stream_position_of_two_draws(n):
+    gen, ref = streams.stream(5, "props"), streams.stream(5, "props")
+    psis = generators.random_spinors(gen, n)
+    want = ref.standard_normal((n, 4)) + 1j * ref.standard_normal((n, 4))
+    assert psis.shape == (n, 4) and psis.tobytes() == want.tobytes()
+    assert gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("trials", [5, 2500], ids=["one_block", "capped_in_two_blocks"])
+def test_invariance_checks_in_blocks_report_the_whole_dict_values(trials):
+    # phase_invariance and quadratic_scaling as whole-stack covariant dicts,
+    # redrawn from the fpk stream in the suite's order
+    gen = streams.stream(0, "fpk")
+    psis = generators.random_spinors(gen, trials)
+    generators.random_spinors(gen, trials)  # fast_vs_matrix's bases, r1 and r2
+    generators.random_complex(gen, trials), generators.random_complex(gen, trials)
+    m = min(trials, 2000)
+    sub = psis[:m]
+    theta = gen.uniform(0.0, 2.0 * np.pi, m)
+    c = gen.uniform(0.3, 2.5, m)
+    base_cov = bilinear.compute_batch(sub)
+    rotated = bilinear.compute_batch(np.exp(1j * theta)[:, None] * sub)
+    scaled_cov = bilinear.compute_batch(c[:, None] * sub)
+    subquad, c2 = quad_scale(sub), c**2
+    phase = max(np.max(_rel(rotated[k] - base_cov[k], subquad)) for k in "ABJKS")
+    scaling = [np.abs(scaled_cov[k] - _per_row(c2, base_cov[k]) * base_cov[k]) for k in "AJS"]
+    scaling = max(np.max(d / _per_row(c2 * subquad, d)) for d in scaling)
+    checks = _checks(suite_fpk(SuiteConfig(trials=trials)))
+    assert (checks["phase_invariance"]["trials"], checks["phase_invariance"]["value"]) == (m, float(phase))
+    assert (checks["quadratic_scaling"]["trials"], checks["quadratic_scaling"]["value"]) == (m, float(scaling))
