@@ -13,15 +13,9 @@ same order and einsum kernel, and ``fpk_residuals_batch`` uses a sign vector
 and a Hodge table: both keep every bit of the full formulas (signed zeros
 and inf/NaN placement too), which ``tests/test_bilinear.py`` keeps as references.
 
-Both batch kernels run a corpus in blocks of ``_BLOCK`` = 1024 rows, written
-into outputs allocated once, so a pass holds its results plus one block of
-(m, 16)-sized temporaries instead of n-row ones whose fresh pages it would pay
-for.  Up to 1024 rows, n = 1 included, are one pass with no added allocation
-or copy.  Why 1024: over the acceptance verify suites in one process (medians
-of 8 alternating passes, 2-vCPU host), 512-row blocks were about 9% slower
-than one pass, as numpy's per-call cost outweighs the smaller temporaries,
-and 1024- and 2048-row blocks 7-14% faster; on a 10^4-row ``classify``,
-4096-row blocks raised the traced peak from 6.4 to 8.0 MiB.
+Both batch kernels are one pass over their rows, so they hold n-row
+temporaries.  A large stack goes through ``by_row_blocks``, the one helper
+that cuts rows into blocks; each row's values have the same bits in any block.
 """
 
 from __future__ import annotations
@@ -31,19 +25,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import build, minkowski_dot
+from .clifford import ETA, build, minkowski_dot
 from .errors import one_row
-from .spinor import DualKind, dirac_dual, mdo_dual
+from .spinor import DualKind, dirac_dual, mdo_dual, norm_sq
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = np.array(_S_INDEX).T
-_ETA = np.array([1.0, -1.0, -1.0, -1.0])  # the metric's diagonal
-_ETA2 = _ETA[:, None] * _ETA  # eta_mm eta_nn, which lowers both indices of S
+_ETA2 = ETA[:, None] * ETA  # eta_mm eta_nn, which lowers both indices of S
 # Seps_mn = 2 eps_{m n a b} S^{a b} (eps_0123 = +1) of an antisymmetric S, over the
 # complementary a < b, is _HODGE[m, n] * S^{a b} with 4 a + b = _HODGE_AT[m, n]
 _HODGE_AT = np.array([[0, 11, 7, 6], [11, 0, 3, 2], [7, 3, 0, 1], [6, 2, 1, 0]])
 _HODGE = np.array([[0.0, 2.0, -2.0, 2.0], [-2.0, 0.0, 2.0, -2.0], [2.0, -2.0, 0.0, 2.0], [-2.0, 2.0, -2.0, 0.0]])
-_BLOCK = 1024  # rows per block of a batch kernel (see the module docstring)
+# Rows per block of ``by_row_blocks`` and of the CLI's corpus passes: a
+# block's (m, 16)-sized kernel temporaries stand in for n-row ones whose
+# fresh pages a pass would pay for.  Why 1024: over the acceptance verify
+# suites in one process (medians of 8 alternating passes, 2-vCPU host),
+# 512-row blocks were about 9% slower than one pass, as numpy's per-call
+# cost outweighs the smaller temporaries, and 1024- and 2048-row blocks
+# 7-14% faster; on a 10^4-row ``classify``, 4096-row blocks raised the
+# traced peak from 6.4 to 8.0 MiB.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,44 @@ def _sandwich(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None, abjk: np.
     return vals.take(at[10:], axis=0).T
 
 
-def _covariants(
-    psis: np.ndarray, dual: DualKind, xi: np.ndarray | None, abjk: np.ndarray, S: np.ndarray
+def _blocks(n: int):
+    """Row slices of the blocks of an n-row pass."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def by_row_blocks(fn, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(*arrays) on the ``_BLOCK``-row blocks of its n-row arrays: each of
+    the per-row arrays fn returns is written into an n-row output allocated
+    once, so a pass holds those and one block's temporaries.  Up to
+    ``_BLOCK`` rows are one call, returned as it is.  This is the one helper
+    that cuts rows into blocks for the batch kernels."""
+    n = len(arrays[0])
+    if n <= _BLOCK:
+        return fn(*arrays)
+    outs = None
+    for rows in _blocks(n):
+        part = fn(*(a[rows] for a in arrays))
+        if outs is None:
+            outs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
+        for out, p in zip(outs, part):
+            out[rows] = p
+    return outs
+
+
+def compute_batch(
+    psis: np.ndarray,
+    dual: DualKind = DualKind.DIRAC,
+    xi: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """``compute_batch`` of one block of rows: A, J and K are views of its
-    (n, 10) ``abjk`` and S is its zeroed (n, 4, 4) ``S``, both filled here."""
+    """Vectorized covariants for a (n, 4) stack of spinors, in one pass.
+
+    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4),
+    "A1", "A2", "scale"; A, J and K are views of one (n, 10) array.  ``xi``
+    is one Xi for every row or an (n, 4, 4) stack.
+    """
+    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
+    abjk = np.empty((psis.shape[0], 10), dtype=complex)
+    S = np.zeros((psis.shape[0], 4, 4), dtype=complex)
     s_upper = _sandwich(psis, dual, xi, abjk)
     S[:, _MU, _NU] = s_upper
     S[:, _NU, _MU] = np.negative(s_upper, out=s_upper)
@@ -172,57 +206,8 @@ def _covariants(
         "S": S,
         "A1": A1,
         "A2": A2,
-        "scale": (np.abs(psis) ** 2).sum(axis=1),
+        "scale": norm_sq(psis),
     }
-
-
-def _blocks(n: int):
-    """Row slices of the blocks of an n-row pass."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
-
-
-def by_row_blocks(fn, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn(*arrays) on the row blocks of its n-row arrays: each of the per-row
-    arrays fn returns is written into an n-row output allocated once, so a
-    pass holds those and one block's temporaries.  Up to ``_BLOCK`` rows are
-    one call, returned as it is."""
-    n = len(arrays[0])
-    if n <= _BLOCK:
-        return fn(*arrays)
-    outs = None
-    for rows in _blocks(n):
-        part = fn(*(a[rows] for a in arrays))
-        if outs is None:
-            outs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
-        for out, p in zip(outs, part):
-            out[rows] = p
-    return outs
-
-
-def compute_batch(
-    psis: np.ndarray,
-    dual: DualKind = DualKind.DIRAC,
-    xi: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Vectorized covariants for a (n, 4) stack of spinors.
-
-    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4),
-    "A1", "A2", "scale"; A, J and K are views of one (n, 10) array.  ``xi``
-    is one Xi for every row or an (n, 4, 4) stack, sliced with the blocks.
-    """
-    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    n = psis.shape[0]
-    abjk = np.empty((n, 10), dtype=complex)
-    S = np.zeros((n, 4, 4), dtype=complex)
-    if n <= _BLOCK:
-        return _covariants(psis, dual, xi, abjk, S)
-    out = {"A": abjk[:, 0], "B": np.empty(n, complex), "J": abjk[:, 2:6], "K": abjk[:, 6:10], "S": S}
-    out.update(A1=np.empty(n, complex), A2=np.empty(n, complex), scale=np.empty(n))
-    for rows in _blocks(n):
-        block = _covariants(psis[rows], dual, xi if np.ndim(xi) < 3 else xi[rows], abjk[rows], S[rows])
-        for key in ("B", "A1", "A2", "scale"):  # A, J, K and S are written in place
-            out[key][rows] = block[key]
-    return out
 
 
 def compute(
@@ -313,20 +298,9 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
     eps^0123 = +1) and lower indices come from eta, for an antisymmetric S.
     """
     J, K, S, A, B = b["J"], b["K"], b["S"], b["A"], b["B"]
-    n = J.shape[0]
-    out = np.empty((n, 4))
-    if n <= _BLOCK:
-        _fpk_residuals(J, K, S, A, B, out)
-    else:
-        for rows in _blocks(n):
-            _fpk_residuals(J[rows], K[rows], S[rows], A[rows], B[rows], out[rows])
-    return out
-
-
-def _fpk_residuals(J, K, S, A, B, out: np.ndarray) -> None:
-    """``fpk_residuals_batch`` of one block of rows, written into its (n, 4) ``out``."""
-    Jl = J * _ETA
-    Kl = K * _ETA
+    out = np.empty((J.shape[0], 4))
+    Jl = J * ETA
+    Kl = K * ETA
 
     j2 = np.einsum("nm,nm->n", J, Jl)
     k2 = np.einsum("nm,nm->n", K, Kl)
@@ -346,6 +320,7 @@ def _fpk_residuals(J, K, S, A, B, out: np.ndarray) -> None:
     np.abs(comb, out=term.real).max(axis=(1, 2), out=out[:, 1])
     np.abs(jk, out=out[:, 2])
     np.abs(j2 + k2, out=out[:, 3])
+    return out
 
 
 def fpk_residuals(b: Bilinears) -> np.ndarray:

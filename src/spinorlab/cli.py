@@ -4,26 +4,25 @@ Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 0 success, 1 classification produced but with near-degenerate flags (or an
 ``mdo`` report whose Dirac-like sign is unresolved), 2 invalid input or an
 --output that cannot be written, 3 identity-suite failure, 4 an internal
-error (any other exception); stderr is empty or one ``error:`` line.  The SPINORLAB_TOL environment
-variable overrides the default tolerance (1e-9); report order always equals
-input order.  ``classify`` and ``decompose`` each make one pass over the corpus
-in ``bilinear._blocks`` of 1024 rows (covariants or plane coordinates,
-then classes) and hand ``io.write_rows_report`` the report's header and,
-block by block, the numpy columns and per-row layouts; it checks that each
-block's floats are finite and streams its rows through one template per
-layout before the next block is computed.  A row whose covariants,
-residuals or plane coordinates overflow is a ``NonFiniteValue`` error row
-naming its first such field, and the rest of the corpus is written.  ``homotopy``
-takes its rows' classes and its transition from one sweep of the rows'
-grid at the rows' x (the from-spinor's r1); a row that cannot be
-classified fails the command with exit 2.
+error (any other exception); stderr is empty or one ``error:`` line.  --tol
+defaults to 1e-9; report order always equals input order.  ``classify`` and
+``decompose`` each make one pass over the corpus in ``bilinear._blocks`` of
+1024 rows (covariants or plane coordinates, then classes) and hand
+``io.write_rows_report`` the report's header and, block by block, the numpy
+columns and per-row layouts; it checks that each block's floats are finite
+and streams its rows through one template per layout before the next block
+is computed.  A row whose covariants, residuals or plane coordinates
+overflow is a ``NonFiniteValue`` error row naming its first such field, and
+the rest of the corpus is written.  ``homotopy`` takes its rows' classes and
+its transition from one sweep of the rows' grid at the rows' x (the
+from-spinor's r1); a row that cannot be classified fails the command with
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 
@@ -39,19 +38,6 @@ EXIT_FLAGGED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_SUITE_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
-
-
-def _tol_default() -> float:
-    env = os.environ.get("SPINORLAB_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(env)
-    except ValueError as exc:
-        raise io.InputError(f"SPINORLAB_TOL={env!r} is not a number") from exc
-    if not (math.isfinite(tol) and tol > 0):
-        raise io.InputError("SPINORLAB_TOL must be positive and finite")
-    return tol
 
 
 def _int_range(lo: int, hi: float = math.inf):
@@ -80,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None)
     tol = argparse.ArgumentParser(add_help=False, parents=[output])
-    tol.add_argument("--tol", type=_positive_float, default=None)
+    tol.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
 
     p = sub.add_parser("classify", parents=[tol], help="Lounesto class of each input spinor")
     p.add_argument("--input", required=True)
@@ -392,8 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            if getattr(args, "tol", DEFAULT_TOL) is None:
-                args.tol = _tol_default()
             return _COMMANDS[args.command](args)
         # ValueError: a report with a non-finite value, which is never
         # written; OSError: an --output that cannot be written

@@ -24,6 +24,8 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+ETA = np.array([1.0, -1.0, -1.0, -1.0])  # the metric's diagonal, which lowers an index
+ETA.setflags(write=False)
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -49,7 +51,7 @@ def build() -> GammaSet:
     g0 = np.block([[z, i2], [i2, z]])
     gk = [np.block([[z, s], [-s, z]]) for s in SIGMA]
     g5 = 1j * g0 @ gk[0] @ gk[1] @ gk[2]
-    metric = np.diag([1.0, -1.0, -1.0, -1.0])
+    metric = np.diag(ETA)
     metric.setflags(write=False)
     return GammaSet(
         gamma=tuple(_frozen(g) for g in (g0, *gk)),

@@ -97,19 +97,6 @@ def classify(b: Bilinears, opt: ClassifyOptions = ClassifyOptions()) -> Lounesto
     return entry
 
 
-def _magnitudes(cov: dict[str, np.ndarray]) -> np.ndarray:
-    """|A|, |B|, max|K|, max|S| per row: the inputs of the four zero-tests."""
-    return np.stack(
-        [
-            np.abs(cov["A"]),
-            np.abs(cov["B"]),
-            np.max(np.abs(cov["K"]), axis=1),
-            np.max(np.abs(cov["S"]), axis=(1, 2)),
-        ],
-        axis=1,
-    )
-
-
 def classify_batch(
     cov: dict[str, np.ndarray],
     opt: ClassifyOptions = ClassifyOptions(),
@@ -122,14 +109,25 @@ def classify_batch(
     """
     scale = cov["scale"]
     thr = opt.tol * np.maximum(1.0, scale)[:, None]
-    mags = _magnitudes(cov)
+    # |A|, |B|, max|K|, max|S| per row: the inputs of the four zero-tests
+    mags = np.stack(
+        [
+            np.abs(cov["A"]),
+            np.abs(cov["B"]),
+            np.max(np.abs(cov["K"]), axis=1),
+            np.max(np.abs(cov["S"]), axis=(1, 2)),
+        ],
+        axis=1,
+    )
     index = (mags < thr) @ np.array([8, 4, 2, 1])
     classes = _CLASS_CODES[index]
     errors = _ERROR_CODES[index]
     errors[np.max(np.abs(cov["J"]), axis=1) < thr[:, 0]] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
     errors[scale < opt.tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
     classes[errors != 0] = 0
-    return classes, errors, _near_band(mags, thr) & (errors == 0)
+    # near: a zero-test input within NEAR_BAND thresholds above its threshold
+    near = np.any((thr < mags) & (mags <= NEAR_BAND * thr), axis=1)
+    return classes, errors, near & (errors == 0)
 
 
 _INVALID_BASE = (InvalidBase, "base must have A != 0 and B != 0")
@@ -249,21 +247,6 @@ def classify_by_coefficients_batch(
     lo = np.where(defined, np.minimum(type2 / scale, type3 / scale), np.inf)
     near = ((tol * rs < small) & (small <= NEAR_BAND * tol * rs)) | ((tol < lo) & (lo <= NEAR_BAND * tol))
     return classes, errors, near & (errors == 0)
-
-
-def bilinears_near_degenerate(
-    cov: dict[str, np.ndarray],
-    opt: ClassifyOptions = ClassifyOptions(),
-) -> np.ndarray:
-    """(n,) flags: a zero-test input sits just above its threshold, i.e. the
-    assigned class would flip under a ``NEAR_BAND``-fold tolerance change."""
-    return _near_band(_magnitudes(cov), opt.tol * np.maximum(1.0, cov["scale"])[:, None])
-
-
-def _near_band(mags: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """(n,) flags: a row of ``_magnitudes`` within ``NEAR_BAND`` thresholds
-    above its (n, 1) threshold."""
-    return np.any((thr < mags) & (mags <= NEAR_BAND * thr), axis=1)
 
 
 def near_degenerate(

@@ -3,7 +3,8 @@ derivative-condition identities.
 
 Every function computes over rows; a scalar call (one (4,) spinor, one
 Bilinears, scalar angles) is one row, unwrapped by ``errors.one_row``.
-``pointwise_residuals`` runs in row blocks; ``rim_derivative`` is one pass.
+``pointwise_residuals`` and ``validate_rim_base`` run in row blocks;
+``rim_derivative`` is one pass.
 
 The derivative condition reads d_mu psi = (a J_mu - b K_mu gamma5) psi.
 Sign constraint: with the stored K^mu = psibar gamma5 gamma^mu psi one has
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear import Bilinears, by_row_blocks, compute_batch
-from .clifford import build, minkowski_dot, slash
+from .clifford import ETA, build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
 from .lounesto import ClassifyOptions
 from .spinor import DEFAULT_TOL
@@ -34,8 +35,6 @@ DOMAIN_PAIRS = {(1, 1): 1, (4, 1): 2, (4, 4): 3, (2, 2): 4, (3, 2): 5, (3, 3): 6
 # domain number by (W, Z) quarter numbers; quarter 0 (an edge) is outside
 _DOMAIN_TABLE = np.zeros((5, 5), dtype=int)
 _DOMAIN_TABLE[tuple(zip(*DOMAIN_PAIRS))] = list(DOMAIN_PAIRS.values())
-# lowers the index of a stored contravariant current
-_ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class OmegaDomain(enum.Enum):
@@ -172,8 +171,8 @@ def _pointwise(psi, a, b) -> tuple:
     cov = compute_batch(psis)
     g5psi = psis @ build().gamma5.T
     a, b = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (a, b))
-    jl = cov["J"] * _ETA
-    kl = cov["K"] * _ETA
+    jl = cov["J"] * ETA
+    kl = cov["K"] * ETA
     d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
     return psis, cov, g5psi, jl, kl, a, b, d
 
@@ -241,15 +240,21 @@ def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions())
     Under the Dirac dual A2 = conj(A1), so the essential content is
     A != 0 and B != 0 (type 1); the remaining constraints are reported
     individually so a rejection names what failed.  An (n, 4) stack gives
-    (n,) fields and an (n, 6) ``failed``.
+    (n,) fields and an (n, 6) ``failed``, computed in row blocks.
     """
-    cov = compute_batch(psi)
-    thr = opt.tol * np.maximum(1.0, cov["scale"])
+    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
+    fields = by_row_blocks(lambda rows: _base_checks(rows, opt.tol), psis)
+    return BaseValidation(*one_row(fields, np.ndim(psi) == 1))
+
+
+def _base_checks(psis: np.ndarray, tol: float) -> tuple:
+    """``validate_rim_base`` of one block of rows."""
+    cov = compute_batch(psis)
+    thr = tol * np.maximum(1.0, cov["scale"])
     A1, A2 = cov["A1"], cov["A2"]
     zero = np.stack([cov["A"], cov["B"], A1, A2, A1 - A2, A1 + A2], axis=-1)
     failed = np.abs(zero) <= thr[:, None]
-    fields = (~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2)
-    return BaseValidation(*one_row(fields, np.ndim(psi) == 1))
+    return ~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2
 
 
 def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:

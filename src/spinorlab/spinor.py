@@ -33,7 +33,7 @@ def as_spinor(values) -> np.ndarray:
 def norm_sq(psi: np.ndarray) -> float | np.ndarray:
     """Sum of |c_i|^2 over the last axis; the quadratic scale of every
     bilinear.  A (4,) spinor gives a scalar, an (n, 4) stack an (n,) array."""
-    return np.sum(np.abs(np.asarray(psi)) ** 2, axis=-1)
+    return (np.abs(np.asarray(psi)) ** 2).sum(axis=-1)  # the method skips np.sum's Python wrapper
 
 
 def quad_scale(psi: np.ndarray) -> float | np.ndarray:

@@ -15,8 +15,10 @@ Every randomised check is one array pass over its draws, the ``homotopy``
 bisection included, which moves all its paths in lockstep.  Draws that a
 check once took trial by trial are taken in bulk in the same order, except
 the synthetic rejections of ``props``, which draw all coordinates and then
-all scales.  The large covariant passes of ``fpk``, ``props`` and ``rim``
-run in row blocks and keep only the per-trial arrays their checks read.
+all scales.  The large covariant passes of ``fpk``, ``props`` and ``rim``,
+the base scalars of ``plane`` and ``homotopy`` and ``clifford``'s
+slash_contraction run in row blocks (``bilinear.by_row_blocks``) and keep
+only the per-trial arrays their checks read.
 
 ``trials`` is the number of draws of every randomised check but these,
 which cap their draws below it (README lists the caps) and report the
@@ -94,6 +96,11 @@ def _cov_rows(fn, psis: np.ndarray) -> tuple[np.ndarray, ...]:
     return bilinear.by_row_blocks(lambda rows: fn(bilinear.compute_batch(rows)), psis)
 
 
+def _base_scalars(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real A and B of each base, in row blocks."""
+    return _cov_rows(lambda cov: (cov["A"].real, cov["B"].real), bases)
+
+
 # ---------------------------------------------------------------------------
 # clifford
 
@@ -122,11 +129,14 @@ def suite_clifford(cfg: SuiteConfig) -> dict:
     # per trial: u then v, each real parts then imaginary parts
     draws = gen.standard_normal((n, 2, 2, 4))
     u, v = (draws[:, k, 0] + 1j * draws[:, k, 1] for k in range(2))
-    su, sv = clifford.slash(u), clifford.slash(v)
-    target = 2.0 * clifford.minkowski_dot(u, v)[:, None, None] * np.eye(4)
-    err = np.max(np.abs(su @ sv + sv @ su - target), axis=(1, 2))
-    scale = np.maximum(1.0, spinor.row_norms(u) * spinor.row_norms(v))
-    checks.append(_check("slash_contraction", 1e-12, err / scale))
+
+    def contraction_rows(u, v):
+        su, sv = clifford.slash(u), clifford.slash(v)
+        target = 2.0 * clifford.minkowski_dot(u, v)[:, None, None] * np.eye(4)
+        err = np.max(np.abs(su @ sv + sv @ su - target), axis=(1, 2))
+        return (err / np.maximum(1.0, spinor.row_norms(u) * spinor.row_norms(v)),)
+
+    checks.append(_check("slash_contraction", 1e-12, *bilinear.by_row_blocks(contraction_rows, u, v)))
     return _report("clifford", checks)
 
 
@@ -216,7 +226,7 @@ def suite_props(cfg: SuiteConfig) -> dict:
         return (type6 & (np.max(np.abs(cov6["K"]), axis=1) > thr6) & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6),)
 
     bases = generators.random_rim_bases(gen, n)
-    a_vals, b_vals = _cov_rows(lambda cov: (cov["A"].real, cov["B"].real), bases)
+    a_vals, b_vals = _base_scalars(bases)
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
@@ -361,8 +371,7 @@ def suite_plane(cfg: SuiteConfig) -> dict:
     phases = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, n))
 
     params = rim.validate(a_arr, b_arr, cfg.tol)
-    cov = bilinear.compute_batch(bases)
-    A, B = cov["A"].real, cov["B"].real
+    A, B = _base_scalars(bases)
     c = plane.coefficient_set(params, A, B, masses_m, masses_mm, thetas, signs)
     chi = plane.chi_factors(c)
     checks.append(_check("chi_roundtrip", 1e-12, chi.chi1 * chi.chi1_inv - 1.0, chi.chi2 * chi.chi2_inv - 1.0))
@@ -485,8 +494,7 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
 
     # one path against the m bases; grid rows 1, 3, ..., 9 are t = 0.1, 0.3, ..., 0.9
     path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.8 + 0j), plane.PlaneCoords(1.0 + 0j, 0.0 + 0j))
-    cov = bilinear.compute_batch(hb)
-    t_star, before, after, grid = homotopy.class_transition(path, cov["A"].real, cov["B"].real, opt)
+    t_star, before, after, grid = homotopy.class_transition(path, *_base_scalars(hb), opt)
     found = (before == lounesto.LounestoClass.TYPE1) & (after == lounesto.LounestoClass.TYPE6) & (t_star > 0.9)
     checks.append(_check("sweep_interior_regular", 0, (grid[1::2] != lounesto.LounestoClass.TYPE1).ravel()))
     checks.append(_check("class_transition_bisection", 0, ~found))

@@ -475,14 +475,14 @@ def test_verify_deterministic_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_env_var_overrides_tolerance(tmp_path, capsys, monkeypatch):
+def test_tol_option_sets_the_tolerance(tmp_path, capsys):
     path = write_json(tmp_path / "e0.json", {"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]})
-    monkeypatch.setenv("SPINORLAB_TOL", "1e-6")
-    code, rep = run_cli(["classify", "--input", path], capsys)
+    code, rep = run_cli(["classify", "--input", path, "--tol", "1e-6"], capsys)
     assert code == 0
     assert rep["config"]["tol"] == 1e-6
-    monkeypatch.setenv("SPINORLAB_TOL", "-1")
-    assert cli.main(["classify", "--input", path]) == 2
+    code, rep = run_cli(["classify", "--input", path], capsys)
+    assert code == 0
+    assert rep["config"]["tol"] == spinor.DEFAULT_TOL
 
 
 def test_near_degenerate_flag_sets_exit_code(base_setup, tmp_path, capsys):
@@ -1034,7 +1034,6 @@ def test_homotopy_against_a_base_whose_scalars_overflow_names_the_base(overflowi
     ids=["classify", "decompose"],
 )
 def test_stdout_and_output_give_the_pinned_report(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINORLAB_TOL", raising=False)
     monkeypatch.chdir(MIXED)
     pinned = (MIXED / f"{argv[0]}.json").read_bytes()
     assert cli.main(argv) == cli.EXIT_FLAGGED

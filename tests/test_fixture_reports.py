@@ -22,7 +22,6 @@ MIXED = Path(__file__).parent / "data" / "mixed"
     ids=["classify", "decompose", "homotopy", "mdo"],
 )
 def test_cli_reproduces_pinned_report(argv, code, tmp_path, monkeypatch):
-    monkeypatch.delenv("SPINORLAB_TOL", raising=False)
     monkeypatch.chdir(MIXED)
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--output", str(out)]) == code
