@@ -2,7 +2,7 @@
 homotopic deformations for block-decomposable spinors."""
 
 from . import bilinear, clifford, homotopy, lounesto, mdo, plane, rim, spinor
-from .bilinear import Bilinears, FastBilinears, compute, compute_fast, fpk_residuals
+from .bilinear import Bilinears, compute, fpk_residuals
 from .clifford import GammaSet, build, projector, slash
 from .homotopy import CoordFunction, HomotopyPath, basis_homotopy, eval_path, spinor_homotopy
 from .lounesto import ClassifyOptions, LounestoClass, classify, classify_by_coefficients
@@ -20,7 +20,6 @@ __all__ = [
     "CoordFunction",
     "DualKind",
     "ElkoSpinor",
-    "FastBilinears",
     "GammaSet",
     "HomotopyPath",
     "LounestoClass",
@@ -39,7 +38,6 @@ __all__ = [
     "clifford",
     "coefficient_set",
     "compute",
-    "compute_fast",
     "decompose",
     "dirac_dual",
     "elko",

@@ -3,8 +3,8 @@
 Stored components are contravariant: J[mu] = dual . gamma^mu . psi,
 K[mu] = dual . gamma5 gamma^mu . psi, S[mu][nu] = dual . i gamma^mu gamma^nu . psi
 (antisymmetric, zero diagonal).  Under the Dirac dual A, B, J, K, S are all
-real and A = A1 + A2, B = i(-A1 + A2) with A1 = P21* P11 + P22* P12,
-A2 = conj(A1).
+real; the chiral overlaps A1, A2 behind A and B are
+``spinor.chiral_overlaps``, which the component route reads.
 
 The matrix sandwich dual . F[f] . psi is the oracle route.  Each of the 16
 ``_form_stack`` matrices is monomial (one entry +-1 or +-i per row i, in
@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import ETA, build, minkowski_dot
-from .errors import one_row
-from .spinor import DualKind, dirac_dual, mdo_dual, norm_sq
+from .spinor import DualKind, chiral_overlaps, dirac_dual, mdo_dual, norm_sq
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = np.array(_S_INDEX).T
@@ -49,15 +48,14 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class Bilinears:
-    """All covariants of one spinor, plus the chiral-overlap scalars A1, A2."""
+    """All covariants of one spinor; the chiral overlaps A1, A2 are
+    ``spinor.chiral_overlaps`` of the spinor."""
 
     A: complex
     B: complex
     J: np.ndarray
     K: np.ndarray
     S: np.ndarray
-    A1: complex
-    A2: complex
     dual: DualKind
     scale: float  # sum |c_i|^2 of the source spinor
 
@@ -73,31 +71,7 @@ class Bilinears:
         rows = self.__dict__.get("_rows")
         if rows is not None:
             return dict(rows)
-        return {k: np.asarray(getattr(self, k))[None] for k in ("A", "B", "J", "K", "S", "A1", "A2", "scale")}
-
-
-@dataclass(frozen=True)
-class FastBilinears:
-    """Component-formula covariants of diag(r1,r1,r2,r2) . base.
-
-    Only the printed components exist on this route: K1..K3 are absent by
-    construction and must come from the matrix route.
-    """
-
-    A: complex
-    B: complex
-    J: np.ndarray
-    K0: complex
-    S01: complex
-    S02: complex
-    S03: complex
-    S12: complex
-    S13: complex
-    S23: complex
-    scale: float
-
-    def s_items(self):
-        return zip(_S_INDEX, (self.S01, self.S02, self.S03, self.S12, self.S13, self.S23))
+        return {k: np.asarray(getattr(self, k))[None] for k in ("A", "B", "J", "K", "S", "scale")}
 
 
 @lru_cache(maxsize=1)
@@ -177,8 +151,8 @@ def compute_batch(
 ) -> dict[str, np.ndarray]:
     """Vectorized covariants for a (n, 4) stack of spinors, in one pass.
 
-    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4),
-    "A1", "A2", "scale"; A, J and K are views of one (n, 10) array.  ``xi``
+    Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4) and
+    "scale"; A, J and K are views of one (n, 10) array.  ``xi``
     is one Xi for every row or an (n, 4, 4) stack.
     """
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
@@ -187,25 +161,12 @@ def compute_batch(
     s_upper = _sandwich(psis, dual, xi, abjk)
     S[:, _MU, _NU] = s_upper
     S[:, _NU, _MU] = np.negative(s_upper, out=s_upper)
-    A = abjk[:, 0]
-    B = 1j * abjk[:, 1]
-    if dual is DualKind.DIRAC:
-        c = np.conj(psis)
-        A1 = c[:, 2] * psis[:, 0] + c[:, 3] * psis[:, 1]
-        A2 = c[:, 0] * psis[:, 2] + c[:, 1] * psis[:, 3]
-    else:
-        # component formulas are a Dirac-dual statement; fall back to the
-        # equivalent scalar combinations
-        A1 = (A + 1j * B) / 2.0
-        A2 = (A - 1j * B) / 2.0
     return {
-        "A": A,
-        "B": B,
+        "A": abjk[:, 0],
+        "B": 1j * abjk[:, 1],
         "J": abjk[:, 2:6],
         "K": abjk[:, 6:10],
         "S": S,
-        "A1": A1,
-        "A2": A2,
         "scale": norm_sq(psis),
     }
 
@@ -219,7 +180,7 @@ def compute(
     with the Python numbers and row views ``errors.one_row`` would give.  The
     record keeps the one-row dict, outside its fields, for ``as_batch``."""
     rows = compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi)
-    item = {k: rows[k].item() for k in ("A", "B", "A1", "A2", "scale")}
+    item = {k: rows[k].item() for k in ("A", "B", "scale")}
     b = Bilinears(J=rows["J"][0], K=rows["K"][0], S=rows["S"][0], dual=dual, **item)
     object.__setattr__(b, "_rows", rows)
     return b
@@ -240,8 +201,7 @@ def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dic
     m1 = np.abs(r1) ** 2
     m2 = np.abs(r2) ** 2
 
-    a1 = np.conj(p21) * p11 + np.conj(p22) * p12
-    a2 = np.conj(p11) * p21 + np.conj(p12) * p22
+    a1, a2 = chiral_overlaps(bases)
     w = r1 * np.conj(r2)   # pairs with a1
     wc = np.conj(r1) * r2  # pairs with a2
     A = w * a1 + wc * a2
@@ -281,11 +241,6 @@ def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dic
         "S23": S23,
         "scale": n1 * m1 + n2 * m2,
     }
-
-
-def compute_fast(base: np.ndarray, r1: complex, r2: complex) -> FastBilinears:
-    """Single-spinor wrapper around the component-formula route."""
-    return FastBilinears(**one_row(compute_fast_batch(np.asarray(base, dtype=complex).reshape(1, 4), [r1], [r2]), True))
 
 
 def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
@@ -345,8 +300,6 @@ def from_scalars(
         J=np.asarray(J, dtype=complex),
         K=np.asarray(K, dtype=complex),
         S=S,
-        A1=(A + 1j * B) / 2.0,
-        A2=(A - 1j * B) / 2.0,
         dual=dual,
         scale=float(scale),
     )

@@ -156,10 +156,6 @@ def chi_factors(c: CoefficientSet) -> ChiFactors:
     return ChiFactors(chi1=chi1, chi2=chi2, chi1_inv=1.0 / chi1, chi2_inv=1.0 / chi2)
 
 
-def make_operator(c1: complex, c2: complex) -> MOperator:
-    return MOperator(c1=complex(c1), c2=complex(c2))
-
-
 def block_scale(psi: np.ndarray, c1, c2) -> np.ndarray:
     """c1*block1(psi) + c2*block2(psi) for a (4,) spinor, or row by row for
     an (n, 4) stack with scalar or (n,) coefficients."""
@@ -171,10 +167,6 @@ def block_scale(psi: np.ndarray, c1, c2) -> np.ndarray:
 
 def apply_operator(op: MOperator, psi: np.ndarray) -> np.ndarray:
     return block_scale(psi, op.c1, op.c2)
-
-
-def operator_matrix(op: MOperator) -> np.ndarray:
-    return np.diag([op.c1, op.c1, op.c2, op.c2]).astype(complex)
 
 
 def inverse_operator(op: MOperator) -> MOperator:

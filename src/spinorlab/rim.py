@@ -3,8 +3,7 @@ derivative-condition identities.
 
 Every function computes over rows; a scalar call (one (4,) spinor, one
 Bilinears, scalar angles) is one row, unwrapped by ``errors.one_row``.
-``pointwise_residuals`` and ``validate_rim_base`` run in row blocks;
-``rim_derivative`` is one pass.
+``pointwise_residuals`` and ``validate_rim_base`` run in row blocks.
 
 The derivative condition reads d_mu psi = (a J_mu - b K_mu gamma5) psi.
 Sign constraint: with the stored K^mu = psibar gamma5 gamma^mu psi one has
@@ -25,7 +24,7 @@ from .bilinear import Bilinears, by_row_blocks, compute_batch
 from .clifford import ETA, build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
 from .lounesto import ClassifyOptions
-from .spinor import DEFAULT_TOL
+from .spinor import DEFAULT_TOL, chiral_overlaps
 
 _TWO_PI = 2.0 * math.pi
 # edges of the (open) quarter-turn intervals for the polar angles of a and b
@@ -53,15 +52,6 @@ class RimParams:
     b: complex
     s: float
     rho: float
-    domain: OmegaDomain
-
-
-@dataclass(frozen=True)
-class SSpacePoint:
-    phi1: float
-    phi2: float
-    a0: float
-    b0: float
     domain: OmegaDomain
 
 
@@ -126,16 +116,6 @@ def validate(a, b, tol: float = DEFAULT_TOL) -> RimParams:
     return RimParams(a=a, b=b, s=s, rho=rho, domain=domain_of(np.angle(a) % _TWO_PI, np.angle(b) % _TWO_PI))
 
 
-def sspace_point(params: RimParams) -> SSpacePoint:
-    return SSpacePoint(
-        phi1=float(np.angle(params.a) % _TWO_PI),
-        phi2=float(np.angle(params.b) % _TWO_PI),
-        a0=abs(params.a),
-        b0=abs(params.b),
-        domain=params.domain,
-    )
-
-
 def potentials(cov, params: RimParams) -> Potentials:
     """Scalar potentials S = ln(J)/(2 Re a), R = ln((A-iB)/J)/(2i Im b).
 
@@ -175,12 +155,6 @@ def _pointwise(psi, a, b) -> tuple:
     kl = cov["K"] * ETA
     d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
     return psis, cov, g5psi, jl, kl, a, b, d
-
-
-def rim_derivative(psi: np.ndarray, params: RimParams) -> np.ndarray:
-    """The four coordinate derivatives D_mu psi implied by the condition:
-    (4mu, 4) for one spinor, (n, 4mu, 4) for an (n, 4) stack."""
-    return one_row(_pointwise(psi, params.a, params.b)[-1], np.ndim(psi) == 1)
 
 
 def pointwise_residuals(psi: np.ndarray, params: RimParams):
@@ -224,16 +198,6 @@ def _residuals(psis: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) ->
     return heisenberg, del_a, del_b
 
 
-def heisenberg_residual(psi: np.ndarray, params: RimParams):
-    """The Heisenberg residual of ``pointwise_residuals``."""
-    return pointwise_residuals(psi, params)[0]
-
-
-def del_ab_residuals(psi: np.ndarray, params: RimParams) -> tuple:
-    """The (d_mu A, d_mu B) residuals of ``pointwise_residuals``."""
-    return pointwise_residuals(psi, params)[1:]
-
-
 def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions()) -> BaseValidation:
     """Accept a base iff A, B, A1, A2 are all nonzero and A1 != +-A2.
 
@@ -243,15 +207,14 @@ def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions())
     (n,) fields and an (n, 6) ``failed``, computed in row blocks.
     """
     psis = np.atleast_2d(np.asarray(psi, dtype=complex))
-    fields = by_row_blocks(lambda rows: _base_checks(rows, opt.tol), psis)
+    fields = by_row_blocks(lambda rows: _base_checks(rows, compute_batch(rows), opt.tol), psis)
     return BaseValidation(*one_row(fields, np.ndim(psi) == 1))
 
 
-def _base_checks(psis: np.ndarray, tol: float) -> tuple:
-    """``validate_rim_base`` of one block of rows."""
-    cov = compute_batch(psis)
+def _base_checks(psis: np.ndarray, cov: dict[str, np.ndarray], tol: float) -> tuple:
+    """``validate_rim_base`` of one block of rows and their covariants."""
     thr = tol * np.maximum(1.0, cov["scale"])
-    A1, A2 = cov["A1"], cov["A2"]
+    A1, A2 = chiral_overlaps(psis)
     zero = np.stack([cov["A"], cov["B"], A1, A2, A1 - A2, A1 + A2], axis=-1)
     failed = np.abs(zero) <= thr[:, None]
     return ~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2

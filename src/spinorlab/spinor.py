@@ -63,6 +63,14 @@ def mdo_dual(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return dirac_dual((np.asarray(psi)[..., None, :] @ np.swapaxes(xi, -1, -2))[..., 0, :])
 
 
+def chiral_overlaps(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A1, A2) over the last axis: A1 = P21* P11 + P22* P12 and
+    A2 = P11* P21 + P12* P22.  Under the Dirac dual A = A1 + A2 and
+    B = i(-A1 + A2), with A2 = conj(A1)."""
+    c = np.conj(psi)
+    return c[..., 2] * psi[..., 0] + c[..., 3] * psi[..., 1], c[..., 0] * psi[..., 2] + c[..., 1] * psi[..., 3]
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm over the last axis of a complex array, bit for bit:
     one dot product per row, the call the 1-D norm makes, where a reduction

@@ -152,8 +152,9 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
     def covariant_rows(psis):
         cov = bilinear.compute_batch(psis)
         quad = quad_scale(psis)
-        a_split = _rel(cov["A"] - (cov["A1"] + cov["A2"]), quad)
-        b_split = _rel(cov["B"] - 1j * (-cov["A1"] + cov["A2"]), quad)
+        A1, A2 = spinor.chiral_overlaps(psis)
+        a_split = _rel(cov["A"] - (A1 + A2), quad)
+        b_split = _rel(cov["B"] - 1j * (-A1 + A2), quad)
         reality = _row_max(*(_rel(cov[k].imag, quad) for k in "ABJKS"))
         return bilinear.fpk_residuals_batch(cov) / quartic_scale(psis)[:, None], reality, _row_max(a_split, b_split)
 
@@ -225,6 +226,10 @@ def suite_props(cfg: SuiteConfig) -> dict:
         type6 = lounesto.classify_batch(cov6, opt)[0] == T6
         return (type6 & (np.max(np.abs(cov6["K"]), axis=1) > thr6) & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6),)
 
+    def valid_rows(rows):  # one covariant pass for the base checks and the class
+        cov = bilinear.compute_batch(rows)
+        return (rim._base_checks(rows, cov, opt.tol)[0] & (lounesto.classify_batch(cov, opt)[0] == T1),)
+
     bases = generators.random_rim_bases(gen, n)
     a_vals, b_vals = _base_scalars(bases)
 
@@ -265,8 +270,7 @@ def suite_props(cfg: SuiteConfig) -> dict:
     checks.append(_check("constructed_type3_Apsi", 1e-10, _rel(cov3["A"], cov3["scale"])))
 
     nb = min(n, max(cfg.trials // 10, 100))
-    vbases = generators.random_rim_bases(gen, nb)
-    valid = rim.validate_rim_base(vbases, opt).ok & (_classes(vbases, opt) == T1)
+    (valid,) = bilinear.by_row_blocks(valid_rows, generators.random_rim_bases(gen, nb))
     checks.append(_check("valid_bases_type1", 0, ~valid))
 
     u = generators.random_complex(gen, (nb, 2))
@@ -325,7 +329,7 @@ def suite_rim(cfg: SuiteConfig) -> dict:
     vbases = vbases / np.linalg.norm(vbases, axis=1)[:, None]  # unit scale for the margin bound
     params = rim.validate(*generators.random_valid_params(gen, m))
     broken = dataclasses.replace(params, s=params.s + 0.1)  # broken balance
-    control = rim.heisenberg_residual(vbases, broken) / quartic_scale(vbases)
+    control = rim.pointwise_residuals(vbases, broken)[0] / quartic_scale(vbases)
     checks.append(_check("heisenberg_control", 1.0, 1e-3 / np.maximum(control, 1e-300)))
 
     checks.append(_check("del_A_identity", 1e-10, res_a / quartic))

@@ -86,24 +86,10 @@ def assert_rows_match(array_call, row_call, n, errors=(SpinorlabError, ValueErro
 @settings(deadline=None, max_examples=EXAMPLES)
 def test_compute_batch_rows_are_compute(seed, n, span):
     psis = _spinors(np.random.default_rng(seed), n, span)
-    keys = ("A", "B", "J", "K", "S", "A1", "A2", "scale")
+    keys = ("A", "B", "J", "K", "S", "scale")
     assert_rows_match(
         lambda: [bilinear.compute_batch(psis)[k] for k in keys],
         lambda i: [getattr(bilinear.compute(psis[i]), k) for k in keys],
-        n,
-    )
-
-
-@given(seed=seeds, n=rows, span=decades)
-@settings(deadline=None, max_examples=EXAMPLES)
-def test_compute_fast_batch_rows_are_compute_fast(seed, n, span):
-    gen = np.random.default_rng(seed)
-    bases = _spinors(gen, n, span)
-    r1, r2 = _spinors(gen, n, (0.0, 0.0))[:, :2].T
-    keys = ("A", "B", "J", "K0", "S01", "S02", "S03", "S12", "S13", "S23", "scale")
-    assert_rows_match(
-        lambda: [bilinear.compute_fast_batch(bases, r1, r2)[k] for k in keys],
-        lambda i: [getattr(bilinear.compute_fast(bases[i], r1[i], r2[i]), k) for k in keys],
         n,
     )
 

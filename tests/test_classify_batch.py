@@ -39,8 +39,6 @@ def _row(cov, i):
         J=cov["J"][i],
         K=cov["K"][i],
         S=cov["S"][i],
-        A1=complex(cov["A1"][i]),
-        A2=complex(cov["A2"][i]),
         dual=DualKind.DIRAC,
         scale=float(cov["scale"][i]),
     )
@@ -137,8 +135,6 @@ def _cov(A, B, J, K, S, scale):
         "J": np.asarray(J, dtype=complex),
         "K": np.asarray(K, dtype=complex),
         "S": np.asarray(S, dtype=complex),
-        "A1": (A + 1j * B) / 2.0,
-        "A2": (A - 1j * B) / 2.0,
         "scale": np.asarray(scale, dtype=float),
     }
 

@@ -241,7 +241,7 @@ def test_classify_bad_file(tmp_path, capsys):
 
 def test_decompose_roundtrip(base_setup, tmp_path, capsys):
     base, cov, params, c, files, _ = base_setup
-    psi = plane.apply_operator(plane.make_operator(0.5, 2.0 + 1j), base)
+    psi = plane.apply_operator(plane.MOperator(0.5, 2.0 + 1j), base)
     path = write_json(tmp_path / "psi.json", spinor.to_json(psi))
     code, rep = run_cli(["decompose", "--input", path, "--base", files["base"]], capsys)
     assert code == 0
@@ -309,8 +309,8 @@ def test_map_rejects_integrability_violation(base_setup, tmp_path):
 
 def test_homotopy_sweep(base_setup, tmp_path, capsys):
     base, cov, params, c, files, _ = base_setup
-    psi1 = plane.apply_operator(plane.make_operator(1.0, 0.8), base)
-    psi6 = plane.apply_operator(plane.make_operator(1.0, 0.0), base)
+    psi1 = plane.apply_operator(plane.MOperator(1.0, 0.8), base)
+    psi6 = plane.apply_operator(plane.MOperator(1.0, 0.0), base)
     f1 = write_json(tmp_path / "p1.json", spinor.to_json(psi1))
     f6 = write_json(tmp_path / "p6.json", spinor.to_json(psi6))
     code, rep = run_cli(
@@ -491,7 +491,7 @@ def test_near_degenerate_flag_sets_exit_code(base_setup, tmp_path, capsys):
     # coordinates a few tolerances away from the type-2 surface
     z = complex(-A, B) * 1.3
     r2 = np.conj(z) * np.exp(1j * 4e-9)
-    psi = plane.apply_operator(plane.make_operator(1.0, r2), base)
+    psi = plane.apply_operator(plane.MOperator(1.0, r2), base)
     path = write_json(tmp_path / "near.json", spinor.to_json(psi))
     code, rep = run_cli(["decompose", "--input", path, "--base", files["base"]], capsys)
     assert code == 1

@@ -1,0 +1,71 @@
+"""Seeded faults that the ``verify`` oracle must catch.
+
+Each mutant replaces one function at every binding the package holds and
+runs ``spinorlab verify`` on one suite at small trials: at least one check
+must fail.  ``spinor.chiral_overlaps`` is read by the component route
+(``bilinear.compute_fast_batch``), by ``rim``'s base checks and by ``fpk``'s
+``chiral_overlap_split``, so these mutants show that the ``fpk`` suite still
+guards A1 and A2 against the matrix route when one formula feeds both sides.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from spinorlab import cli, spinor
+
+ORIGINAL = spinor.chiral_overlaps
+
+
+def _swapped(psi):
+    A1, A2 = ORIGINAL(psi)
+    return A2, A1
+
+
+def _one_conj_dropped(psi):
+    c = np.conj(psi)
+    return psi[..., 2] * psi[..., 0] + c[..., 3] * psi[..., 1], c[..., 0] * psi[..., 2] + c[..., 1] * psi[..., 3]
+
+
+def _a2_is_a1(psi):
+    A1, _ = ORIGINAL(psi)
+    return A1, A1
+
+
+MUTANTS = {"outputs swapped": _swapped, "one conj dropped": _one_conj_dropped, "A2 := A1": _a2_is_a1}
+
+
+def patch_every_binding(monkeypatch, original, mutant) -> set[str]:
+    """Replace ``original`` wherever a spinorlab module binds it; the modules."""
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "spinorlab":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, mutant)
+                patched.add(name)
+    return patched
+
+
+def failed_checks(tmp_path, suite: str, trials: int) -> tuple[int, list[str]]:
+    out = tmp_path / f"{suite}.json"
+    code = cli.main(["verify", "--suite", suite, "--trials", str(trials), "--output", str(out)])
+    report = json.loads(out.read_text())
+    return code, [c["name"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
+
+
+def test_unmutated_fpk_passes(tmp_path):
+    assert failed_checks(tmp_path, "fpk", 200) == (cli.EXIT_OK, [])
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_chiral_overlaps_mutant_fails_fpk(name, monkeypatch, tmp_path):
+    patched = patch_every_binding(monkeypatch, ORIGINAL, MUTANTS[name])
+    # the component route and the split check both read the mutant
+    assert {"spinorlab.spinor", "spinorlab.bilinear"} <= patched
+    code, failed = failed_checks(tmp_path, "fpk", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert failed, name

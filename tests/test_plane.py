@@ -138,28 +138,28 @@ def test_chi_closed_form(rng):
 
 
 def test_operator_identity_and_apply():
-    op = plane.make_operator(1.0, 1.0)
+    op = plane.MOperator(1.0, 1.0)
     psi = np.array([1, 2, 3, 4], dtype=complex)
     assert np.array_equal(plane.apply_operator(op, psi), psi)
-    op = plane.make_operator(2.0, 3.0)
+    op = plane.MOperator(2.0, 3.0)
     assert np.array_equal(plane.apply_operator(op, np.ones(4)), [2, 2, 3, 3])
-    assert np.array_equal(plane.operator_matrix(op), np.diag([2, 2, 3, 3]))
+    assert np.array_equal(np.diag([op.c1, op.c1, op.c2, op.c2]) @ psi, plane.apply_operator(op, psi))
 
 
 def test_operator_inverse_roundtrip(rng):
     psi = random_spinor(rng)
-    op = plane.make_operator(2.0, 4.0)
+    op = plane.MOperator(2.0, 4.0)
     back = plane.apply_operator(plane.inverse_operator(op), plane.apply_operator(op, psi))
     assert np.max(np.abs(back - psi)) < 1e-14
 
 
 def test_operator_noninvertible():
     with pytest.raises(NonInvertible):
-        plane.inverse_operator(plane.make_operator(0.0, 1.0))
+        plane.inverse_operator(plane.MOperator(0.0, 1.0))
 
 
 def test_operator_closure(rng):
-    op = plane.compose_operators(plane.make_operator(2.0, 1j), plane.make_operator(0.5, -1j))
+    op = plane.compose_operators(plane.MOperator(2.0, 1j), plane.MOperator(0.5, -1j))
     assert op.c1 == 1.0 and op.c2 == 1.0
 
 
@@ -223,7 +223,7 @@ def test_decompose_identity_and_operator():
     coords = plane.decompose(base, base)
     assert coords.r1 == pytest.approx(1.0, abs=1e-14)
     assert coords.r2 == pytest.approx(1.0, abs=1e-14)
-    made = plane.apply_operator(plane.make_operator(2.0, 3j), base)
+    made = plane.apply_operator(plane.MOperator(2.0, 3j), base)
     coords = plane.decompose(made, base)
     assert coords.r1 == pytest.approx(2.0, abs=1e-12)
     assert coords.r2 == pytest.approx(3j, abs=1e-12)
@@ -231,17 +231,11 @@ def test_decompose_identity_and_operator():
 
 def test_decompose_tolerates_noise_in_zero_block():
     base = np.array([1.0, 0.5j, -0.3, 0.8], dtype=complex)
-    noisy = plane.apply_operator(plane.make_operator(0.7, 0.0), base)
+    noisy = plane.apply_operator(plane.MOperator(0.7, 0.0), base)
     noisy = noisy + np.array([0, 0, 1e-17, -1e-17j])
     coords = plane.decompose(noisy, base)
     assert coords.r1 == pytest.approx(0.7, abs=1e-12)
     assert abs(coords.r2) < 1e-12
-
-
-def test_operator_matrix_matches_apply(rng):
-    op = plane.make_operator(0.3 - 1.1j, 2.0 + 0.4j)
-    psi = np.array([0.2, -0.9j, 1.4, 0.5 + 0.5j])
-    assert np.allclose(plane.operator_matrix(op) @ psi, plane.apply_operator(op, psi))
 
 
 def test_map_operator_projector_form(rng):
@@ -252,7 +246,8 @@ def test_map_operator_projector_form(rng):
     chi = plane.chi_factors(c)
     # chi1 multiplies the first-coordinate (top) block
     expected = chi.chi1 * projector(1) + chi.chi2 * projector(2)
-    assert np.allclose(plane.operator_matrix(plane.m_operator(c)), expected)
+    op = plane.m_operator(c)
+    assert np.allclose(np.diag([op.c1, op.c1, op.c2, op.c2]), expected)
 
 
 def test_decompose_rejects_foreign_spinor():
@@ -298,8 +293,8 @@ def test_base_phase_does_not_change_class(rng):
     opt = lounesto.ClassifyOptions()
     base = random_rim_bases(rng, 1)[0]
     r1, r2 = 0.7 - 0.2j, 1.1 + 0.9j
-    plain = plane.apply_operator(plane.make_operator(r1, r2), base)
-    rotated = plane.apply_operator(plane.make_operator(r1, r2), np.exp(0.83j) * base)
+    plain = plane.apply_operator(plane.MOperator(r1, r2), base)
+    rotated = plane.apply_operator(plane.MOperator(r1, r2), np.exp(0.83j) * base)
     assert lounesto.classify(bilinear.compute(plain), opt) == lounesto.classify(
         bilinear.compute(rotated), opt
     )
@@ -329,7 +324,7 @@ def test_block_scale_stack_matches_apply_operator_rows(seed, n):
     stacked = plane.block_scale(psis, c1, c2)
     assert stacked.shape == (n, 4) and stacked.dtype == complex
     for i in range(n):
-        row = plane.apply_operator(plane.make_operator(c1[i], c2[i]), psis[i])
+        row = plane.apply_operator(plane.MOperator(c1[i], c2[i]), psis[i])
         assert np.array_equal(stacked[i], row)
 
 

@@ -54,17 +54,6 @@ def test_validate_unpaired_quarters_are_outside():
     assert p.domain == rim.OmegaDomain.OUTSIDE
 
 
-def test_sspace_point_polar_data():
-    a = 0.8 * np.exp(1j * 0.7)
-    b = (a.real / math.cos(0.3)) * np.exp(1j * 0.3)
-    p = rim.validate(a, b)
-    pt = rim.sspace_point(p)
-    assert pt.phi1 == pytest.approx(0.7, abs=1e-12)
-    assert pt.phi2 == pytest.approx(0.3, abs=1e-12)
-    assert pt.a0 == pytest.approx(0.8, abs=1e-12)
-    assert pt.domain == rim.OmegaDomain.OMEGA_1
-
-
 def test_validate_rejects_unequal_real_parts():
     with pytest.raises(IntegrabilityViolation):
         rim.validate(0.3 + 1j, 0.4 + 1j)
@@ -149,10 +138,15 @@ def test_potentials_null_current():
         rim.potentials(b, p)
 
 
+def derivative(psi, params):
+    """The (4mu, 4) D_mu psi of one spinor, from the pass behind the pointwise identities."""
+    return rim._pointwise(psi, params.a, params.b)[-1][0]
+
+
 def test_rim_derivative_balanced_spinor():
     psi = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     p = rim.validate(0.8 + 0.3j, 0.8 - 0.6j)
-    d = rim.rim_derivative(psi, p)
+    d = derivative(psi, p)
     # J0 = 1 and K0 = 0 for this spinor, so the time derivative is a*psi
     assert np.max(np.abs(d[0] - p.a * psi)) < 1e-14
 
@@ -162,8 +156,8 @@ def test_rim_derivative_linear_in_a():
     p1 = rim.validate(0.5 + 0.2j, 0.5 - 0.9j)
     p2 = rim.validate(1.0 + 0.4j, 1.0 - 0.9j)
     b = bilinear.compute(psi)
-    d1 = rim.rim_derivative(psi, p1)
-    d2 = rim.rim_derivative(psi, p2)
+    d1 = derivative(psi, p1)
+    d2 = derivative(psi, p2)
     eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
     for mu in range(4):
         delta = d2[mu] - d1[mu]
@@ -178,12 +172,12 @@ def test_heisenberg_residual_vanishes(rng):
     for i in range(200):
         psi = random_spinor(rng)
         p = rim.validate(a_arr[i], b_arr[i])
-        assert rim.heisenberg_residual(psi, p) < 1e-10 * quartic_scale(psi)
+        assert rim.pointwise_residuals(psi, p)[0] < 1e-10 * quartic_scale(psi)
 
 
 def test_heisenberg_residual_zero_spinor():
     p = rim.validate(0.5 + 0.2j, 0.5 - 0.9j)
-    assert rim.heisenberg_residual(np.zeros(4, dtype=complex), p) == 0.0
+    assert rim.pointwise_residuals(np.zeros(4, dtype=complex), p)[0] == 0.0
 
 
 def test_heisenberg_broken_balance_is_positive(rng):
@@ -191,7 +185,7 @@ def test_heisenberg_broken_balance_is_positive(rng):
     base = base / np.linalg.norm(base)
     p = rim.validate(0.5 + 0.2j, 0.5 - 0.9j)
     shifted = rim.RimParams(a=p.a, b=p.b, s=p.s + 0.1, rho=p.rho, domain=p.domain)
-    assert rim.heisenberg_residual(base, shifted) > 1e-3
+    assert rim.pointwise_residuals(base, shifted)[0] > 1e-3
 
 
 def test_del_ab_identities(rng):
@@ -199,7 +193,7 @@ def test_del_ab_identities(rng):
     for i in range(200):
         psi = random_spinor(rng)
         p = rim.validate(a_arr[i], b_arr[i])
-        ra, rb = rim.del_ab_residuals(psi, p)
+        ra, rb = rim.pointwise_residuals(psi, p)[1:]
         assert ra < 1e-10 * quartic_scale(psi)
         assert rb < 1e-10 * quartic_scale(psi)
 
@@ -209,7 +203,7 @@ def test_del_ab_degenerate_couplings(rng):
     psi = random_spinor(rng)
     p = rim.validate(0.4 + 0.7j, 0.4 + 0.7j)
     assert p.s == 0.0
-    ra, rb = rim.del_ab_residuals(psi, p)
+    ra, rb = rim.pointwise_residuals(psi, p)[1:]
     assert max(ra, rb) < 1e-10 * quartic_scale(psi)
 
 
@@ -218,12 +212,10 @@ def test_batch_residuals_match_scalar(rng):
     a_arr, b_arr = random_valid_params(rng, 20)
     params = rim.validate(a_arr, b_arr)
     batch = rim.pointwise_residuals(psis, params)
-    assert [r.tobytes() for r in rim.del_ab_residuals(psis, params)] == [r.tobytes() for r in batch[1:]]
-    assert rim.heisenberg_residual(psis, params).tobytes() == batch[0].tobytes()
     for i in (0, 7, 19):
         p = rim.validate(a_arr[i], b_arr[i])
         assert rim.pointwise_residuals(psis[i], p) == tuple(r[i] for r in batch)
-        assert np.array_equal(rim.rim_derivative(psis, params)[i], rim.rim_derivative(psis[i], p))
+        assert np.array_equal(rim._pointwise(psis, params.a, params.b)[-1][i], derivative(psis[i], p))
 
 
 def test_base_validation_rejects_zero_pseudoscalar():
@@ -284,8 +276,8 @@ def test_pointwise_identities_hold_under_scale_and_phase(seed, decade, phase):
     a, b = random_valid_params(gen, 1)
     p = rim.validate(a[0], b[0])
     scale = quartic_scale(psi)
-    assert rim.heisenberg_residual(psi, p) / scale <= 1e-10
-    ra, rb = rim.del_ab_residuals(psi, p)
+    heisenberg, ra, rb = rim.pointwise_residuals(psi, p)
+    assert heisenberg / scale <= 1e-10
     assert max(ra, rb) / scale <= 1e-10
 
 

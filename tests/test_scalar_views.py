@@ -51,10 +51,7 @@ CASES = {
     ),
     "rim.potentials": (lambda: rim.potentials(BIL, PARAMS), {"S": float, "R": float}),
     "rim.vartheta": (lambda: rim.vartheta(PARAMS, POTS), complex),
-    "rim.rim_derivative": (lambda: rim.rim_derivative(PSI, PARAMS), M4),
     "rim.pointwise_residuals": (lambda: rim.pointwise_residuals(PSI, PARAMS), (float, float, float)),
-    "rim.heisenberg_residual": (lambda: rim.heisenberg_residual(PSI, PARAMS), float),
-    "rim.del_ab_residuals": (lambda: rim.del_ab_residuals(PSI, PARAMS), (float, float)),
     "rim.validate_rim_base": (
         lambda: rim.validate_rim_base(BASE),
         {"ok": bool, "failed": ("ndarray", (6,)), "A": float, "B": float, "A1": complex, "A2": complex},
