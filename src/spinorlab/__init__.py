@@ -5,7 +5,7 @@ from . import bilinear, clifford, homotopy, lounesto, mdo, plane, rim, spinor
 from .bilinear import Bilinears, compute, fpk_residuals
 from .clifford import GammaSet, build, projector, slash
 from .homotopy import CoordFunction, HomotopyPath, basis_homotopy, eval_path, spinor_homotopy
-from .lounesto import ClassifyOptions, LounestoClass, classify, classify_by_coefficients
+from .lounesto import LounestoClass, classify, classify_by_coefficients
 from .mdo import ElkoSpinor, Momentum, elko, wigner_theta, xi
 from .plane import CoefficientSet, MOperator, PlaneCoords, coefficient_set, decompose
 from .rim import OmegaDomain, Potentials, RimParams, validate, validate_rim_base
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bilinears",
-    "ClassifyOptions",
     "CoefficientSet",
     "CoordFunction",
     "DualKind",

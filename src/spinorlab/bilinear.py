@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import ETA, build, minkowski_dot
+from .clifford import ETA, build
 from .spinor import DualKind, chiral_overlaps, dirac_dual, mdo_dual, norm_sq
 
 _S_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -58,12 +58,6 @@ class Bilinears:
     S: np.ndarray
     dual: DualKind
     scale: float  # sum |c_i|^2 of the source spinor
-
-    def j_squared(self) -> complex:
-        return minkowski_dot(self.J, self.J)
-
-    def k_squared(self) -> complex:
-        return minkowski_dot(self.K, self.K)
 
     def as_batch(self) -> dict[str, np.ndarray]:
         """This record as the one-row dict ``compute_batch`` returns: a copy

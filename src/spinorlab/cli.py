@@ -158,12 +158,11 @@ def _write_blocks(header: dict, n: int, block, output: str | None) -> int:
 
 
 def _cmd_classify(args) -> int:
-    opt = lounesto.ClassifyOptions(tol=args.tol)
     psis = io.load_spinors(args.input)
 
     def block(rows, flagged):
         cov = bilinear.compute_batch(psis[rows])
-        classes, errors, near = lounesto.classify_batch(cov, opt)
+        classes, errors, near = lounesto.classify_batch(cov, args.tol)
         residuals = bilinear.fpk_residuals_batch(cov)
         ids = np.arange(rows.start, rows.start + classes.size)
         names, details = _error_texts(lounesto.ROW_ERRORS, errors)
@@ -191,14 +190,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    opt = lounesto.ClassifyOptions(tol=args.tol)
     psis = io.load_spinors(args.input)
     base, a_val, b_val = _load_base(args.base)
 
     def block(rows, flagged):
         coords, residuals, failures = plane.decompose_batch(psis[rows], base)
         classes, errors, near = lounesto.classify_by_coefficients_batch(
-            coords[:, 0], coords[:, 1], a_val, b_val, opt
+            coords[:, 0], coords[:, 1], a_val, b_val, args.tol
         )
         # layouts: 0 class row, 1 coefficient-error row, 2 failed row
         layout = np.minimum(errors, 1)
@@ -248,7 +246,7 @@ def _cmd_map(args) -> int:
     reverse = "mdo-to-dirac" if args.direction == "dirac-to-mdo" else "dirac-to-mdo"
     back = plane.map_dirac_mdo(mapped, c, reverse)
     roundtrip = float(np.linalg.norm(back - psi))
-    chi = plane.chi_factors(c)
+    m = plane.m_operator(c)
     report = {
         "command": "map",
         "config": {
@@ -258,8 +256,8 @@ def _cmd_map(args) -> int:
             "coeffs": str(args.coeffs),
             "input": str(args.input),
         },
-        "chi1": spinor.complex_to_json(chi.chi1),
-        "chi2": spinor.complex_to_json(chi.chi2),
+        "chi1": spinor.complex_to_json(m.c1),
+        "chi2": spinor.complex_to_json(m.c2),
         "mapped": spinor.to_json(mapped),
         "roundtrip_residual": roundtrip,
     }
@@ -268,7 +266,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_homotopy(args) -> int:
-    opt = lounesto.ClassifyOptions(tol=args.tol)
     psi = io.load_spinors(args.from_path)[0]
     phi = io.load_spinors(args.to_path)[0]
     base, a_val, b_val = _load_base(args.base)
@@ -276,7 +273,7 @@ def _cmd_homotopy(args) -> int:
     phi_c = plane.decompose(phi, base)
     path = homotopy.spinor_homotopy(psi_c, phi_c)
     steps = args.steps
-    t_star, before, after, grid = homotopy.class_transition(path, a_val, b_val, opt, steps=steps, x=psi_c.r1)
+    t_star, before, after, grid = homotopy.class_transition(path, a_val, b_val, args.tol, steps=steps, x=psi_c.r1)
     ts = np.arange(steps + 1) / steps
     coords, wt = homotopy.eval_path(path, psi_c.r1, ts), homotopy.multiplier_at(path, ts)
     degenerate = np.abs(ts - (np.nan if path.degenerate_t is None else path.degenerate_t)) <= 1.0 / (2 * steps)

@@ -23,9 +23,12 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def random_rim_bases(rng: np.random.Generator, n: int, margin: float = 1e-2) -> np.ndarray:
-    """Valid reference spinors with |A|, |B| and ||A|-|B|| bounded away from
-    zero (relative to the norm).
+BASE_MARGIN = 1e-2
+
+
+def random_rim_bases(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Valid reference spinors with |A|, |B| and ||A|-|B|| above
+    ``BASE_MARGIN`` times the norm.
 
     The last margin keeps the Dirac image away from the type-3 surface,
     which is hit exactly when A^2 = B^2.
@@ -34,16 +37,16 @@ def random_rim_bases(rng: np.random.Generator, n: int, margin: float = 1e-2) -> 
     have = 0
     while have < n:
         cand = random_spinors(rng, 2 * (n - have) + 8)
-        took = cand[by_row_blocks(lambda rows: _clear_of_margin(rows, margin), cand)[0]][: n - have]
+        took = cand[by_row_blocks(_clear_of_margin, cand)[0]][: n - have]
         out[have : have + took.shape[0]] = took
         have += took.shape[0]
     return out
 
 
-def _clear_of_margin(cand: np.ndarray, margin: float) -> tuple[np.ndarray]:
-    """Whether each candidate's |A|, |B| and ||A| - |B|| exceed margin * scale."""
+def _clear_of_margin(cand: np.ndarray) -> tuple[np.ndarray]:
+    """Whether each candidate's |A|, |B| and ||A| - |B|| exceed BASE_MARGIN * scale."""
     cov = compute_batch(cand)
-    a, b, s = np.abs(cov["A"].real), np.abs(cov["B"].real), margin * cov["scale"]
+    a, b, s = np.abs(cov["A"].real), np.abs(cov["B"].real), BASE_MARGIN * cov["scale"]
     return ((a > s) & (b > s) & (np.abs(a - b) > s),)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateParameter, one_row, raise_first
-from .lounesto import COEFFICIENT_ERRORS, ClassifyOptions, classify_by_coefficients_batch
+from .lounesto import COEFFICIENT_ERRORS, classify_by_coefficients_batch
 
 # ``decompose`` stays importable from here: bench/test_bench.py checks that
 # the benchmark's tracer patches this binding
@@ -173,11 +173,11 @@ def spinor_homotopy(psi_coords: PlaneCoords, phi_coords: PlaneCoords) -> Homotop
     return HomotopyPath(f=f, g=g, degenerate_t=_degenerate_t(f.w, g.w), basis=psi_coords.basis)
 
 
-def _classify(x, y, A, B, opt: ClassifyOptions) -> np.ndarray:
+def _classify(x, y, A, B, tol: float) -> np.ndarray:
     """Class codes of the points (x, y), broadcast, from one batch call; raises what
     ``classify_by_coefficients`` would at the first failing point, path by path."""
     points = np.broadcast_arrays(x, y, A, B)
-    classes, errors, _ = classify_by_coefficients_batch(*(a.ravel() for a in points), opt)
+    classes, errors, _ = classify_by_coefficients_batch(*(a.ravel() for a in points), tol)
     errors = errors.reshape(points[0].shape).T
     if errors.any():
         exc, message = COEFFICIENT_ERRORS[errors[errors != 0][0] - 1]
@@ -185,7 +185,7 @@ def _classify(x, y, A, B, opt: ClassifyOptions) -> np.ndarray:
     return classes.reshape(points[0].shape)
 
 
-def class_transition(path: HomotopyPath, A, B, opt: ClassifyOptions = ClassifyOptions(), steps: int = 10, x=1.0 + 0j):
+def class_transition(path: HomotopyPath, A, B, tol: float = DEFAULT_TOL, steps: int = 10, x=1.0 + 0j):
     """First class change of the points (x, y(t)) along one path, or n paths
     where the path, A, B or x hold (n,) arrays.
 
@@ -198,7 +198,7 @@ def class_transition(path: HomotopyPath, A, B, opt: ClassifyOptions = ClassifyOp
     among n."""
     fx, gx, x, A, B = np.broadcast_arrays(*np.atleast_1d(path.f(x), path.g(x), x, A, B))
     ts = np.arange(steps + 1) / steps
-    grid = _classify(x, _between(fx, gx, ts[:, None]), A, B, opt)
+    grid = _classify(x, _between(fx, gx, ts[:, None]), A, B, tol)
     changed = grid[1:] != grid[:-1]
     moving, first = changed.any(axis=0), np.argmax(changed, axis=0)
     before, after = np.take_along_axis(grid, np.stack([first, first + 1]), axis=0)
@@ -208,7 +208,7 @@ def class_transition(path: HomotopyPath, A, B, opt: ClassifyOptions = ClassifyOp
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
             break  # every bracket is two adjacent floats, which no halving moves
-        below = _classify(x, _between(fx, gx, mid), A, B, opt) == c_lo
+        below = _classify(x, _between(fx, gx, mid), A, B, tol) == c_lo
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     t_star = np.full(grid.shape[1], np.nan)
     t_star[moving] = 0.5 * (lo + hi)

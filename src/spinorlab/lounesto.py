@@ -7,7 +7,8 @@ returns per-row class and error codes.  The coefficient route
 classifies psi = r1*block1(base) + r2*block2(base) straight from (r1, r2)
 and the base scalars (A, B) without building any covariant; its scalar
 ``classify_by_coefficients`` and ``classify_by_coefficients_batch`` do the
-same real arithmetic, on Python floats and on arrays.
+same real arithmetic, on Python floats and on arrays.  Every zero test
+reads one tolerance, passed as the float ``tol`` (``DEFAULT_TOL`` by default).
 
 ``classify``, ``classify_by_coefficients`` and ``near_degenerate`` stay
 scalar code, the tests' reference for the batch routes and measured by the
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -40,15 +40,6 @@ class LounestoClass(enum.IntEnum):
     @property
     def regular(self) -> bool:
         return self.value <= 3
-
-
-@dataclass(frozen=True)
-class ClassifyOptions:
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 _AMBIGUOUS_SCALE = (AmbiguousScale, "spinor norm below threshold")
@@ -77,13 +68,13 @@ def _raise(entry: tuple[type, str]) -> NoReturn:
     raise exc(message)
 
 
-def classify(b: Bilinears, opt: ClassifyOptions = ClassifyOptions()) -> LounestoClass:
+def classify(b: Bilinears, tol: float = DEFAULT_TOL) -> LounestoClass:
     """Assign the unique class; covariants must come from the Dirac dual."""
     if b.dual is not DualKind.DIRAC:
         raise ValueError("classification is defined for the Dirac dual only")
-    if b.scale < opt.tol:
+    if b.scale < tol:
         _raise(_AMBIGUOUS_SCALE)
-    thr = opt.tol * max(1.0, b.scale)
+    thr = tol * max(1.0, b.scale)
     if np.abs(b.J).max() < thr:
         _raise(_NULL_CURRENT)
     entry = DECISION[
@@ -99,7 +90,7 @@ def classify(b: Bilinears, opt: ClassifyOptions = ClassifyOptions()) -> Lounesto
 
 def classify_batch(
     cov: dict[str, np.ndarray],
-    opt: ClassifyOptions = ClassifyOptions(),
+    tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify every row of a Dirac-dual ``bilinear.compute_batch`` dict.
 
@@ -108,7 +99,7 @@ def classify_batch(
     raise) and near-degenerate flags (False on error rows).
     """
     scale = cov["scale"]
-    thr = opt.tol * np.maximum(1.0, scale)[:, None]
+    thr = tol * np.maximum(1.0, scale)[:, None]
     # |A|, |B|, max|K|, max|S| per row: the inputs of the four zero-tests
     mags = np.stack(
         [
@@ -123,7 +114,7 @@ def classify_batch(
     classes = _CLASS_CODES[index]
     errors = _ERROR_CODES[index]
     errors[np.max(np.abs(cov["J"]), axis=1) < thr[:, 0]] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
-    errors[scale < opt.tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
+    errors[scale < tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
     classes[errors != 0] = 0
     # near: a zero-test input within NEAR_BAND thresholds above its threshold
     near = np.any((thr < mags) & (mags <= NEAR_BAND * thr), axis=1)
@@ -167,7 +158,7 @@ def classify_by_coefficients(
     r2: complex,
     A: float,
     B: float,
-    opt: ClassifyOptions = ClassifyOptions(),
+    tol: float = DEFAULT_TOL,
 ) -> LounestoClass:
     """Class of r1*block1 + r2*block2 of a regular base with scalars (A, B).
 
@@ -176,7 +167,6 @@ def classify_by_coefficients(
     types 2 and 3, one vanishing coordinate selects type 6.  With
     z = r1 r2* they read A + B Re z / Im z = 0 and A - B Im z / Re z = 0.
     """
-    tol = opt.tol
     scale = max(abs(A), abs(B), 1.0)
     if abs(A) <= tol * scale or abs(B) <= tol * scale:
         _raise(_INVALID_BASE)
@@ -208,7 +198,7 @@ def classify_by_coefficients_batch(
     r2: np.ndarray,
     A,
     B,
-    opt: ClassifyOptions = ClassifyOptions(),
+    tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``classify_by_coefficients`` and ``near_degenerate`` of every row.
 
@@ -218,7 +208,6 @@ def classify_by_coefficients_batch(
     ``classify_by_coefficients`` would raise) and near-degenerate flags
     (False on error rows).  Row for row the same as the scalar route.
     """
-    tol = opt.tol
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     a1, a2 = np.hypot(r1.real, r1.imag), np.hypot(r2.real, r2.imag)
@@ -254,11 +243,10 @@ def near_degenerate(
     r2: complex,
     A: float,
     B: float,
-    opt: ClassifyOptions = ClassifyOptions(),
+    tol: float = DEFAULT_TOL,
 ) -> bool:
     """True when the input sits within ``NEAR_BAND`` tolerances of a decision
     boundary (a vanishing coordinate or a type-2/3 ratio condition)."""
-    tol = opt.tol
     r1, r2 = complex(r1), complex(r2)
     a1, a2 = abs(r1), abs(r2)
     rs = max(1.0, a1, a2)

@@ -119,30 +119,25 @@ def boosted_left(mom: Momentum, h) -> np.ndarray:
     return one_row(np.sqrt(left)[:, None] * helicity_spinor(theta, phi, h), mom.one)
 
 
-def elko(mom: Momentum, helicity, conj: str, sign: int | None = None) -> ElkoSpinor:
+def elko(mom: Momentum, helicity, conj: str) -> ElkoSpinor:
     """Construct a dual-helicity spinor and certify its conjugation eigenvalue.
 
-    The top-block sign is tied to the conjugacy class: C lambda = +lambda
-    needs +i, C lambda = -lambda needs -i.  Passing a contradictory sign is
-    an error.  The helicity is +-1 or an (n,) array of them; a spinor that
+    The conjugacy class fixes the top-block sign: C lambda = +lambda
+    ("S") needs +i, C lambda = -lambda ("A") needs -i; the record's ``sign``
+    holds it.  The helicity is +-1 or an (n,) array of them; a spinor that
     is not finite raises NonFiniteMomentum.
     """
     if conj not in ("S", "A"):
         raise ValueError("conj must be 'S' or 'A'")
-    expected_sign = +1 if conj == "S" else -1
-    if sign is None:
-        sign = expected_sign
-    elif sign != expected_sign:
-        raise ValueError(f"conj={conj!r} requires top-block sign {expected_sign:+d}")
+    sign = +1 if conj == "S" else -1
     phi_l = np.atleast_2d(boosted_left(mom, helicity))
     top = (sign * 1j * wigner_theta() @ np.conj(phi_l)[:, :, None])[:, :, 0]
     lam = assemble(top, phi_l)
     _check_finite(mom, lam, "the spinor is not finite: E = hypot(p, m) overflows")
-    eigen = +1 if conj == "S" else -1
-    if np.any(np.max(np.abs(charge_conjugate(lam) - eigen * lam), axis=-1) > 1e-12 * row_norms(lam)):
+    if np.any(np.max(np.abs(charge_conjugate(lam) - sign * lam), axis=-1) > 1e-12 * row_norms(lam)):
         raise AssertionError("charge-conjugation eigenvalue check failed")
     helicity = one_row(np.atleast_1d(helicity), np.ndim(helicity) == 0)
-    return ElkoSpinor(spinor=one_row(lam, mom.one), conj=conj, helicity=helicity, sign=int(sign))
+    return ElkoSpinor(spinor=one_row(lam, mom.one), conj=conj, helicity=helicity, sign=sign)
 
 
 def charge_conjugate(psi: np.ndarray) -> np.ndarray:

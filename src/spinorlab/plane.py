@@ -4,7 +4,9 @@ A reference spinor with nonzero chiral blocks spans the plane; any member is
 r1*block1(base) + r2*block2(base) = (r1, r2) in the base's own basis "B".
 The Dirac- and MDO-image bases "D" and "M" are reached through block-scalar
 operators built from the six map coefficients; every change of basis is an
-invertible block-scalar operator (c1 on block 1, c2 on block 2).
+invertible block-scalar operator (c1 on block 1, c2 on block 2).  The
+chi factors of the Dirac -> MDO map are ``m_operator``'s c1 and c2, and their
+reciprocals are those of its ``inverse_operator``.
 
 The coefficient set, the operators, the maps and ``convert_coords`` take
 scalars or (n,) arrays, one row each, and a scalar call has the bits of the
@@ -85,14 +87,6 @@ class CoefficientSet:
     beta_exponent: complex  # beta = exp(beta_exponent)
 
 
-@dataclass(frozen=True)
-class ChiFactors:
-    chi1: complex
-    chi2: complex
-    chi1_inv: complex
-    chi2_inv: complex
-
-
 def coefficient_set(
     params: RimParams,
     A,
@@ -145,17 +139,6 @@ def coefficient_set(
     )
 
 
-def chi_factors(c: CoefficientSet) -> ChiFactors:
-    """chi1 = eps*omega/(delta*beta*alpha), chi2 = zeta*delta/(eps*beta*alpha)."""
-    # one shape for all six: a set may mix scalar and (n,) fields
-    coeffs = np.broadcast_arrays(c.alpha, c.beta, c.delta, c.epsilon, c.omega, c.zeta)
-    raise_first(np.any(np.abs(coeffs) <= DEFAULT_TOL, axis=0), ZeroCoefficient, "all six coefficients must be nonzero")
-    alpha, beta, delta, epsilon, omega, zeta = coeffs
-    chi1 = epsilon * omega / (delta * beta * alpha)
-    chi2 = zeta * delta / (epsilon * beta * alpha)
-    return ChiFactors(chi1=chi1, chi2=chi2, chi1_inv=1.0 / chi1, chi2_inv=1.0 / chi2)
-
-
 def block_scale(psi: np.ndarray, c1, c2) -> np.ndarray:
     """c1*block1(psi) + c2*block2(psi) for a (4,) spinor, or row by row for
     an (n, 4) stack with scalar or (n,) coefficients."""
@@ -192,9 +175,14 @@ def q_operator(c: CoefficientSet) -> MOperator:
 
 
 def m_operator(c: CoefficientSet) -> MOperator:
-    """Dirac image -> MDO image: the chi factors blockwise."""
-    chi = chi_factors(c)
-    return MOperator(c1=chi.chi1, c2=chi.chi2)
+    """Dirac image -> MDO image: the chi factors blockwise,
+    chi1 = eps*omega/(delta*beta*alpha) and chi2 = zeta*delta/(eps*beta*alpha);
+    ``inverse_operator`` of it holds 1/chi1 and 1/chi2."""
+    # one shape for all six: a set may mix scalar and (n,) fields
+    coeffs = np.broadcast_arrays(c.alpha, c.beta, c.delta, c.epsilon, c.omega, c.zeta)
+    raise_first(np.any(np.abs(coeffs) <= DEFAULT_TOL, axis=0), ZeroCoefficient, "all six coefficients must be nonzero")
+    alpha, beta, delta, epsilon, omega, zeta = coeffs
+    return MOperator(c1=epsilon * omega / (delta * beta * alpha), c2=zeta * delta / (epsilon * beta * alpha))
 
 
 def dirac_from_base(base: np.ndarray, c: CoefficientSet) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 from .bilinear import Bilinears, by_row_blocks, compute_batch
 from .clifford import ETA, build, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
-from .lounesto import ClassifyOptions
 from .spinor import DEFAULT_TOL, chiral_overlaps
 
 _TWO_PI = 2.0 * math.pi
@@ -76,11 +75,6 @@ class BaseValidation:
     B: float
     A1: complex
     A2: complex
-
-    @property
-    def reasons(self) -> tuple[str, ...]:
-        """The failed constraints of one base, by name."""
-        return tuple(name for name, bad in zip(BASE_CONSTRAINTS, self.failed) if bad)
 
 
 def _quarter(phi):
@@ -198,7 +192,7 @@ def _residuals(psis: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) ->
     return heisenberg, del_a, del_b
 
 
-def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions()) -> BaseValidation:
+def validate_rim_base(psi: np.ndarray, tol: float = DEFAULT_TOL) -> BaseValidation:
     """Accept a base iff A, B, A1, A2 are all nonzero and A1 != +-A2.
 
     Under the Dirac dual A2 = conj(A1), so the essential content is
@@ -207,7 +201,7 @@ def validate_rim_base(psi: np.ndarray, opt: ClassifyOptions = ClassifyOptions())
     (n,) fields and an (n, 6) ``failed``, computed in row blocks.
     """
     psis = np.atleast_2d(np.asarray(psi, dtype=complex))
-    fields = by_row_blocks(lambda rows: _base_checks(rows, compute_batch(rows), opt.tol), psis)
+    fields = by_row_blocks(lambda rows: _base_checks(rows, compute_batch(rows), tol), psis)
     return BaseValidation(*one_row(fields, np.ndim(psi) == 1))
 
 

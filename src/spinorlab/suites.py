@@ -205,44 +205,43 @@ def suite_fpk(cfg: SuiteConfig) -> dict:
 # props (classification rules vs brute force, base validation)
 
 
-def _classes(psis: np.ndarray, opt: lounesto.ClassifyOptions) -> np.ndarray:
+def _classes(psis: np.ndarray, tol: float) -> np.ndarray:
     """Brute-force class codes of a spinor stack; 0 where classify would raise."""
-    return _cov_rows(lambda cov: lounesto.classify_batch(cov, opt)[:1], psis)[0]
+    return _cov_rows(lambda cov: lounesto.classify_batch(cov, tol)[:1], psis)[0]
 
 
 def suite_props(cfg: SuiteConfig) -> dict:
     gen = rng.stream(cfg.seed, "props")
-    opt = lounesto.ClassifyOptions(tol=cfg.tol)
     n = cfg.trials
     checks = []
     T1, T2, T3, T4, T5, T6 = lounesto.LounestoClass
 
     def coefficient_classes(r1, r2, A, B) -> np.ndarray:
         """Class codes of the coefficient route, 0 on an error row."""
-        return lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)[0]
+        return lounesto.classify_by_coefficients_batch(r1, r2, A, B, cfg.tol)[0]
 
     def lemma4_rows(cov6):  # brute-force type 6 with K nonzero and S zero
         thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
-        type6 = lounesto.classify_batch(cov6, opt)[0] == T6
+        type6 = lounesto.classify_batch(cov6, cfg.tol)[0] == T6
         return (type6 & (np.max(np.abs(cov6["K"]), axis=1) > thr6) & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6),)
 
     def valid_rows(rows):  # one covariant pass for the base checks and the class
         cov = bilinear.compute_batch(rows)
-        return (rim._base_checks(rows, cov, opt.tol)[0] & (lounesto.classify_batch(cov, opt)[0] == T1),)
+        return (rim._base_checks(rows, cov, cfg.tol)[0] & (lounesto.classify_batch(cov, cfg.tol)[0] == T1),)
 
     bases = generators.random_rim_bases(gen, n)
     a_vals, b_vals = _base_scalars(bases)
 
     r1 = generators.random_complex(gen, n)
     r2 = generators.random_complex(gen, n)
-    brute = _classes(plane.block_scale(bases, r1, r2), opt)
+    brute = _classes(plane.block_scale(bases, r1, r2), cfg.tol)
     fast = coefficient_classes(r1, r2, a_vals, b_vals)
     checks.append(_check("coefficient_vs_brute", 0, fast != brute))
     checks.append(_check("no_type4_type5", 0, (fast == T4) | (fast == T5)))
 
     rr1 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
     rr2 = gen.uniform(0.2, 2.0, n) * np.where(gen.uniform(size=n) < 0.5, -1, 1)
-    brute = _classes(plane.block_scale(bases, rr1 + 0j, rr2 + 0j), opt)
+    brute = _classes(plane.block_scale(bases, rr1 + 0j, rr2 + 0j), cfg.tol)
     fast = coefficient_classes(rr1, rr2, a_vals, b_vals)
     checks.append(_check("real_pairs_type1", 0, (fast != T1) | (brute != T1)))
 
@@ -260,8 +259,8 @@ def suite_props(cfg: SuiteConfig) -> dict:
     r3sol = np.conj(B * s + 1j * A * s)  # z on the surface A*Re(z) = B*Im(z)
     cov2 = bilinear.compute_batch(plane.block_scale(bases[:m], ones, r2sol))
     cov3 = bilinear.compute_batch(plane.block_scale(bases[:m], ones, r3sol))
-    brute2 = lounesto.classify_batch(cov2, opt)[0]
-    brute3 = lounesto.classify_batch(cov3, opt)[0]
+    brute2 = lounesto.classify_batch(cov2, cfg.tol)[0]
+    brute3 = lounesto.classify_batch(cov3, cfg.tol)[0]
     ok2 = (brute2 == T2) & (np.abs(cov2["A"]) > cfg.tol) & (coefficient_classes(ones, r2sol, A, B) == T2)
     ok3 = (brute3 == T3) & (np.abs(cov3["B"]) > cfg.tol) & (coefficient_classes(ones, r3sol, A, B) == T3)
     checks.append(_check("constructed_type2", 0, ~ok2))
@@ -276,8 +275,8 @@ def suite_props(cfg: SuiteConfig) -> dict:
     u = generators.random_complex(gen, (nb, 2))
     t = gen.uniform(0.3, 1.5, nb)[:, None]
     a_zero, b_zero = (rim.BASE_CONSTRAINTS.index(name) for name in ("A=0", "B=0"))
-    val_a = rim.validate_rim_base(assemble(u, 1j * t * u), opt)  # A1 pure imaginary -> A = 0
-    val_b = rim.validate_rim_base(assemble(u, t * u), opt)  # A1 real -> B = 0
+    val_a = rim.validate_rim_base(assemble(u, 1j * t * u), cfg.tol)  # A1 pure imaginary -> A = 0
+    val_b = rim.validate_rim_base(assemble(u, t * u), cfg.tol)  # A1 real -> B = 0
     missed = np.concatenate([val_a.ok | ~val_a.failed[:, a_zero], val_b.ok | ~val_b.failed[:, b_zero]])
     checks.append(_check("synthetic_rejections", 0, missed))
     return _report("props", checks)
@@ -360,7 +359,6 @@ def suite_rim(cfg: SuiteConfig) -> dict:
 
 def suite_plane(cfg: SuiteConfig) -> dict:
     gen = rng.stream(cfg.seed, "plane")
-    opt = lounesto.ClassifyOptions(tol=cfg.tol)
     n = cfg.trials
     checks = []
 
@@ -377,10 +375,11 @@ def suite_plane(cfg: SuiteConfig) -> dict:
     params = rim.validate(a_arr, b_arr, cfg.tol)
     A, B = _base_scalars(bases)
     c = plane.coefficient_set(params, A, B, masses_m, masses_mm, thetas, signs)
-    chi = plane.chi_factors(c)
-    checks.append(_check("chi_roundtrip", 1e-12, chi.chi1 * chi.chi1_inv - 1.0, chi.chi2 * chi.chi2_inv - 1.0))
+    m = plane.m_operator(c)
+    m_inv = plane.inverse_operator(m)
+    checks.append(_check("chi_roundtrip", 1e-12, m.c1 * m_inv.c1 - 1.0, m.c2 * m_inv.c2 - 1.0))
 
-    mn = plane.compose_operators(plane.m_operator(c), plane.inverse_operator(plane.m_operator(c)))
+    mn = plane.compose_operators(m, m_inv)
     checks.append(_check("mn_identity", 1e-10, mn.c1 - 1.0, mn.c2 - 1.0))
 
     nsb = np.linalg.norm(bases, axis=1)
@@ -423,17 +422,17 @@ def suite_plane(cfg: SuiteConfig) -> dict:
         (1.0 / (2.0 * params.a.real))
         * (mass_term / (2.0 * amib) + 1j * (params.a.imag * log_j - masses_m / c.J))
     )
-    checks.append(_check("chi_closed_form", 1e-10, _rel(chi.chi1 - closed, closed)))
+    checks.append(_check("chi_closed_form", 1e-10, _rel(m.c1 - closed, closed)))
 
     made = plane.block_scale(bases, coords_r, coords_r2)
     r1, r2 = plane.decompose_batch(made, bases)[0].T
     checks.append(_check("decompose_roundtrip", 1e-10, _rel(r1 - coords_r, cscale), _rel(r2 - coords_r2, cscale)))
 
-    type1 = _classes(psi_d, opt) == lounesto.LounestoClass.TYPE1
+    type1 = _classes(psi_d, cfg.tol) == lounesto.LounestoClass.TYPE1
     checks.append(_check("dirac_image_type1", 0, ~type1))
 
     rotated = plane.block_scale(phases[:, None] * bases, coords_r, coords_r2)
-    checks.append(_check("base_phase_invariance", 0, _classes(rotated, opt) != _classes(made, opt)))
+    checks.append(_check("base_phase_invariance", 0, _classes(rotated, cfg.tol) != _classes(made, cfg.tol)))
     return _report("plane", checks)
 
 
@@ -443,7 +442,6 @@ def suite_plane(cfg: SuiteConfig) -> dict:
 
 def suite_homotopy(cfg: SuiteConfig) -> dict:
     gen = rng.stream(cfg.seed, "homotopy")
-    opt = lounesto.ClassifyOptions(tol=cfg.tol)
     n = min(cfg.trials, 500)
     checks = []
 
@@ -498,7 +496,7 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
 
     # one path against the m bases; grid rows 1, 3, ..., 9 are t = 0.1, 0.3, ..., 0.9
     path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.8 + 0j), plane.PlaneCoords(1.0 + 0j, 0.0 + 0j))
-    t_star, before, after, grid = homotopy.class_transition(path, *_base_scalars(hb), opt)
+    t_star, before, after, grid = homotopy.class_transition(path, *_base_scalars(hb), cfg.tol)
     found = (before == lounesto.LounestoClass.TYPE1) & (after == lounesto.LounestoClass.TYPE6) & (t_star > 0.9)
     checks.append(_check("sweep_interior_regular", 0, (grid[1::2] != lounesto.LounestoClass.TYPE1).ravel()))
     checks.append(_check("class_transition_bisection", 0, ~found))

@@ -37,8 +37,8 @@ def test_basis_spinor_values():
     assert abs(b.J[0] - 1) < 1e-15
     assert abs(b.K[0] - 1) < 1e-15
     assert abs(b.J[3] + 1) < 1e-15
-    assert b.j_squared() == pytest.approx(0.0, abs=1e-14)
-    assert b.k_squared() == pytest.approx(0.0, abs=1e-14)
+    assert clifford.minkowski_dot(b.J, b.J) == pytest.approx(0.0, abs=1e-14)
+    assert clifford.minkowski_dot(b.K, b.K) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_balanced_spinor_scalar():

@@ -47,17 +47,23 @@ def _checks(report) -> dict:
 
 
 def test_a_nan_in_chi2_inv_fails_chi_roundtrip(monkeypatch):
-    chi_factors = plane.chi_factors
+    inverse_operator = plane.inverse_operator
+    calls = []
 
-    def with_nan(c):
-        chi = chi_factors(c)
-        chi2_inv = np.array(chi.chi2_inv)
-        chi2_inv[3] = np.nan
-        return dataclasses.replace(chi, chi2_inv=chi2_inv)
+    def with_nan(op):
+        inv = inverse_operator(op)
+        calls.append(op)
+        if len(calls) == 1:  # the suite's inverse of m_operator: 1/chi1, 1/chi2
+            chi2_inv = np.array(inv.c2)
+            chi2_inv[3] = np.nan
+            inv = dataclasses.replace(inv, c2=chi2_inv)
+        return inv
 
-    monkeypatch.setattr(plane, "chi_factors", with_nan)
-    check = _checks(suite_plane(SuiteConfig(trials=100)))["chi_roundtrip"]
-    assert check["value"] is None and check["pass"] is False
+    monkeypatch.setattr(plane, "inverse_operator", with_nan)
+    checks = _checks(suite_plane(SuiteConfig(trials=100)))
+    # mn_identity composes m with the same inverse, so it reads the NaN too
+    for name in ("chi_roundtrip", "mn_identity"):
+        assert checks[name]["value"] is None and checks[name]["pass"] is False
 
 
 def test_a_nan_in_the_second_elko_pass_fails_dual_helicity(monkeypatch):

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from spinorlab import bilinear, lounesto
 from spinorlab.errors import AmbiguousScale, InconsistentBilinears, InvalidBase, NullCurrent, ZeroDecomposition
 from spinorlab.generators import random_rim_bases
-from spinorlab.lounesto import ClassifyOptions, LounestoClass
-from spinorlab.spinor import DualKind
+from spinorlab.lounesto import LounestoClass
+from spinorlab.spinor import DEFAULT_TOL, DualKind
 
 from conftest import coordinate_rows
 
-OPT = ClassifyOptions()
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 spinor_parts = st.tuples(*[unit] * 8)
@@ -44,20 +43,20 @@ def _row(cov, i):
     )
 
 
-def _near_oracle(b, opt=OPT, band=10.0):
-    thr = opt.tol * max(1.0, b.scale)
+def _near_oracle(b, tol=DEFAULT_TOL, band=10.0):
+    thr = tol * max(1.0, b.scale)
     values = (abs(b.A), abs(b.B), np.max(np.abs(b.K)), np.max(np.abs(b.S)))
     return any(thr < v <= band * thr for v in values)
 
 
-def assert_batch_matches_scalar(cov, opt=OPT):
-    classes, errors, near = lounesto.classify_batch(cov, opt)
+def assert_batch_matches_scalar(cov, tol=DEFAULT_TOL):
+    classes, errors, near = lounesto.classify_batch(cov, tol)
     n = cov["A"].shape[0]
     assert classes.shape == errors.shape == near.shape == (n,)
     for i in range(n):
         b = _row(cov, i)
         try:
-            cls = lounesto.classify(b, opt)
+            cls = lounesto.classify(b, tol)
         except (AmbiguousScale, NullCurrent, InconsistentBilinears) as exc:
             assert errors[i] != 0, f"row {i}: scalar raised {exc!r}"
             assert lounesto.ROW_ERRORS[errors[i] - 1] == (type(exc), str(exc))
@@ -65,7 +64,7 @@ def assert_batch_matches_scalar(cov, opt=OPT):
         else:
             assert errors[i] == 0, f"row {i}: batch error {errors[i]}, scalar {cls!r}"
             assert classes[i] == cls
-            assert near[i] == _near_oracle(b, opt)
+            assert near[i] == _near_oracle(b, tol)
     return classes, errors, near
 
 
@@ -191,7 +190,7 @@ def _band_row(which, value, scale):
 @pytest.mark.parametrize("scale", [1.0, 1e3])
 @pytest.mark.parametrize("which", range(4))
 def test_near_degenerate_band_edges(which, scale):
-    thr = OPT.tol * max(1.0, scale)
+    thr = DEFAULT_TOL * max(1.0, scale)
     cases = [
         (thr, False),  # on the threshold: not zero, not near
         (np.nextafter(thr, np.inf), True),  # just above the zero threshold
@@ -211,14 +210,14 @@ def _base_scalars(gen, n):
     return np.real(cov["A"]), np.real(cov["B"])
 
 
-def assert_coefficient_batch_matches_scalar(r1, r2, A, B, opt=OPT):
-    classes, errors, near = lounesto.classify_by_coefficients_batch(r1, r2, A, B, opt)
+def assert_coefficient_batch_matches_scalar(r1, r2, A, B, tol=DEFAULT_TOL):
+    classes, errors, near = lounesto.classify_by_coefficients_batch(r1, r2, A, B, tol)
     n = r1.shape[0]
     assert classes.shape == errors.shape == near.shape == (n,)
     A, B = np.broadcast_to(A, (n,)), np.broadcast_to(B, (n,))
     for i in range(n):
         try:
-            cls = lounesto.classify_by_coefficients(r1[i], r2[i], A[i], B[i], opt)
+            cls = lounesto.classify_by_coefficients(r1[i], r2[i], A[i], B[i], tol)
         except (InvalidBase, ZeroDecomposition) as exc:
             assert errors[i] != 0, f"row {i}: scalar raised {exc!r}"
             assert lounesto.COEFFICIENT_ERRORS[errors[i] - 1] == (type(exc), str(exc))
@@ -226,7 +225,7 @@ def assert_coefficient_batch_matches_scalar(r1, r2, A, B, opt=OPT):
         else:
             assert errors[i] == 0, f"row {i}: batch error {errors[i]}, scalar {cls!r}"
             assert classes[i] == cls
-            assert near[i] == lounesto.near_degenerate(r1[i], r2[i], A[i], B[i], opt)
+            assert near[i] == lounesto.near_degenerate(r1[i], r2[i], A[i], B[i], tol)
     return classes, errors, near
 
 
@@ -265,7 +264,7 @@ def test_coefficient_class_is_scale_invariant(seed, decade):
     keep = np.isin(kinds, ["generic", "type2", "type3", "one_zero"])
     r1, r2, A, B = r1[keep], r2[keep], A[keep], B[keep]
     c = 10.0**decade
-    want, errors, _ = lounesto.classify_by_coefficients_batch(r1, r2, A, B, OPT)
+    want, errors, _ = lounesto.classify_by_coefficients_batch(r1, r2, A, B, DEFAULT_TOL)
     assert not errors.any()
     with np.errstate(over="raise", invalid="raise"):
         got, _, _ = assert_coefficient_batch_matches_scalar(c * r1, c * r2, A, B)

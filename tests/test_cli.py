@@ -447,22 +447,27 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypatch, capsys):
-    chi_factors = plane.chi_factors
+    inverse_operator = plane.inverse_operator
+    calls = []
 
-    def with_nan(c):
-        chi = chi_factors(c)
-        chi2_inv = np.array(chi.chi2_inv)
-        chi2_inv[3] = np.nan
-        return dataclasses.replace(chi, chi2_inv=chi2_inv)
+    def with_nan(op):
+        inv = inverse_operator(op)
+        calls.append(op)
+        if len(calls) == 1:  # the suite's inverse of m_operator: 1/chi1, 1/chi2
+            chi2_inv = np.array(inv.c2)
+            chi2_inv[3] = np.nan
+            inv = dataclasses.replace(inv, c2=chi2_inv)
+        return inv
 
-    monkeypatch.setattr(plane, "chi_factors", with_nan)
+    monkeypatch.setattr(plane, "inverse_operator", with_nan)
     code = cli.main(["verify", "--suite", "plane", "--trials", "10"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_SUITE_FAILURE and captured.err == ""
     rep = json.loads(captured.out)
     checks = {c["name"]: c for c in rep["suites"][0]["checks"]}
     assert checks["chi_roundtrip"] == {"name": "chi_roundtrip", "trials": 10, "value": None, "tol": 1e-12, "pass": False}
-    assert rep["pass"] is False and sum(not c["pass"] for c in checks.values()) == 1
+    # mn_identity composes m with the same inverse, and no other check reads it
+    assert rep["pass"] is False and {n for n, c in checks.items() if not c["pass"]} == {"chi_roundtrip", "mn_identity"}
 
 
 def test_verify_deterministic_reports(tmp_path):
@@ -483,6 +488,35 @@ def test_tol_option_sets_the_tolerance(tmp_path, capsys):
     code, rep = run_cli(["classify", "--input", path], capsys)
     assert code == 0
     assert rep["config"]["tol"] == spinor.DEFAULT_TOL
+
+
+def _tol_argv(command: str, tmp_path) -> list[str]:
+    """A one-row ``command`` whose row is a zero test's input at 1e-6 but
+    not at 1e-9: B = -2e-7 of a spinor at scale 1.89 for ``classify``, and
+    r2 = 5e-7 at r1 = 1 against the mixed fixture's base otherwise."""
+    base = io.load_spinors(MIXED_BASE)[0]
+    if command == "classify":
+        return ["classify", "--input", write_json(tmp_path / "psi.json", spinor.to_json(np.array([1, 0.2, 0.9, 0.2 + 5e-7j])))]
+    near = write_json(tmp_path / "near.json", spinor.to_json(plane.block_scale(base, 1.0, 5e-7)))
+    if command == "decompose":
+        return ["decompose", "--input", near, "--base", str(MIXED_BASE)]
+    far = write_json(tmp_path / "far.json", spinor.to_json(plane.block_scale(base, 1.0, 0.7 - 0.4j)))
+    return ["homotopy", "--from", near, "--to", far, "--base", str(MIXED_BASE)]
+
+
+@pytest.mark.parametrize("command, at_default, at_1e6", [("classify", 1, 2), ("decompose", 1, 6), ("homotopy", 1, 6)])
+def test_a_non_default_tol_reaches_every_zero_test(command, at_default, at_1e6, tmp_path, capsys):
+    argv = _tol_argv(command, tmp_path)
+    code, default = run_cli(argv, capsys)
+    assert code == 0 and default["rows"][0]["lounesto_class"] == at_default
+    code, rep = run_cli(argv + ["--tol", "1e-6"], capsys)
+    assert code == 0 and rep["rows"][0]["lounesto_class"] == at_1e6
+    if command == "homotopy":
+        # the bisection tests at 1e-6 too: |y(t)| = |(1 - t) 5e-7 + t (0.7 - 0.4i)| meets 1e-6 at t*
+        assert default["transition"] is None
+        t = rep["transition"]["t"]
+        assert (rep["transition"]["class_before"], rep["transition"]["class_after"]) == (6, 1)
+        assert abs((1 - t) * 5e-7 + t * (0.7 - 0.4j)) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_near_degenerate_flag_sets_exit_code(base_setup, tmp_path, capsys):

@@ -7,10 +7,9 @@ from spinorlab import bilinear, homotopy, lounesto, plane
 from spinorlab.errors import BasisMismatch, DegenerateParameter, InvalidBase, ZeroDecomposition
 from spinorlab.generators import random_rim_bases
 from spinorlab.homotopy import CoordFunction
+from spinorlab.spinor import DEFAULT_TOL
 
 from conftest import COORDINATE_KINDS, coordinate_rows, random_spinor
-
-OPT = lounesto.ClassifyOptions()
 
 
 def test_basis_homotopy_multiplier_segment():
@@ -117,10 +116,10 @@ def test_class_transition_type1_to_type6(rng):
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         coords = homotopy.eval_path(path, 1.0 + 0j, t)
         assert (
-            lounesto.classify_by_coefficients(coords.r1, coords.r2, A, B, OPT)
+            lounesto.classify_by_coefficients(coords.r1, coords.r2, A, B, DEFAULT_TOL)
             == lounesto.LounestoClass.TYPE1
         )
-    (t_star,), (before,), (after,), _ = homotopy.class_transition(path, A, B, OPT)
+    (t_star,), (before,), (after,), _ = homotopy.class_transition(path, A, B, DEFAULT_TOL)
     assert before == lounesto.LounestoClass.TYPE1
     assert after == lounesto.LounestoClass.TYPE6
     assert 0.9 < t_star <= 1.0
@@ -133,7 +132,7 @@ def test_class_transition_none_for_constant_class(rng):
     path = homotopy.spinor_homotopy(
         plane.PlaneCoords(1.0 + 0j, 0.5 + 0j), plane.PlaneCoords(1.0 + 0j, 2.0 + 0j)
     )
-    (t_star,), (before,), (after,), grid = homotopy.class_transition(path, A, B, OPT)
+    (t_star,), (before,), (after,), grid = homotopy.class_transition(path, A, B, DEFAULT_TOL)
     assert np.isnan(t_star)
     assert before == after == lounesto.LounestoClass.TYPE1
     assert grid.shape == (11, 1) and np.all(grid == before)
@@ -158,14 +157,14 @@ def test_class_transition_over_paths_is_each_path_alone(seed, n, steps):
     A, B = cov["A"].real, cov["B"].real
     r1, r2 = np.moveaxis(np.array([_path_ends(gen, A[i], B[i]) for i in range(n)]), 1, 0)  # (n, 2 ends) each
     paths = homotopy.spinor_homotopy(plane.PlaneCoords(r1[:, 0], r2[:, 0]), plane.PlaneCoords(r1[:, 1], r2[:, 1]))
-    together = homotopy.class_transition(paths, A, B, OPT, steps, x=r1[:, 0])
+    together = homotopy.class_transition(paths, A, B, DEFAULT_TOL, steps, x=r1[:, 0])
     for i in range(n):
         path = homotopy.spinor_homotopy(plane.PlaneCoords(r1[i, 0], r2[i, 0]), plane.PlaneCoords(r1[i, 1], r2[i, 1]))
-        alone = homotopy.class_transition(path, A[i], B[i], OPT, steps, x=r1[i, 0])
+        alone = homotopy.class_transition(path, A[i], B[i], DEFAULT_TOL, steps, x=r1[i, 0])
         for k, (rows, one) in enumerate(zip(together, alone)):
             assert rows[..., i].tobytes() == one[..., 0].tobytes(), f"path {i}, output {k}"
         points = [homotopy.eval_path(path, r1[i, 0], j / steps) for j in range(steps + 1)]
-        scalar = [lounesto.classify_by_coefficients(c.r1, c.r2, A[i], B[i], OPT) for c in points]
+        scalar = [lounesto.classify_by_coefficients(c.r1, c.r2, A[i], B[i], DEFAULT_TOL) for c in points]
         grid = alone[3][:, 0]
         assert grid.tolist() == scalar
         changes = np.flatnonzero(grid[1:] != grid[:-1])
@@ -181,12 +180,12 @@ def test_class_transition_over_paths_is_each_path_alone(seed, n, steps):
 def test_class_transition_raises_the_scalar_error_without_a_row():
     path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.5 + 0j), plane.PlaneCoords(1.0 + 0j, 2.0 + 0j))
     with pytest.raises(InvalidBase) as scalar:
-        lounesto.classify_by_coefficients(1.0, 0.5, 1.0, 0.0, OPT)
+        lounesto.classify_by_coefficients(1.0, 0.5, 1.0, 0.0, DEFAULT_TOL)
     with pytest.raises(InvalidBase) as swept:
-        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), OPT)
+        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), DEFAULT_TOL)
     assert str(swept.value) == str(scalar.value)
     # paths are taken one after another: path 0 fails only at t = 1 (r1 below
     # the zero test, r2 = 0), still before path 1, whose base fails everywhere
     path = homotopy.spinor_homotopy(plane.PlaneCoords(1e-10 + 0j, 0.5 + 0j), plane.PlaneCoords(1e-10 + 0j, 0j))
     with pytest.raises(ZeroDecomposition, match="^r1 = r2 = 0 is not a decomposition$"):
-        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), OPT, x=1e-10 + 0j)
+        homotopy.class_transition(path, np.array([1.0, 1.0]), np.array([1.0, 0.0]), DEFAULT_TOL, x=1e-10 + 0j)

@@ -79,8 +79,6 @@ def test_elko_sign_conj_contract():
     mom = mdo.Momentum(1.0, 0.7, 1.1, 0.6)
     assert mdo.elko(mom, +1, "S").sign == +1
     assert mdo.elko(mom, +1, "A").sign == -1
-    with pytest.raises(ValueError):
-        mdo.elko(mom, +1, "S", sign=-1)
 
 
 def test_elko_rest_frame_reduction():

@@ -6,15 +6,18 @@ must fail.  ``spinor.chiral_overlaps`` is read by the component route
 (``bilinear.compute_fast_batch``), by ``rim``'s base checks and by ``fpk``'s
 ``chiral_overlap_split``, so these mutants show that the ``fpk`` suite still
 guards A1 and A2 against the matrix route when one formula feeds both sides.
+``plane.m_operator`` holds the chi factors that ``map_dirac_mdo`` and the
+``plane`` suite's chi checks read, so its mutants must fail ``plane``.
 """
 
+import dataclasses
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from spinorlab import cli, spinor
+from spinorlab import cli, plane, spinor
 
 ORIGINAL = spinor.chiral_overlaps
 
@@ -35,6 +38,21 @@ def _a2_is_a1(psi):
 
 
 MUTANTS = {"outputs swapped": _swapped, "one conj dropped": _one_conj_dropped, "A2 := A1": _a2_is_a1}
+
+M_OPERATOR = plane.m_operator
+
+
+def _chi_swapped(c):
+    m = M_OPERATOR(c)
+    return dataclasses.replace(m, c1=m.c2, c2=m.c1)
+
+
+def _chi2_is_chi1(c):
+    m = M_OPERATOR(c)
+    return dataclasses.replace(m, c2=m.c1)
+
+
+CHI_MUTANTS = {"c1, c2 swapped": _chi_swapped, "chi2 := chi1": _chi2_is_chi1}
 
 
 def patch_every_binding(monkeypatch, original, mutant) -> set[str]:
@@ -67,5 +85,17 @@ def test_chiral_overlaps_mutant_fails_fpk(name, monkeypatch, tmp_path):
     # the component route and the split check both read the mutant
     assert {"spinorlab.spinor", "spinorlab.bilinear"} <= patched
     code, failed = failed_checks(tmp_path, "fpk", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert failed, name
+
+
+def test_unmutated_plane_passes(tmp_path):
+    assert failed_checks(tmp_path, "plane", 200) == (cli.EXIT_OK, [])
+
+
+@pytest.mark.parametrize("name", list(CHI_MUTANTS))
+def test_m_operator_mutant_fails_plane(name, monkeypatch, tmp_path):
+    assert patch_every_binding(monkeypatch, M_OPERATOR, CHI_MUTANTS[name]) == {"spinorlab.plane"}
+    code, failed = failed_checks(tmp_path, "plane", 200)
     assert code == cli.EXIT_SUITE_FAILURE
     assert failed, name

@@ -18,7 +18,7 @@ from spinorlab.errors import (
     ZeroCoefficient,
 )
 from spinorlab.generators import random_rim_bases, random_valid_params
-from spinorlab.spinor import block1, block2
+from spinorlab.spinor import DEFAULT_TOL, block1, block2
 
 from conftest import MANTISSAS, coordinate_rows, random_spinor
 
@@ -92,16 +92,17 @@ def test_chi_factors_identity_coefficients():
         alpha=1, beta=1, delta=1, epsilon=1, omega=1, zeta=1,
         M_dirac=0, m_mdo=0, theta=0, sign=1, rho=0, J=1, beta_exponent=0,
     )
-    chi = plane.chi_factors(c)
-    assert chi.chi1 == 1 and chi.chi2 == 1
+    m = plane.m_operator(c)
+    assert m.c1 == 1 and m.c2 == 1
 
 
 def test_chi_factors_roundtrip(rng):
     for base in random_rim_bases(rng, 50):
         c = coefficients(bil=bilinear.compute(base))
-        chi = plane.chi_factors(c)
-        assert abs(chi.chi1 * chi.chi1_inv - 1) < 1e-12
-        assert abs(chi.chi2 * chi.chi2_inv - 1) < 1e-12
+        m = plane.m_operator(c)
+        m_inv = plane.inverse_operator(m)
+        assert abs(m.c1 * m_inv.c1 - 1) < 1e-12
+        assert abs(m.c2 * m_inv.c2 - 1) < 1e-12
 
 
 def test_chi_factors_zero_coefficient():
@@ -110,7 +111,7 @@ def test_chi_factors_zero_coefficient():
         M_dirac=0, m_mdo=0, theta=0, sign=1, rho=0, J=1, beta_exponent=0,
     )
     with pytest.raises(ZeroCoefficient):
-        plane.chi_factors(c)
+        plane.m_operator(c)
 
 
 def test_chi_closed_form(rng):
@@ -123,7 +124,7 @@ def test_chi_closed_form(rng):
         sign = 1 if i % 3 else -1
         M, m, theta = 0.9, 1.2, 0.8
         c = plane.coefficient_set(params, bil.A.real, bil.B.real, M, m, theta, sign)
-        chi = plane.chi_factors(c)
+        chi = plane.m_operator(c)
         amib = bil.A - 1j * bil.B
         closed1 = c.delta ** (params.rho - 1) * np.exp(
             (1 / (2 * params.a.real))
@@ -133,8 +134,8 @@ def test_chi_closed_form(rng):
             (1 / (2 * params.a.real))
             * (sign * m * math.sin(theta) / (2 * np.conj(amib)) + 1j * (params.a.imag * math.log(c.J) - M / c.J))
         )
-        assert abs(chi.chi1 - closed1) < 1e-10 * max(1.0, abs(closed1))
-        assert abs(chi.chi2 - closed2) < 1e-10 * max(1.0, abs(closed2))
+        assert abs(chi.c1 - closed1) < 1e-10 * max(1.0, abs(closed1))
+        assert abs(chi.c2 - closed2) < 1e-10 * max(1.0, abs(closed2))
 
 
 def test_operator_identity_and_apply():
@@ -211,10 +212,9 @@ def test_map_roundtrip_and_consistency(rng):
 
 
 def test_dirac_image_is_type1(rng):
-    opt = lounesto.ClassifyOptions()
     for base in random_rim_bases(rng, 100):
         c = coefficients(bil=bilinear.compute(base))
-        cls = lounesto.classify(bilinear.compute(plane.dirac_from_base(base, c)), opt)
+        cls = lounesto.classify(bilinear.compute(plane.dirac_from_base(base, c)), DEFAULT_TOL)
         assert cls == lounesto.LounestoClass.TYPE1
 
 
@@ -243,10 +243,9 @@ def test_map_operator_projector_form(rng):
 
     base = random_rim_bases(rng, 1)[0]
     c = coefficients(bil=bilinear.compute(base))
-    chi = plane.chi_factors(c)
-    # chi1 multiplies the first-coordinate (top) block
-    expected = chi.chi1 * projector(1) + chi.chi2 * projector(2)
     op = plane.m_operator(c)
+    # chi1 multiplies the first-coordinate (top) block
+    expected = op.c1 * projector(1) + op.c2 * projector(2)
     assert np.allclose(np.diag([op.c1, op.c1, op.c2, op.c2]), expected)
 
 
@@ -280,23 +279,22 @@ def test_coordinate_tables(rng):
     abd = c.alpha * c.beta * c.delta
     assert abs(in_d.r1 - 1.0 / abd) < 1e-12
     assert abs(in_d.r2 - c.delta / (c.alpha * c.beta)) < 1e-12
-    chi = plane.chi_factors(c)
+    m = plane.m_operator(c)
     lam_in_d = plane.convert_coords(plane.PlaneCoords(1.0, 1.0, "M"), "D", c)
-    assert abs(lam_in_d.r1 - chi.chi1) < 1e-12
-    assert abs(lam_in_d.r2 - chi.chi2) < 1e-12
+    assert abs(lam_in_d.r1 - m.c1) < 1e-12
+    assert abs(lam_in_d.r2 - m.c2) < 1e-12
     in_m = plane.convert_coords(ident, "M", c)
     assert abs(in_m.r1 - 1.0 / (c.epsilon * c.omega)) < 1e-12
     assert abs(in_m.r2 - c.epsilon / c.zeta) < 1e-12
 
 
 def test_base_phase_does_not_change_class(rng):
-    opt = lounesto.ClassifyOptions()
     base = random_rim_bases(rng, 1)[0]
     r1, r2 = 0.7 - 0.2j, 1.1 + 0.9j
     plain = plane.apply_operator(plane.MOperator(r1, r2), base)
     rotated = plane.apply_operator(plane.MOperator(r1, r2), np.exp(0.83j) * base)
-    assert lounesto.classify(bilinear.compute(plain), opt) == lounesto.classify(
-        bilinear.compute(rotated), opt
+    assert lounesto.classify(bilinear.compute(plain), DEFAULT_TOL) == lounesto.classify(
+        bilinear.compute(rotated), DEFAULT_TOL
     )
 
 
@@ -492,7 +490,7 @@ def _wide_rows(seed, n):
     |A|, |B| in [1e-3, 1e3] of either sign, M in [1e-3, 1e3], theta over the
     circle, both signs, and spinors and coordinates over six decades.
     m = u * 4 Re(a) J with u in [0, 4] keeps |ln omega| and |ln zeta| below
-    4, so chi_factors accepts every row whatever J."""
+    4, so m_operator accepts every row whatever J."""
     gen = np.random.default_rng(seed)
     a, b = random_valid_params(gen, n)
     A, B = 10.0 ** gen.uniform(-3, 3, (2, n)) * gen.choice([-1.0, 1.0], (2, n))
@@ -520,7 +518,6 @@ def _plane_maps(x):
     params = rim.validate(x["a"], x["b"])
     c = plane.coefficient_set(params, x["A"], x["B"], x["M"], x["m"], x["theta"], x["sign"])
     out = {f"coefficient_set.{key}": value for key, value in vars(c).items()}
-    out.update({f"chi_factors.{key}": value for key, value in vars(plane.chi_factors(c)).items()})
     for name, op in (("l", plane.l_operator(c)), ("q", plane.q_operator(c)), ("m", plane.m_operator(c))):
         inv = plane.inverse_operator(op)
         for key, o in ((name, op), (f"{name}^-1", inv), (f"{name} {name}^-1", plane.compose_operators(op, inv))):
@@ -588,6 +585,6 @@ def test_a_zero_coefficient_or_block_scalar_names_its_row():
     c = plane.coefficient_set(rim.validate(x["a"], x["b"]), x["A"], x["B"], x["M"], x["m"], x["theta"], x["sign"])
     zero_at_2 = np.arange(5) == 2
     with pytest.raises(ZeroCoefficient, match=r"^row 2: all six coefficients must be nonzero$"):
-        plane.chi_factors(dataclasses.replace(c, omega=np.where(zero_at_2, 0.0, c.omega)))
+        plane.m_operator(dataclasses.replace(c, omega=np.where(zero_at_2, 0.0, c.omega)))
     with pytest.raises(NonInvertible, match=r"^row 2: block scalar vanishes$"):
         plane.inverse_operator(plane.MOperator(c1=np.ones(5), c2=np.where(zero_at_2, 0.0, 1.0)))

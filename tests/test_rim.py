@@ -222,16 +222,24 @@ def test_base_validation_rejects_zero_pseudoscalar():
     psi = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     v = rim.validate_rim_base(psi)
     assert not v.ok
-    assert "B=0" in v.reasons
+    assert v.failed[rim.BASE_CONSTRAINTS.index("B=0")]
 
 
 def test_base_validation_rejects_zero_scalar():
     psi = np.array([1, 0, 1j, 0], dtype=complex) / np.sqrt(2)
     v = rim.validate_rim_base(psi)
     assert not v.ok
-    assert "A=0" in v.reasons
+    assert v.failed[rim.BASE_CONSTRAINTS.index("A=0")]
     assert v.A1 == pytest.approx(-0.5j, abs=1e-12)
     assert v.A2 == pytest.approx(+0.5j, abs=1e-12)
+
+
+def test_base_validation_reads_its_tol():
+    psi = np.array([1, 0.2, 0.9, 0.2 + 5e-7j])  # B = -2e-7 at scale 1.89
+    assert rim.validate_rim_base(psi).ok
+    v = rim.validate_rim_base(psi, tol=1e-6)
+    assert not v.ok
+    assert v.failed.tolist() == [name in ("B=0", "A1=+A2") for name in rim.BASE_CONSTRAINTS]
 
 
 def test_base_validation_accepts_oblique_phase():
