@@ -146,18 +146,20 @@ def compute_batch(
     """Vectorized covariants for a (n, 4) stack of spinors, in one pass.
 
     Returns arrays keyed "A", "B", "J" (n,4), "K" (n,4), "S" (n,4,4) and
-    "scale"; A, J and K are views of one (n, 10) array.  ``xi``
+    "scale"; A, B, J and K are views of one (n, 10) array.  ``xi``
     is one Xi for every row or an (n, 4, 4) stack.
     """
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
     abjk = np.empty((psis.shape[0], 10), dtype=complex)
     S = np.zeros((psis.shape[0], 4, 4), dtype=complex)
     s_upper = _sandwich(psis, dual, xi, abjk)
+    B = abjk[:, 1]
+    B *= 1j  # B/i -> B in place
     S[:, _MU, _NU] = s_upper
     S[:, _NU, _MU] = np.negative(s_upper, out=s_upper)
     return {
         "A": abjk[:, 0],
-        "B": 1j * abjk[:, 1],
+        "B": B,
         "J": abjk[:, 2:6],
         "K": abjk[:, 6:10],
         "S": S,

@@ -4,9 +4,9 @@ Spinors serialize as {"re": [4 floats], "im": [4 floats]}; Python's float
 repr is shortest-round-trip, so load(dump(x)) is bit exact.  CSV corpora
 carry 8 real columns per row, re/im interleaved per component.  Reports are
 dumped with sorted keys and a fixed layout so identical inputs give
-byte-identical files.  The small reports go through ``json.dumps``; the
-corpus reports are streamed from numpy columns by ``write_rows_report``,
-whose bytes equal ``json.dumps`` of the same report.
+byte-identical files.  The small reports, plain Python values, go through
+``json.dumps``; the corpus reports are streamed from numpy columns by
+``write_rows_report``, whose bytes equal ``json.dumps`` of the same report.
 
 A streamed report takes its rows one block at a time from an iterable, so
 the CLI computes each 1024-row block (``bilinear._blocks``) just before its
@@ -139,22 +139,6 @@ def load_momentum(path: str | Path) -> dict:
     return mom
 
 
-def _json_default(obj):
-    """Encode what json cannot: numpy arrays and scalars, complex numbers.
-    np.float64 and IntEnum subclass float and int, so json writes those."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _non_finite_field(node, name: str = "") -> str | None:
     """Dotted name of a report's first non-finite float in written key order, or None."""
     if isinstance(node, float):
@@ -164,10 +148,11 @@ def _non_finite_field(node, name: str = "") -> str | None:
 
 
 def dumps_report(report: dict) -> str:
-    """The report's JSON text, or ValueError "FIELD is not finite"."""
+    """The report's JSON text, or ValueError "FIELD is not finite".  Every
+    value is a Python bool, int, float, str, None, list or dict."""
     if field := _non_finite_field(report):
         raise ValueError(f"{field} is not finite")
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, path: str | Path | None) -> str:

@@ -64,8 +64,6 @@ class Momentum:
 @dataclass(frozen=True)
 class ElkoSpinor:
     spinor: np.ndarray
-    conj: str  # "S" or "A"
-    helicity: int
     sign: int
 
 
@@ -136,8 +134,7 @@ def elko(mom: Momentum, helicity, conj: str) -> ElkoSpinor:
     _check_finite(mom, lam, "the spinor is not finite: E = hypot(p, m) overflows")
     if np.any(np.max(np.abs(charge_conjugate(lam) - sign * lam), axis=-1) > 1e-12 * row_norms(lam)):
         raise AssertionError("charge-conjugation eigenvalue check failed")
-    helicity = one_row(np.atleast_1d(helicity), np.ndim(helicity) == 0)
-    return ElkoSpinor(spinor=one_row(lam, mom.one), conj=conj, helicity=helicity, sign=sign)
+    return ElkoSpinor(spinor=one_row(lam, mom.one), sign=sign)
 
 
 def charge_conjugate(psi: np.ndarray) -> np.ndarray:

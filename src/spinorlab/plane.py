@@ -64,7 +64,7 @@ class MOperator:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The six complex map coefficients and the inputs that fixed them.
+    """The six complex map coefficients and J = sqrt(A^2 + B^2).
 
     alpha, beta, delta depend on the base scalars and the couplings; epsilon
     is delta**rho; omega and zeta carry the mass/angle exponentials with an
@@ -78,13 +78,7 @@ class CoefficientSet:
     epsilon: complex
     omega: complex
     zeta: complex
-    M_dirac: float
-    m_mdo: float
-    theta: float
-    sign: int
-    rho: float
     J: float
-    beta_exponent: complex  # beta = exp(beta_exponent)
 
 
 def coefficient_set(
@@ -116,8 +110,7 @@ def coefficient_set(
     j = np.sqrt(A * A + B * B)
     amib = A - 1j * B
     alpha = np.exp(1j * (M_dirac / (2.0 * re_a * j)))
-    beta_exponent = -1j * (params.a.imag / (2.0 * re_a) * np.log(j))
-    beta = np.exp(beta_exponent)
+    beta = np.exp(-1j * (params.a.imag / (2.0 * re_a) * np.log(j)))
     delta = np.sqrt(j / amib)
     epsilon = delta**params.rho
     omega = np.exp(sign * m_mdo * np.sin(theta) / (4.0 * re_a * amib))
@@ -129,13 +122,7 @@ def coefficient_set(
         epsilon=epsilon,
         omega=omega,
         zeta=zeta,
-        M_dirac=M_dirac,
-        m_mdo=m_mdo,
-        theta=theta,
-        sign=sign,
-        rho=params.rho,
         J=j,
-        beta_exponent=beta_exponent,
     )
 
 

@@ -71,10 +71,6 @@ class BaseValidation:
 
     ok: bool
     failed: np.ndarray
-    A: float
-    B: float
-    A1: complex
-    A2: complex
 
 
 def _quarter(phi):
@@ -198,7 +194,9 @@ def validate_rim_base(psi: np.ndarray, tol: float = DEFAULT_TOL) -> BaseValidati
     Under the Dirac dual A2 = conj(A1), so the essential content is
     A != 0 and B != 0 (type 1); the remaining constraints are reported
     individually so a rejection names what failed.  An (n, 4) stack gives
-    (n,) fields and an (n, 6) ``failed``, computed in row blocks.
+    an (n,) ``ok`` and an (n, 6) ``failed``, computed in row blocks.  The
+    scalars themselves are ``compute_batch``'s A, B and
+    ``spinor.chiral_overlaps``' A1, A2.
     """
     psis = np.atleast_2d(np.asarray(psi, dtype=complex))
     fields = by_row_blocks(lambda rows: _base_checks(rows, compute_batch(rows), tol), psis)
@@ -211,7 +209,7 @@ def _base_checks(psis: np.ndarray, cov: dict[str, np.ndarray], tol: float) -> tu
     A1, A2 = chiral_overlaps(psis)
     zero = np.stack([cov["A"], cov["B"], A1, A2, A1 - A2, A1 + A2], axis=-1)
     failed = np.abs(zero) <= thr[:, None]
-    return ~failed.any(axis=-1), failed, cov["A"].real, cov["B"].real, A1, A2
+    return ~failed.any(axis=-1), failed
 
 
 def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:

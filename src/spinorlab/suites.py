@@ -374,7 +374,7 @@ def suite_plane(cfg: SuiteConfig) -> dict:
 
     params = rim.validate(a_arr, b_arr, cfg.tol)
     A, B = _base_scalars(bases)
-    c = plane.coefficient_set(params, A, B, masses_m, masses_mm, thetas, signs)
+    c = plane.coefficient_set(params, A, B, masses_m, masses_mm, thetas, signs, cfg.tol)
     m = plane.m_operator(c)
     m_inv = plane.inverse_operator(m)
     checks.append(_check("chi_roundtrip", 1e-12, m.c1 * m_inv.c1 - 1.0, m.c2 * m_inv.c2 - 1.0))

@@ -339,8 +339,8 @@ def test_blocks_of_rows_give_the_single_pass_bit_for_bit(case):
     for got, want in zip(blocked, whole.values()):
         assert_same_array(got, want)
     assert_same_array(blocked_fpk, whole_fpk)
-    # A, J and K are views of one (n, 10) array
-    assert whole["A"].base is whole["J"].base is whole["K"].base
+    # A, B, J and K are views of one (n, 10) array
+    assert whole["A"].base is whole["B"].base is whole["J"].base is whole["K"].base
     assert whole["J"].base.shape == (len(psis), 10)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from spinorlab import bilinear, cli, io, lounesto, mdo, plane, rim, spinor
 from spinorlab.errors import SpinorlabError
 from spinorlab.generators import random_rim_bases
-from spinorlab.lounesto import LounestoClass
 
 
 def write_json(path, obj):
@@ -470,6 +470,43 @@ def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypat
     assert rep["pass"] is False and {n for n, c in checks.items() if not c["pass"]} == {"chi_roundtrip", "mn_identity"}
 
 
+def _small_report_argv(command: str, files: dict, tmp_path) -> list[str]:
+    base = io.load_spinors(files["base"])[0]
+    if command == "homotopy":
+        ends = [write_json(tmp_path / f"end{r2}.json", spinor.to_json(plane.block_scale(base, 1.0, r2))) for r2 in (0.8, 0.0)]
+        return ["homotopy", "--from", ends[0], "--to", ends[1], "--base", files["base"], "--steps", "10"]
+    if command.startswith("mdo"):
+        mom = write_json(tmp_path / "mom.json", {"m": 1.0, "p": 0.5, "theta": 1.0, "phi": 0.4})
+        return ["mdo", "--momentum", mom, "--conj", command[-1], "--helicity", "-"]
+    if command.startswith("map"):
+        direction = command.split()[-1]
+        return ["map", "--direction", direction, "--params", files["params"], "--coeffs", files["coeffs"], "--input", files["base"]]
+    return ["verify", "--suite", "all", "--trials", "20", "--seed", "5"]
+
+
+@pytest.mark.parametrize("command", ["map dirac-to-mdo", "map mdo-to-dirac", "homotopy", "mdo S", "mdo A", "verify"])
+def test_every_small_report_is_plain_json(command, base_setup, capsys):
+    """Each report value is a Python bool, int, float, str, None, list or
+    dict, so its text is ``io.dumps_report`` of the text read back."""
+    *_, files, tmp_path = base_setup
+    assert cli.main(_small_report_argv(command, files, tmp_path)) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert text == io.dumps_report(json.loads(text))
+
+
+def test_verify_plane_passes_its_tol_to_the_coefficient_set(monkeypatch):
+    coefficient_set = plane.coefficient_set
+    tols = []
+
+    def spy(*args, **kwargs):
+        tols.append(inspect.signature(coefficient_set).bind(*args, **kwargs).arguments.get("tol"))
+        return coefficient_set(*args, **kwargs)
+
+    monkeypatch.setattr(plane, "coefficient_set", spy)
+    cli.main(["verify", "--suite", "plane", "--trials", "10", "--tol", "1e-6"])
+    assert tols == [1e-6]
+
+
 def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):
@@ -557,30 +594,6 @@ def test_classify_rejects_non_finite_csv(tmp_path, capsys, bad):
 def test_report_refuses_nan():
     with pytest.raises(ValueError):
         io.dumps_report({"value": float("nan")})
-
-
-def test_report_encodes_numpy_and_complex_like_python():
-    report = {
-        "arr": np.array([[1.5, -0.0], [2.0, 3.25]]),
-        "flag": np.bool_(True),
-        "count": np.int64(7),
-        "f32": np.float32(0.5),
-        "f64": np.float64(0.1),
-        "z": 1 - 2j,
-        "zs": np.array([0.5j]),
-        "cls": LounestoClass.TYPE3,
-    }
-    plain = {
-        "arr": [[1.5, -0.0], [2.0, 3.25]],
-        "flag": True,
-        "count": 7,
-        "f32": 0.5,
-        "f64": 0.1,
-        "z": {"re": 1.0, "im": -2.0},
-        "zs": [{"re": 0.0, "im": 0.5}],
-        "cls": 3,
-    }
-    assert io.dumps_report(report) == io.dumps_report(plain)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """The package's public names resolve, so a deletion cannot leave a stale export,
-and its public callables take the classification tolerance one way."""
+its public callables take the classification tolerance one way, and its
+records hold no field that restates another value."""
 
+import dataclasses
 import inspect
 
 import pytest
 
 import spinorlab
-from spinorlab import homotopy, lounesto, mdo, plane, rim
+from spinorlab import homotopy, io, lounesto, mdo, plane, rim
 from spinorlab.spinor import DEFAULT_TOL
 
 
@@ -36,3 +38,22 @@ def test_the_tolerance_is_a_plain_float_tol(module):
         assert "opt" not in params, name
         if "tol" in params:
             assert params["tol"].default == DEFAULT_TOL, name
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (plane.CoefficientSet, ("alpha", "beta", "delta", "epsilon", "omega", "zeta", "J")),
+        (mdo.ElkoSpinor, ("spinor", "sign")),
+        (rim.BaseValidation, ("ok", "failed")),
+    ],
+    ids=["CoefficientSet", "ElkoSpinor", "BaseValidation"],
+)
+def test_records_hold_only_what_a_caller_reads(record, names):
+    assert tuple(f.name for f in dataclasses.fields(record)) == names
+
+
+def test_reports_have_no_custom_encoder():
+    """A report holds plain Python values, so ``dumps_report`` names any
+    non-finite float before json sees it."""
+    assert not hasattr(io, "_json_default")

@@ -88,10 +88,7 @@ def test_coefficient_set_rejects_imaginary_coupling():
 
 
 def test_chi_factors_identity_coefficients():
-    c = plane.CoefficientSet(
-        alpha=1, beta=1, delta=1, epsilon=1, omega=1, zeta=1,
-        M_dirac=0, m_mdo=0, theta=0, sign=1, rho=0, J=1, beta_exponent=0,
-    )
+    c = plane.CoefficientSet(alpha=1, beta=1, delta=1, epsilon=1, omega=1, zeta=1, J=1)
     m = plane.m_operator(c)
     assert m.c1 == 1 and m.c2 == 1
 
@@ -106,10 +103,7 @@ def test_chi_factors_roundtrip(rng):
 
 
 def test_chi_factors_zero_coefficient():
-    c = plane.CoefficientSet(
-        alpha=0, beta=1, delta=1, epsilon=1, omega=1, zeta=1,
-        M_dirac=0, m_mdo=0, theta=0, sign=1, rho=0, J=1, beta_exponent=0,
-    )
+    c = plane.CoefficientSet(alpha=0, beta=1, delta=1, epsilon=1, omega=1, zeta=1, J=1)
     with pytest.raises(ZeroCoefficient):
         plane.m_operator(c)
 
@@ -187,10 +181,7 @@ def test_mdo_image_coordinates(rng):
 
 def test_identity_coefficient_set_returns_base(rng):
     base = random_spinor(rng)
-    c = plane.CoefficientSet(
-        alpha=1, beta=1, delta=1, epsilon=1, omega=1, zeta=1,
-        M_dirac=0, m_mdo=0, theta=0, sign=1, rho=0, J=1, beta_exponent=0,
-    )
+    c = plane.CoefficientSet(alpha=1, beta=1, delta=1, epsilon=1, omega=1, zeta=1, J=1)
     assert np.array_equal(plane.dirac_from_base(base, c), base)
     assert np.array_equal(plane.mdo_from_base(base, c), base)
     assert np.array_equal(plane.map_dirac_mdo(base, c), base)
