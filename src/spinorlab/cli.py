@@ -22,6 +22,7 @@ exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -31,7 +32,7 @@ import numpy as np
 from . import bilinear, homotopy, io, lounesto, mdo, plane, rim, rng, spinor
 from .errors import IntegrabilityViolation, NonFiniteMomentum, NonFiniteValue, SpinorlabError
 from .spinor import DEFAULT_TOL
-from .suites import SuiteConfig, run_suites
+from .suites import SUITES, SuiteConfig, run_suites
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -60,6 +61,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=1)  # one parser per process: every in-process main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinorlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,11 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--helicity", choices=["+", "-"], default="+")
 
     p = sub.add_parser("verify", parents=[tol], help="run the randomized identity suites")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["clifford", "fpk", "rim", "plane", "homotopy", "mdo", "props", "all"],
-    )
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--trials", type=_int_range(1), default=1000)
     p.add_argument("--seed", type=_int_range(0, rng.SEED_LIMIT), default=0)
     return parser

@@ -7,10 +7,8 @@ a spinor homotopy deforms the second coordinate in a fixed basis.
 
 Paths, points and parameters are scalars, or (n,) arrays for n paths at
 once.  Everything is computed over rows: a scalar call is lifted to one row
-and unwrapped by ``errors.one_row``.  ``_times`` and ``_over`` round as
-Python's complex type does (products not fused, quotients dividing by the
-denominator), so a path in an array has the bits of the same path given
-alone, and of Python's complex arithmetic on it.
+and unwrapped by ``errors.one_row``, so a path in an array has the bits of
+the same path given alone.
 """
 
 from __future__ import annotations
@@ -30,33 +28,6 @@ from .spinor import DEFAULT_TOL, chiral_parts
 _PARAM_TOL = 1e-12  # relative size below which Im(t) or an endpoint's r1 is zero
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
-
-
-def _times(a, b):
-    """a * b as Python's complex type rounds it: numpy's array loop fuses
-    the multiply-add, so the parts are formed one by one."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _over(a, b):
-    """a / b as Python's complex type rounds it (Smith's method, dividing by
-    the denominator where numpy multiplies by its reciprocal); NaN where
-    b = 0, which Python refuses."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-    return _complex(re, im)
-
-
 @dataclass(frozen=True)
 class CoordFunction:
     """y(x) = (num/den) x, anchored so that y(den) is num bitwise.
@@ -74,11 +45,11 @@ class CoordFunction:
 
     @property
     def w(self) -> complex:
-        return one_row(_over(np.atleast_1d(self.num), self.den), self.one)
+        return one_row(np.atleast_1d(self.num) / self.den, self.one)
 
     def __call__(self, x: complex) -> complex:
         xs = np.atleast_1d(x)
-        y = np.where(xs == self.den, self.num, _times(self.num, _over(xs, self.den)))
+        y = np.where(xs == self.den, self.num, self.num * (xs / self.den))
         return one_row(y, self.one and np.ndim(x) == 0)
 
 
@@ -99,9 +70,13 @@ def _degenerate_t(wf, wg):
     None, or NaN in the (n,) array of n paths."""
     one = np.ndim(wf) == np.ndim(wg) == 0
     wf, wg = np.atleast_1d(wf, wg)
-    t = _over(wf, wf - wg)
+    span = wf - wg
+    with np.errstate(divide="ignore", invalid="ignore"):  # a reflexive path has wf = wg
+        t = wf / span
     real, imag = np.real(t), np.imag(t)
-    inside = (wf != wg) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real))) & (0.0 < real) & (real < 1.0)
+    # wf / wf can round below 1 (numpy divides by a reciprocal): a span equal to wf ends at t = 1
+    inside = (span != 0) & (span != wf) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real)))
+    inside &= (0.0 < real) & (real < 1.0)
     return one_row(np.where(inside, real, np.nan), one, lambda t: None if np.isnan(t) else t.item())
 
 
@@ -110,7 +85,7 @@ def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
 
 
 def multiplier_at(path: HomotopyPath, t: float) -> complex:
-    return one_row((1.0 - np.atleast_1d(t)) * path.f.w + t * path.g.w, path.one and np.ndim(t) == 0)
+    return one_row(_between(path.f.w, path.g.w, np.atleast_1d(t)), path.one and np.ndim(t) == 0)
 
 
 def _between(fx, gx, t):

@@ -181,9 +181,9 @@ def _python_columns(block: np.ndarray) -> list[list]:
 
 
 def _columns(node) -> list[np.ndarray]:
-    """The leaves of a row layout's dict, in its order, each as an (m, width) array."""
+    """The leaves of a row layout's dict, in key order, each as an (m, width) array."""
     if isinstance(node, dict):
-        return [column for value in node.values() for column in _columns(value)]
+        return [column for _, value in sorted(node.items()) for column in _columns(value)]
     column = np.asarray(node)
     return [column.reshape(column.shape[0], -1)]
 
@@ -205,20 +205,18 @@ class _RowLayout:
         self.width = 0  # slots in a row
         skeleton = self._skeleton(row, "")
         text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%").replace("\n", newline)
-        at = [text.index(f'"@{j}@"') for j in range(self.width)]
         starts = [start for _, start, _ in self.leaves] + [self.width]
         for (_, start, kind), end in zip(self.leaves, starts[1:]):
             for j in range(start, end):
                 text = text.replace(f'"@{j}@"', _CONVERSIONS.get(kind, "%s"))
-        self.template = text
-        # the template's k-th slot takes the leaves' column order[k]
-        self.order = sorted(range(self.width), key=at.__getitem__)
-        # (place in the template, field, leaf) of each float leaf
-        self.floats = [(at[start], field, k) for k, (field, start, kind) in enumerate(self.leaves) if kind == "f"]
+        self.template = text  # slot j is its j-th conversion: the skeleton is built in key order
+        # (first slot, field, leaf) of each float leaf
+        self.floats = [(start, field, k) for k, (field, start, kind) in enumerate(self.leaves) if kind == "f"]
 
     def _skeleton(self, node, field: str):
         if isinstance(node, dict):
-            return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in node.items()}
+            items = sorted(node.items())
+            return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in items}
         column = np.asarray(node)
         self.leaves.append((field, self.width, column.dtype.kind))
         slots = range(self.width, self.width + math.prod(column.shape[1:]))
@@ -227,20 +225,20 @@ class _RowLayout:
 
     def render(self, columns: list[np.ndarray], rows: np.ndarray) -> list[str]:
         cols = [col for column in columns for col in _python_columns(column[rows])]
-        return list(map(self.template.__mod__, zip(*[cols[j] for j in self.order])))
+        return list(map(self.template.__mod__, zip(*cols)))
 
 
 def _check_finite(layouts: list[_RowLayout], columns: list[list[np.ndarray]], codes: np.ndarray, offset: int) -> None:
     """ValueError naming the first row that would write a non-finite float,
     by its index in the report (``offset`` plus its index in ``codes``), and
     its first such field in key order."""
-    first = None  # (row, place in the template, field)
+    first = None  # (row, first slot, field)
     for k, (layout, leaves) in enumerate(zip(layouts, columns)):
         written = codes == k
-        for at, field, leaf in layout.floats:
+        for slot, field, leaf in layout.floats:
             bad = np.flatnonzero(written & ~np.isfinite(leaves[leaf]).all(axis=1))
             if bad.size:
-                first = min(first or (int(bad[0]), at, field), (int(bad[0]), at, field))
+                first = min(first or (int(bad[0]), slot, field), (int(bad[0]), slot, field))
     if first is not None:
         raise ValueError(f"row {first[0] + offset}: {first[2]} is not finite")
 

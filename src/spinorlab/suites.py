@@ -379,7 +379,9 @@ def suite_plane(cfg: SuiteConfig) -> dict:
     m_inv = plane.inverse_operator(m)
     checks.append(_check("chi_roundtrip", 1e-12, m.c1 * m_inv.c1 - 1.0, m.c2 * m_inv.c2 - 1.0))
 
-    mn = plane.compose_operators(m, m_inv)
+    # N = 1/chi from the coefficients' closed form, not inverse_operator(m), so a wrong chi shows
+    n_chi = (c.delta * c.beta * c.alpha / (c.epsilon * c.omega), c.epsilon * c.beta * c.alpha / (c.zeta * c.delta))
+    mn = plane.compose_operators(m, plane.MOperator(*n_chi))
     checks.append(_check("mn_identity", 1e-10, mn.c1 - 1.0, mn.c2 - 1.0))
 
     nsb = np.linalg.norm(bases, axis=1)

@@ -466,8 +466,8 @@ def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypat
     rep = json.loads(captured.out)
     checks = {c["name"]: c for c in rep["suites"][0]["checks"]}
     assert checks["chi_roundtrip"] == {"name": "chi_roundtrip", "trials": 10, "value": None, "tol": 1e-12, "pass": False}
-    # mn_identity composes m with the same inverse, and no other check reads it
-    assert rep["pass"] is False and {n for n, c in checks.items() if not c["pass"]} == {"chi_roundtrip", "mn_identity"}
+    # no other check reads the suite's inverse of m_operator
+    assert rep["pass"] is False and {n for n, c in checks.items() if not c["pass"]} == {"chi_roundtrip"}
 
 
 def _small_report_argv(command: str, files: dict, tmp_path) -> list[str]:
@@ -611,6 +611,17 @@ def test_verify_accepts_range_edges(capsys):
     code, rep = run_cli(["verify", "--suite", "clifford", "--trials", "1", "--seed", str(2**112 - 1)], capsys)
     assert code == 0
     assert rep["config"]["seed"] == 2**112 - 1
+
+
+def test_one_parser_serves_every_call_and_still_rejects_bad_usage(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _ = run_cli(["verify", "--suite", "clifford", "--trials", "1"], capsys)
+    assert code == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nope"])
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["verify", "--suite", "all"]).suite == "all"
 
 
 def test_input_error_is_a_spinorlab_error():

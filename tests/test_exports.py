@@ -57,3 +57,8 @@ def test_reports_have_no_custom_encoder():
     """A report holds plain Python values, so ``dumps_report`` names any
     non-finite float before json sees it."""
     assert not hasattr(io, "_json_default")
+
+
+def test_homotopy_keeps_no_emulated_complex_arithmetic():
+    """Paths take numpy's own complex products and quotients, as every other module does."""
+    assert not {"_complex", "_times", "_over"} & set(vars(homotopy))

@@ -37,6 +37,16 @@ def test_degenerate_parameter_absent_for_complex_pairs():
     assert path.degenerate_t is None
 
 
+def test_a_path_into_a_zero_multiplier_has_no_interior_degenerate_t():
+    """A path into w = 0 (a type-6 end) vanishes at the end t = 1, not inside,
+    though numpy's wf / wf rounds below 1 for some wf."""
+    wf = np.random.default_rng(0).normal(size=(2000, 2)) @ np.array([1.0, 1j])
+    assert np.count_nonzero((wf / wf).real < 1.0) > 100  # the rounding this guards against
+    path = homotopy.basis_homotopy(CoordFunction(wf), CoordFunction(np.zeros_like(wf)))
+    assert np.isnan(path.degenerate_t).all()
+    assert all(homotopy.basis_homotopy(CoordFunction(w), CoordFunction(0j)).degenerate_t is None for w in wf[:300])
+
+
 def test_sample_basis_endpoints(rng):
     base = random_rim_bases(rng, 1)[0]
     wf, wg = 1.0, 0.3 + 0.9j
@@ -83,6 +93,30 @@ def test_spinor_homotopy_endpoints_bitwise(rng):
         assert abs(e0.r2 - psi_c.r2) == 0.0
         assert abs(e1.r1 - phi_c.r1) == 0.0
         assert abs(e1.r2 - phi_c.r2) == 0.0
+
+
+COMPLEX = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _bits(z) -> bytes:
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+@given(num=COMPLEX, den=COMPLEX, x=COMPLEX, wf=COMPLEX, s=st.floats(1e-3, 1e3))
+@settings(deadline=None, max_examples=200)
+def test_paths_take_numpys_complex_arithmetic(num, den, x, wf, s):
+    """Off its anchor a coordinate function is numpy's num * (x / den), its
+    multiplier numpy's num / den, and an interior degenerate parameter the
+    real part of numpy's wf / (wf - wg): one arithmetic for every module."""
+    if x == den:
+        x = -x  # off the anchor; x = den = 0 cannot be drawn
+    f = CoordFunction(num, den)
+    assert _bits(f(x)) == _bits(np.array([num]) * (np.array([x]) / np.array([den])))
+    assert _bits(f.w) == _bits(np.array([num]) / np.array([den]))
+    path = homotopy.basis_homotopy(CoordFunction(wf), CoordFunction(-s * wf))
+    wf, wg = np.array([path.f.w]), np.array([path.g.w])
+    assert path.degenerate_t is not None  # t = 1 / (1 + s), up to rounding
+    assert np.float64(path.degenerate_t).tobytes() == (wf / (wf - wg)).real.tobytes()
 
 
 def test_spinor_homotopy_symmetry_dyadic(rng):

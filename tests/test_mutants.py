@@ -7,7 +7,8 @@ must fail.  ``spinor.chiral_overlaps`` is read by the component route
 ``chiral_overlap_split``, so these mutants show that the ``fpk`` suite still
 guards A1 and A2 against the matrix route when one formula feeds both sides.
 ``plane.m_operator`` holds the chi factors that ``map_dirac_mdo`` and the
-``plane`` suite's chi checks read, so its mutants must fail ``plane``.
+``plane`` suite's chi checks read, so its mutants must fail ``plane``, and
+``mn_identity`` among its checks.
 """
 
 import dataclasses
@@ -98,4 +99,5 @@ def test_m_operator_mutant_fails_plane(name, monkeypatch, tmp_path):
     assert patch_every_binding(monkeypatch, M_OPERATOR, CHI_MUTANTS[name]) == {"spinorlab.plane"}
     code, failed = failed_checks(tmp_path, "plane", 200)
     assert code == cli.EXIT_SUITE_FAILURE
-    assert failed, name
+    # mn_identity composes m with an inverse built from the coefficients, so it sees a wrong chi
+    assert "mn_identity" in failed, name
