@@ -13,10 +13,10 @@ columns and per-row layouts; it checks that each block's floats are finite
 and streams its rows through one template per layout before the next block
 is computed.  A row whose covariants, residuals or plane coordinates
 overflow is a ``NonFiniteValue`` error row naming its first such field, and
-the rest of the corpus is written.  ``homotopy`` takes its rows' classes and
-its transition from one sweep of the rows' grid at the rows' x (the
-from-spinor's r1); a row that cannot be classified fails the command with
-exit 2.
+the rest of the corpus is written.  ``homotopy`` classifies its rows in one
+sweep of their grid at their x (the from-spinor's r1), lists every t in
+(0, 1] where the path meets a type-2, 3 or 6 surface exactly, and fails with
+exit 2 on a row that cannot be classified.
 """
 
 from __future__ import annotations
@@ -271,10 +271,11 @@ def _cmd_homotopy(args) -> int:
     phi_c = plane.decompose(phi, base)
     path = homotopy.spinor_homotopy(psi_c, phi_c)
     steps = args.steps
-    t_star, before, after, grid = homotopy.class_transition(path, a_val, b_val, args.tol, steps=steps, x=psi_c.r1)
+    crossings, grid = homotopy.class_transition(path, a_val, b_val, args.tol, steps=steps, x=psi_c.r1)
     ts = np.arange(steps + 1) / steps
     coords, wt = homotopy.eval_path(path, psi_c.r1, ts), homotopy.multiplier_at(path, ts)
     degenerate = np.abs(ts - (np.nan if path.degenerate_t is None else path.degenerate_t)) <= 1.0 / (2 * steps)
+    met = [(t, int(c)) for t, c in zip(crossings[0].tolist(), homotopy.SURFACES) if not math.isnan(t)]
     rows = [
         {
             "t": t,
@@ -298,13 +299,7 @@ def _cmd_homotopy(args) -> int:
         "base": {"A": a_val, "B": b_val},
         "degenerate_t": path.degenerate_t,
         "rows": rows,
-        "transition": None
-        if math.isnan(t_star[0])
-        else {
-            "t": float(t_star[0]),
-            "class_before": int(before[0]),
-            "class_after": int(after[0]),
-        },
+        "crossings": [{"t": t, "lounesto_class": c} for t, c in sorted(met)],
     }
     _emit(report, args.output)
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateParameter, one_row, raise_first
-from .lounesto import COEFFICIENT_ERRORS, classify_by_coefficients_batch
+from .lounesto import COEFFICIENT_ERRORS, LounestoClass, classify_by_coefficients_batch
 
 # ``decompose`` stays importable from here: bench/test_bench.py checks that
 # the benchmark's tracer patches this binding
@@ -26,6 +26,7 @@ from .plane import PlaneCoords, block_scale, decompose, decompose_batch  # noqa:
 from .spinor import DEFAULT_TOL, chiral_parts
 
 _PARAM_TOL = 1e-12  # relative size below which Im(t) or an endpoint's r1 is zero
+SURFACES = (LounestoClass.TYPE2, LounestoClass.TYPE3, LounestoClass.TYPE6)  # class_transition's crossing columns
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,24 @@ class HomotopyPath:
         return self.f.one and self.g.one
 
 
+def _root(v0, v1):
+    """The t in (0, 1] where (1-t) v0 + t v1 = 0, elementwise, or NaN where
+    there is none: a zero span, a complex root or a root outside (0, 1]."""
+    span = v0 - v1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a reflexive path has v0 = v1
+        t = v0 / span
+    # v0 / v0 can round below 1 (numpy divides by a reciprocal): a span equal to v0 ends at t = 1
+    real, imag = np.where(span == v0, 1.0, np.real(t)), np.imag(t)
+    inside = (span != 0) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real)))
+    return np.where(inside & (0.0 < real) & (real <= 1.0), real, np.nan)
+
+
 def _degenerate_t(wf, wg):
     """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1):
     None, or NaN in the (n,) array of n paths."""
+    t = _root(*np.atleast_1d(wf, wg))
     one = np.ndim(wf) == np.ndim(wg) == 0
-    wf, wg = np.atleast_1d(wf, wg)
-    span = wf - wg
-    with np.errstate(divide="ignore", invalid="ignore"):  # a reflexive path has wf = wg
-        t = wf / span
-    real, imag = np.real(t), np.imag(t)
-    # wf / wf can round below 1 (numpy divides by a reciprocal): a span equal to wf ends at t = 1
-    inside = (span != 0) & (span != wf) & (np.abs(imag) <= _PARAM_TOL * np.fmax(1.0, np.abs(real)))
-    inside &= (0.0 < real) & (real < 1.0)
-    return one_row(np.where(inside, real, np.nan), one, lambda t: None if np.isnan(t) else t.item())
+    return one_row(np.where(t < 1.0, t, np.nan), one, lambda t: None if np.isnan(t) else t.item())
 
 
 def basis_homotopy(f: CoordFunction, g: CoordFunction) -> HomotopyPath:
@@ -161,30 +167,20 @@ def _classify(x, y, A, B, tol: float) -> np.ndarray:
 
 
 def class_transition(path: HomotopyPath, A, B, tol: float = DEFAULT_TOL, steps: int = 10, x=1.0 + 0j):
-    """First class change of the points (x, y(t)) along one path, or n paths
-    where the path, A, B or x hold (n,) arrays.
-
-    The grid t = i/steps is one batch call, then every path whose class
-    changes on it bisects its first changing interval, all in lockstep: 80
-    halvings of one batch call each, fewer once every bracket is two
-    adjacent floats.  Returns (t_star, before, after, grid): per path the
-    transition (NaN where the class is constant) and the classes either side
-    of it, and the (steps + 1, n) grid classes.  A path alone has its bits
-    among n."""
-    fx, gx, x, A, B = np.broadcast_arrays(*np.atleast_1d(path.f(x), path.g(x), x, A, B))
-    ts = np.arange(steps + 1) / steps
-    grid = _classify(x, _between(fx, gx, ts[:, None]), A, B, tol)
-    changed = grid[1:] != grid[:-1]
-    moving, first = changed.any(axis=0), np.argmax(changed, axis=0)
-    before, after = np.take_along_axis(grid, np.stack([first, first + 1]), axis=0)
-    lo, hi = ts[first[moving]], ts[first[moving] + 1]
-    fx, gx, x, A, B, c_lo = (a[moving] for a in (fx, gx, x, A, B, before))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            break  # every bracket is two adjacent floats, which no halving moves
-        below = _classify(x, _between(fx, gx, mid), A, B, tol) == c_lo
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    t_star = np.full(grid.shape[1], np.nan)
-    t_star[moving] = 0.5 * (lo + hi)
-    return t_star, before, after, grid
+    """(crossings, grid) of the points (x, y(t)) along one path, or n paths
+    where the path, A, B or x hold (n,) arrays: the (n, 3) t in (0, 1] where
+    a path meets each of the ``SURFACES`` (NaN where it does not), and the
+    (steps + 1, n) classes at t = i/steps from one batch call, the only part
+    that reads x and tol.  As z = x conj(y) = |x|^2 conj(w), (B + iA) w is
+    (A Im z + B Re z + i (A Re z - B Im z)) / |x|^2, affine in t: type 2 and 3
+    are the roots of its real and imaginary parts, and where w vanishes, so
+    do both, and only type 6 is kept.  A path alone has its bits among n."""
+    fx, gx, wf, wg, A, B = np.broadcast_arrays(*np.atleast_1d(path.f(x), path.g(x), path.f.w, path.g.w, A, B))
+    # one power of two per path brings its largest part of w into [1, 2), as
+    # lounesto._unit_scale does, so that (B + iA) w stays finite and normal
+    k = 1 - np.frexp(np.max(np.abs([wf.real, wf.imag, wg.real, wg.imag]), axis=0))[1]
+    wf, wg = (np.ldexp(w.real, k) + 1j * np.ldexp(w.imag, k) for w in (wf, wg))
+    uf, ug = (B + 1j * A) * wf, (B + 1j * A) * wg
+    crossings = np.stack([_root(uf.real, ug.real), _root(uf.imag, ug.imag), _root(wf, wg)], axis=1)
+    crossings[~np.isnan(crossings[:, 2]), :2] = np.nan  # both lines pass through w = 0
+    return crossings, _classify(x, _between(fx, gx, np.arange(steps + 1)[:, None] / steps), A, B, tol)

@@ -11,8 +11,7 @@ reproducible byte for byte.
 Scale conventions: quantities quadratic in the spinor are measured against
 max(1, |psi|^2), quartic residuals against max(1, |psi|^4).
 
-Every randomised check is one array pass over its draws, the ``homotopy``
-bisection included, which moves all its paths in lockstep.  Draws that a
+Every randomised check is one array pass over its draws.  Draws that a
 check once took trial by trial are taken in bulk in the same order, except
 the synthetic rejections of ``props``, which draw all coordinates and then
 all scales.  The large covariant passes of ``fpk``, ``props`` and ``rim``,
@@ -479,11 +478,16 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
 
     m = min(n, 200)
     hb = generators.random_rim_bases(gen, m)
+    A, B = _base_scalars(hb)
     # per path: wf then wg, real parts then imaginary parts
     draws = gen.standard_normal((m, 2, 2))
     wf, wg = (draws[:, 0, k] + 1j * draws[:, 1, k] for k in range(2))
     t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None]
     paths = homotopy.basis_homotopy(homotopy.CoordFunction(wf), homotopy.CoordFunction(wg))
+    # the classifier gives each surface's class at its closed-form crossing, and type 1 on the grid
+    crossings, swept = homotopy.class_transition(paths, A, B, cfg.tol)
+    met = homotopy.eval_path(paths, 1.0, crossings.T)  # NaN points where a path meets no surface
+    wrong = (homotopy._classify(met.r1, met.r2, A, B, cfg.tol).T != homotopy.SURFACES) & ~np.isnan(crossings)
     near = np.abs(t - paths.degenerate_t) < 1e-6  # NaN (no interior zero) is never near
     vanishing = homotopy.degenerate_at(paths, t)
     at, i = np.nonzero(~(vanishing | near))  # the (t, path) pairs sampled; the others hold 0 below
@@ -496,12 +500,14 @@ def suite_homotopy(cfg: SuiteConfig) -> dict:
     checks.append(_check("intermediate_ratio_one", 1e-10, ratio.ravel()))
     checks.append(_check("induced_operator_invertible", 0, noninvertible.ravel()))
 
-    # one path against the m bases; grid rows 1, 3, ..., 9 are t = 0.1, 0.3, ..., 0.9
+    # one path against the m bases, whose one crossing is type 6 at its end; grid
+    # rows 1, 3, ..., 9 are t = 0.1, 0.3, ..., 0.9
     path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 0.8 + 0j), plane.PlaneCoords(1.0 + 0j, 0.0 + 0j))
-    t_star, before, after, grid = homotopy.class_transition(path, *_base_scalars(hb), cfg.tol)
-    found = (before == lounesto.LounestoClass.TYPE1) & (after == lounesto.LounestoClass.TYPE6) & (t_star > 0.9)
+    end, grid = homotopy.class_transition(path, A, B, cfg.tol)
+    found = np.isnan(end[:, 0]) & np.isnan(end[:, 1]) & (end[:, 2] == 1.0)
     checks.append(_check("sweep_interior_regular", 0, (grid[1::2] != lounesto.LounestoClass.TYPE1).ravel()))
     checks.append(_check("class_transition_bisection", 0, ~found))
+    checks.append(_check("crossing_classes", 0, wrong, (swept != lounesto.LounestoClass.TYPE1).T))
     return _report("homotopy", checks)
 
 
@@ -544,10 +550,11 @@ def suite_mdo(cfg: SuiteConfig) -> dict:
                     eta != mdo.DIRACLIKE_SIGN[conj],
                     np.abs(flip - 2.0 * mom.m * nrm) / (mom.m * nrm),
                     _rel(singular, nrm**2),
+                    lounesto.classify_batch(bilinear.compute_batch(lam), cfg.tol)[0] != lounesto.LounestoClass.TYPE5,
                 )
             )
     # the four passes stacked, 4 m rows per check
-    struct, hel, dirac, sign_bad, flipped, singular = (np.concatenate(rows) for rows in zip(*passes))
+    struct, hel, dirac, sign_bad, flipped, singular, flagpole = (np.concatenate(rows) for rows in zip(*passes))
     e_s = mdo.elko(mom, +1, "S").spinor
     e_a = mdo.elko(mom, +1, "A").spinor
     # helicity alternates +1, -1 over the momenta
@@ -562,6 +569,7 @@ def suite_mdo(cfg: SuiteConfig) -> dict:
     checks.append(_check("diraclike_sign_fixture", 0, sign_bad))
     checks.append(_check("diraclike_flipped_sign", 1e-9, flipped))
     checks.append(_check("dirac_dual_singular", 1e-12, singular))
+    checks.append(_check("elko_flagpole", 0, flagpole))
     checks.append(_check("conjugacy_pair_structure", 0.0, e_s[:, 2:] - e_a[:, 2:], e_s[:, :2] + e_a[:, :2]))
     checks.append(_check("chirality_current_relations", 1e-9, np.max(chirality, axis=1) / np.maximum(1.0, ns**1.5)))
     checks.append(_check("mdo_dual_j2", 1e-10, _rel(j2 - cov["A"] ** 2 - cov["B"] ** 2, ns**2)))

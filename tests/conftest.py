@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spinorlab import clifford
+from spinorlab import clifford, homotopy, lounesto
+from spinorlab.spinor import DEFAULT_TOL
 
 # mantissas in [1, 10) with all 52 fraction bits drawn, so that products and
 # sums round; short ones (1.5, 9.999) would hide the order of an operation
@@ -54,3 +55,19 @@ def coordinate_rows(rng, A, B, n):
     r1 = np.where(kinds == "all_zero", 0.0, r1)
     r2 = np.where(kinds == "all_zero", 0.0, r2)
     return r1, r2, kinds
+
+
+def assert_class_at_crossing(path, x, A, B, t, surface, tol=DEFAULT_TOL):
+    """The coefficient rules give ``surface``'s class at the point of one
+    path at its crossing t, or type 6 where that point is in the zero band,
+    which the rules test first.  Where w(t) is below 1e-3 of the path's
+    larger end, one ulp of t moves the point by more than tol relative to
+    it, so no float t lands within tol of the surface: such a point is not
+    tested."""
+    point = homotopy.eval_path(path, x, t)
+    got = lounesto.classify_by_coefficients(point.r1, point.r2, A, B, tol)
+    a1, a2 = abs(point.r1), abs(point.r2)
+    if min(a1, a2) <= tol * max(1.0, a1, a2):
+        assert got == lounesto.LounestoClass.TYPE6, (t, surface)
+    elif a2 >= 1e-3 * max(abs(path.f(x)), abs(path.g(x))):
+        assert got == surface, (t, surface)

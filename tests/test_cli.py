@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, cli, io, lounesto, mdo, plane, rim, spinor
+from spinorlab import bilinear, cli, homotopy, io, lounesto, mdo, plane, rim, spinor
 from spinorlab.errors import SpinorlabError
 from spinorlab.generators import random_rim_bases
+
+from conftest import assert_class_at_crossing
 
 
 def write_json(path, obj):
@@ -320,8 +322,7 @@ def test_homotopy_sweep(base_setup, tmp_path, capsys):
     assert code == 0
     classes = [r["lounesto_class"] for r in rep["rows"]]
     assert classes[0] == 1 and classes[-1] == 6
-    assert rep["transition"]["class_before"] == 1
-    assert rep["transition"]["class_after"] == 6
+    assert rep["crossings"] == [{"lounesto_class": 6, "t": 1.0}]
     assert len(rep["rows"]) == 11
 
 
@@ -340,15 +341,13 @@ def _homotopy(tmp_path, ends, steps):
     return code, json.loads(out.read_text())
 
 
-def test_homotopy_transition_below_unit_r1_matches_the_rows(tmp_path):
+def test_homotopy_below_unit_r1_leaves_the_zero_band_without_a_crossing(tmp_path):
     # with |r1| < 1 the zero-test is absolute: r2 = 5e-10 is zero at x = r1
-    # (type 6) but not at x = 1, where the transition used to be searched
+    # (type 6) but not at x = 1; the path leaves that band without meeting r2 = 0
     code, rep = _homotopy(tmp_path, [(1e-6, 5e-10), (1e-6, 5e-7)], 10)
     assert code == cli.EXIT_OK
     assert [r["lounesto_class"] for r in rep["rows"]] == [6] + [1] * 10
-    transition = rep["transition"]
-    assert (transition["class_before"], transition["class_after"]) == (6, 1)
-    assert 0.0 < transition["t"] <= 0.1
+    assert rep["crossings"] == []
 
 
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main
@@ -393,18 +392,16 @@ def _plane_endpoint(draw):
 
 @given(ends=st.tuples(_plane_endpoint(), _plane_endpoint()), steps=st.integers(min_value=1, max_value=40))
 @settings(deadline=None, max_examples=150)
-def test_homotopy_transition_is_the_first_class_change_of_the_rows(tmp_path_factory, ends, steps):
+def test_homotopy_crossings_are_sorted_in_the_unit_interval_and_agree_with_the_classifier(tmp_path_factory, ends, steps):
     code, rep = _homotopy(tmp_path_factory.mktemp("homotopy"), ends, steps)
     assert code == cli.EXIT_OK
-    classes = [r["lounesto_class"] for r in rep["rows"]]
-    changes = [i for i in range(1, len(classes)) if classes[i] != classes[i - 1]]
-    transition = rep["transition"]
-    if not changes:
-        assert transition is None
-        return
-    i = changes[0]
-    assert (transition["class_before"], transition["class_after"]) == (classes[i - 1], classes[i])
-    assert rep["rows"][i - 1]["t"] <= transition["t"] <= rep["rows"][i]["t"]
+    ts = [c["t"] for c in rep["crossings"]]
+    assert ts == sorted(ts) and all(0.0 < t <= 1.0 for t in ts)
+    base = io.load_spinors(MIXED_BASE)[0]
+    psi_c, phi_c = (plane.decompose(plane.block_scale(base, *rs), base) for rs in ends)
+    path = homotopy.spinor_homotopy(psi_c, phi_c)
+    for c in rep["crossings"]:
+        assert_class_at_crossing(path, psi_c.r1, rep["base"]["A"], rep["base"]["B"], c["t"], c["lounesto_class"])
 
 
 def test_mdo_command(tmp_path, capsys):
@@ -549,11 +546,9 @@ def test_a_non_default_tol_reaches_every_zero_test(command, at_default, at_1e6, 
     code, rep = run_cli(argv + ["--tol", "1e-6"], capsys)
     assert code == 0 and rep["rows"][0]["lounesto_class"] == at_1e6
     if command == "homotopy":
-        # the bisection tests at 1e-6 too: |y(t)| = |(1 - t) 5e-7 + t (0.7 - 0.4i)| meets 1e-6 at t*
-        assert default["transition"] is None
-        t = rep["transition"]["t"]
-        assert (rep["transition"]["class_before"], rep["transition"]["class_after"]) == (6, 1)
-        assert abs((1 - t) * 5e-7 + t * (0.7 - 0.4j)) == pytest.approx(1e-6, rel=1e-6)
+        # the rows leave the 1e-6 zero band, but the path meets no surface: no crossing at either tol
+        assert [r["lounesto_class"] for r in rep["rows"][:2]] == [6, 1]
+        assert default["crossings"] == rep["crossings"] == []
 
 
 def test_near_degenerate_flag_sets_exit_code(base_setup, tmp_path, capsys):

@@ -5,17 +5,21 @@ shape with odd leaves (bools, numeric strings, null, integers beyond float
 range, magnitudes from 1e-320 to 1e308), JSON of the wrong shape or not
 JSON at all, CSV corpora with wrong column counts, CSV corpora of more
 than one row block, and --output paths that cannot be written.  Exit 4, a traceback or a second stderr line is a
-defect.
+defect.  ``homotopy`` also runs between spinors of a regular base's plane,
+and an exit-0 report lists its crossings sorted by t, each t in (0, 1] and
+each class 2, 3 or 6.
 """
 
 import contextlib
 import io
 import json
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, cli
+from spinorlab import bilinear, cli, plane, spinor
+from spinorlab.generators import random_rim_bases
 
 _SIGNS = st.sampled_from([1.0, -1.0])
 _MAGNITUDES = st.one_of(
@@ -86,6 +90,8 @@ _COMMANDS = {
     "mdo": [("--momentum", "momentum")],
 }
 _EXTRA = {"map": ["--direction", "dirac-to-mdo"], "homotopy": ["--steps", "4"]}
+_BASE = random_rim_bases(np.random.default_rng(0), 1)[0]
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
 
 
 @st.composite
@@ -96,8 +102,13 @@ def _invocation(draw):
     for i, (flag, kind) in enumerate(_COMMANDS[command]):
         name = f"{kind}{i}.csv" if kind == "csv" else f"{kind}{i}.json"
         files.append((flag, name, draw(_csv() if kind == "csv" else _json(kind))))
-    if command == "homotopy" and draw(st.booleans()):  # a path from the base to itself, in the base's plane
+    path = draw(st.sampled_from(["files", "reflexive", "in-plane", "in-plane"])) if command == "homotopy" else "files"
+    if path == "reflexive":  # a path from the base to itself, in the base's plane
         files = [(flag, name, files[-1][2]) for flag, name, _ in files]
+    if path == "in-plane":  # a path between two spinors in the plane of a regular base
+        ends = [plane.block_scale(_BASE, *draw(st.lists(_COMPLEX, min_size=2, max_size=2))) for _ in range(2)]
+        texts = [json.dumps(spinor.to_json(psi)) for psi in [*ends, _BASE]]
+        files = [(flag, name, text) for (flag, name, _), text in zip(files, texts)]
     return command, files, draw(st.sampled_from([None, None, "report.json", "missing/report.json", "."]))
 
 
@@ -119,3 +130,8 @@ def test_any_input_exits_0_to_3_with_at_most_one_error_line(invocation, tmp_path
     assert code in (0, 1, 2, 3), err.getvalue()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if command == "homotopy" and code == cli.EXIT_OK:
+        crossings = json.loads(out.getvalue() if output is None else (where / output).read_text())["crossings"]
+        ts = [c["t"] for c in crossings]
+        assert ts == sorted(ts) and all(0.0 < t <= 1.0 for t in ts)
+        assert {c["lounesto_class"] for c in crossings} <= {2, 3, 6}

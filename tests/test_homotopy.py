@@ -9,7 +9,7 @@ from spinorlab.generators import random_rim_bases
 from spinorlab.homotopy import CoordFunction
 from spinorlab.spinor import DEFAULT_TOL
 
-from conftest import COORDINATE_KINDS, coordinate_rows, random_spinor
+from conftest import COORDINATE_KINDS, assert_class_at_crossing, coordinate_rows, random_spinor
 
 
 def test_basis_homotopy_multiplier_segment():
@@ -153,10 +153,9 @@ def test_class_transition_type1_to_type6(rng):
             lounesto.classify_by_coefficients(coords.r1, coords.r2, A, B, DEFAULT_TOL)
             == lounesto.LounestoClass.TYPE1
         )
-    (t_star,), (before,), (after,), _ = homotopy.class_transition(path, A, B, DEFAULT_TOL)
-    assert before == lounesto.LounestoClass.TYPE1
-    assert after == lounesto.LounestoClass.TYPE6
-    assert 0.9 < t_star <= 1.0
+    (crossings,), _ = homotopy.class_transition(path, A, B, DEFAULT_TOL)
+    # both surfaces meet w = 0 at the end, where only type 6 is kept
+    assert np.isnan(crossings[:2]).all() and crossings[2] == 1.0
 
 
 def test_class_transition_none_for_constant_class(rng):
@@ -166,10 +165,79 @@ def test_class_transition_none_for_constant_class(rng):
     path = homotopy.spinor_homotopy(
         plane.PlaneCoords(1.0 + 0j, 0.5 + 0j), plane.PlaneCoords(1.0 + 0j, 2.0 + 0j)
     )
-    (t_star,), (before,), (after,), grid = homotopy.class_transition(path, A, B, DEFAULT_TOL)
-    assert np.isnan(t_star)
-    assert before == after == lounesto.LounestoClass.TYPE1
-    assert grid.shape == (11, 1) and np.all(grid == before)
+    crossings, grid = homotopy.class_transition(path, A, B, DEFAULT_TOL)
+    assert crossings.shape == (1, 3) and np.isnan(crossings).all()
+    assert grid.shape == (11, 1) and np.all(grid == lounesto.LounestoClass.TYPE1)
+
+
+def _example(scale=1.0):
+    """The path (1, 2+i) -> (1, 1+3i), its multipliers scaled by ``scale``."""
+    return homotopy.basis_homotopy(CoordFunction((2 + 1j) * scale), CoordFunction((1 + 3j) * scale))
+
+
+def test_a_type2_crossing_between_grid_points_is_found():
+    """With A = B = 1, y(t) = (2+i)(1-t) + (1+3i)t meets the type-2 surface
+    at t = 1/3 only, a sliver of t about tol wide that the grid t = i/10
+    steps over: every grid class is type 1."""
+    path = homotopy.spinor_homotopy(plane.PlaneCoords(1.0 + 0j, 2 + 1j), plane.PlaneCoords(1.0 + 0j, 1 + 3j))
+    (crossings,), grid = homotopy.class_transition(path, 1.0, 1.0, DEFAULT_TOL)
+    assert crossings[0] == pytest.approx(1 / 3, rel=1e-15) and np.isnan(crossings[1:]).all()
+    assert np.all(grid == lounesto.LounestoClass.TYPE1)
+    point = homotopy.eval_path(path, 1.0 + 0j, crossings[0])
+    assert lounesto.classify_by_coefficients(point.r1, point.r2, 1.0, 1.0) == lounesto.LounestoClass.TYPE2
+
+
+@pytest.mark.parametrize(
+    "scale, ab",
+    [(2.0**1000, 1.0), (2.0**-1000, 1.0), (2.0**1022, 2.0), (2.0**-1060, 1.0)],
+    ids=["2^1000", "2^-1000", "2^1022, A=B=2", "2^-1060, subnormal"],
+)
+def test_crossings_are_unchanged_by_a_power_of_two_scale(scale, ab):
+    """A power-of-two scale of w is exact and the roots are homogeneous in
+    w, so the crossings keep their bits.  At 2^1022 with A = B = 2, A Im w of
+    the unscaled w overflows, and at 2^-1060 w is subnormal, its rescale
+    factor beyond the float range: these pin the rescale to [1, 2)."""
+    expected, _ = homotopy.class_transition(_example(), 1.0, 1.0, DEFAULT_TOL)
+    with np.errstate(over="ignore"):  # the grid's points overflow at 2^1022; the crossings do not
+        crossings, _ = homotopy.class_transition(_example(scale), ab, ab, DEFAULT_TOL)
+    assert crossings.tobytes() == expected.tobytes()
+
+
+def test_crossings_read_neither_tol_nor_x(rng):
+    cov = bilinear.compute_batch(random_rim_bases(rng, 50))
+    w = random_spinor(rng, 50)
+    paths = homotopy.basis_homotopy(CoordFunction(w[:, 0]), CoordFunction(w[:, 1]))
+    runs = [(1e-9, 1.0 + 0j), (1e-6, 1.0 + 0j), (1e-9, 0.3 - 2j), (1e-6, w[:, 2])]
+    crossings = [homotopy.class_transition(paths, cov["A"].real, cov["B"].real, tol, x=x)[0] for tol, x in runs]
+    assert (~np.isnan(crossings[0])).sum() > 10
+    assert all(c.tobytes() == crossings[0].tobytes() for c in crossings)
+
+
+def test_every_crossing_is_a_sign_change_on_a_dense_grid():
+    """Completeness by a second route.  On 200 random spinor paths (x != 1)
+    the type-2 and type-3 surface functions A Im z + B Re z and
+    A Re z - B Im z, formed by the classifier's own arithmetic
+    (``lounesto._conj_product``) from ``eval_path`` points at 10^4 + 1
+    values of t, change sign between neighbouring t exactly where a reported
+    crossing of that surface lies between them."""
+    gen = np.random.default_rng(11)
+    n = 200
+    cov = bilinear.compute_batch(random_rim_bases(gen, n))
+    A, B = cov["A"].real, cov["B"].real
+    r = random_spinor(gen, n).T
+    ends = [plane.PlaneCoords(r[0], r[1]), plane.PlaneCoords(r[2], r[3])]
+    crossings, _ = homotopy.class_transition(homotopy.spinor_homotopy(*ends), A, B, DEFAULT_TOL, x=r[0])
+    ts = np.linspace(0.0, 1.0, 10_001)
+    for i in range(n):
+        path = homotopy.spinor_homotopy(plane.PlaneCoords(r[0, i], r[1, i]), plane.PlaneCoords(r[2, i], r[3, i]))
+        points = homotopy.eval_path(path, r[0, i], ts)
+        zr, zi = lounesto._conj_product(points.r1, points.r2, 1.0)
+        for k, f in enumerate([A[i] * zi + B[i] * zr, A[i] * zr - B[i] * zi]):
+            flips = np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1]))
+            t = crossings[i, k]
+            assert flips.tolist() == ([] if np.isnan(t) else [np.searchsorted(ts, t) - 1]), (i, k)
+    assert np.isnan(crossings[:, 2]).all()  # no random path passes through w = 0
+    assert (~np.isnan(crossings[:, :2])).sum() > 100
 
 
 def _path_ends(gen, A, B):
@@ -195,20 +263,14 @@ def test_class_transition_over_paths_is_each_path_alone(seed, n, steps):
     for i in range(n):
         path = homotopy.spinor_homotopy(plane.PlaneCoords(r1[i, 0], r2[i, 0]), plane.PlaneCoords(r1[i, 1], r2[i, 1]))
         alone = homotopy.class_transition(path, A[i], B[i], DEFAULT_TOL, steps, x=r1[i, 0])
-        for k, (rows, one) in enumerate(zip(together, alone)):
-            assert rows[..., i].tobytes() == one[..., 0].tobytes(), f"path {i}, output {k}"
+        assert together[0][i].tobytes() == alone[0][0].tobytes(), f"path {i}, crossings"
+        assert together[1][:, i].tobytes() == alone[1][:, 0].tobytes(), f"path {i}, grid"
         points = [homotopy.eval_path(path, r1[i, 0], j / steps) for j in range(steps + 1)]
         scalar = [lounesto.classify_by_coefficients(c.r1, c.r2, A[i], B[i], DEFAULT_TOL) for c in points]
-        grid = alone[3][:, 0]
-        assert grid.tolist() == scalar
-        changes = np.flatnonzero(grid[1:] != grid[:-1])
-        t_star, before, after = (v[0] for v in alone[:3])
-        if changes.size == 0:
-            assert np.isnan(t_star) and before == after == grid[0]
-        else:
-            j = changes[0]
-            assert (before, after) == (grid[j], grid[j + 1])
-            assert j / steps <= t_star <= (j + 1) / steps
+        assert alone[1][:, 0].tolist() == scalar
+        for t, surface in zip(alone[0][0], homotopy.SURFACES):
+            if not np.isnan(t):
+                assert_class_at_crossing(path, r1[i, 0], A[i], B[i], t, surface)
 
 
 def test_class_transition_raises_the_scalar_error_without_a_row():

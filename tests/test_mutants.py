@@ -8,7 +8,10 @@ must fail.  ``spinor.chiral_overlaps`` is read by the component route
 guards A1 and A2 against the matrix route when one formula feeds both sides.
 ``plane.m_operator`` holds the chi factors that ``map_dirac_mdo`` and the
 ``plane`` suite's chi checks read, so its mutants must fail ``plane``, and
-``mn_identity`` among its checks.
+``mn_identity`` among its checks.  A ``homotopy._root`` that moves every
+root by a relative 1e-6 must fail ``crossing_classes``, and types 4 and 5
+swapped in the Lounesto decision must fail ``mdo``, whose Elko spinors are
+flagpoles.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinorlab import cli, plane, spinor
+from spinorlab import cli, homotopy, lounesto, plane, spinor
 
 ORIGINAL = spinor.chiral_overlaps
 
@@ -101,3 +104,29 @@ def test_m_operator_mutant_fails_plane(name, monkeypatch, tmp_path):
     assert code == cli.EXIT_SUITE_FAILURE
     # mn_identity composes m with an inverse built from the coefficients, so it sees a wrong chi
     assert "mn_identity" in failed, name
+
+
+ROOT = homotopy._root
+
+
+def test_unmutated_homotopy_and_mdo_pass(tmp_path):
+    assert failed_checks(tmp_path, "homotopy", 200) == (cli.EXIT_OK, [])
+    assert failed_checks(tmp_path, "mdo", 200) == (cli.EXIT_OK, [])
+
+
+def test_shifted_roots_fail_crossing_classes(monkeypatch, tmp_path):
+    assert patch_every_binding(monkeypatch, ROOT, lambda v0, v1: ROOT(v0, v1) * (1.0 + 1e-6)) == {"spinorlab.homotopy"}
+    code, failed = failed_checks(tmp_path, "homotopy", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert "crossing_classes" in failed
+
+
+def test_type4_type5_swap_fails_mdo(monkeypatch, tmp_path):
+    T4, T5 = lounesto.LounestoClass.TYPE4, lounesto.LounestoClass.TYPE5
+    swapped = tuple({T4: T5, T5: T4}.get(e, e) for e in lounesto.DECISION)
+    assert swapped != lounesto.DECISION
+    monkeypatch.setattr(lounesto, "DECISION", swapped)
+    monkeypatch.setattr(lounesto, "_CLASS_CODES", np.array([0 if isinstance(e, tuple) else int(e) for e in swapped]))
+    code, failed = failed_checks(tmp_path, "mdo", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert "elko_flagpole" in failed

@@ -88,6 +88,7 @@ PINNED = {
         ("induced_operator_invertible", 1000),
         ("sweep_interior_regular", 1000),
         ("class_transition_bisection", 200),
+        ("crossing_classes", 200),
     ],
     "mdo": [
         ("xi_involution", 1000),
@@ -98,6 +99,7 @@ PINNED = {
         ("diraclike_sign_fixture", 1000),
         ("diraclike_flipped_sign", 1000),
         ("dirac_dual_singular", 1000),
+        ("elko_flagpole", 1000),
         ("conjugacy_pair_structure", 250),
         ("chirality_current_relations", 250),
         ("mdo_dual_j2", 250),
