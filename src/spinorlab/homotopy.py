@@ -70,7 +70,8 @@ def _root(v0, v1):
     """The t in (0, 1] where (1-t) v0 + t v1 = 0, elementwise, or NaN where
     there is none: a zero span, a complex root or a root outside (0, 1]."""
     span = v0 - v1
-    with np.errstate(divide="ignore", invalid="ignore"):  # a reflexive path has v0 = v1
+    # a reflexive path has v0 = v1, and a span far below v0 overflows t (no root there)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = v0 / span
     # v0 / v0 can round below 1 (numpy divides by a reciprocal): a span equal to v0 ends at t = 1
     real, imag = np.where(span == v0, 1.0, np.real(t)), np.imag(t)
@@ -78,10 +79,19 @@ def _root(v0, v1):
     return np.where(inside & (0.0 < real) & (real <= 1.0), real, np.nan)
 
 
+def _unit_scaled(wf, wg):
+    """wf and wg times one power of two per path that brings the largest part
+    of either into [1, 2), as lounesto._unit_scale does: every root of a line
+    through them keeps its t, and products of them stay finite and normal."""
+    wf, wg = np.broadcast_arrays(*np.atleast_1d(wf, wg))
+    k = 1 - np.frexp(np.max(np.abs([wf.real, wf.imag, wg.real, wg.imag]), axis=0))[1]
+    return [np.ldexp(w.real, k) + 1j * np.ldexp(w.imag, k) for w in (wf, wg)]
+
+
 def _degenerate_t(wf, wg):
     """Interior parameter where (1-t)wf + t*wg = 0, if one exists on (0,1):
     None, or NaN in the (n,) array of n paths."""
-    t = _root(*np.atleast_1d(wf, wg))
+    t = _root(*_unit_scaled(wf, wg))
     one = np.ndim(wf) == np.ndim(wg) == 0
     return one_row(np.where(t < 1.0, t, np.nan), one, lambda t: None if np.isnan(t) else t.item())
 
@@ -176,10 +186,7 @@ def class_transition(path: HomotopyPath, A, B, tol: float = DEFAULT_TOL, steps: 
     are the roots of its real and imaginary parts, and where w vanishes, so
     do both, and only type 6 is kept.  A path alone has its bits among n."""
     fx, gx, wf, wg, A, B = np.broadcast_arrays(*np.atleast_1d(path.f(x), path.g(x), path.f.w, path.g.w, A, B))
-    # one power of two per path brings its largest part of w into [1, 2), as
-    # lounesto._unit_scale does, so that (B + iA) w stays finite and normal
-    k = 1 - np.frexp(np.max(np.abs([wf.real, wf.imag, wg.real, wg.imag]), axis=0))[1]
-    wf, wg = (np.ldexp(w.real, k) + 1j * np.ldexp(w.imag, k) for w in (wf, wg))
+    wf, wg = _unit_scaled(wf, wg)  # so that (B + iA) w stays finite and normal
     uf, ug = (B + 1j * A) * wf, (B + 1j * A) * wg
     crossings = np.stack([_root(uf.real, ug.real), _root(uf.imag, ug.imag), _root(wf, wg)], axis=1)
     crossings[~np.isnan(crossings[:, 2]), :2] = np.nan  # both lines pass through w = 0

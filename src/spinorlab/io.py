@@ -12,10 +12,13 @@ A streamed report takes its rows one block at a time from an iterable, so
 the CLI computes each 1024-row block (``bilinear._blocks``) just before its
 text is written and holds no n-row result column.  Each block is rendered
 ``_ROWS_PER_SLICE`` = 256 rows at a time, so only one slice's Python
-objects (34 per ``classify`` row) and text are alive at once: under 1 MiB,
-where a 2048-row slice held about 7 MiB.  On a 10^4-row corpus 256-, 512-
-and 2048-row slices render equally fast (medians of 8 alternating
-in-process ``classify`` passes), and 128-row slices save only 0.2 MiB more.
+objects (24 per ``classify`` row, 6 of them S's texts) and text are alive
+at once: under 1 MiB, where a 2048-row slice held about 7 MiB.  On a
+10^4-row corpus 256-, 512- and 2048-row slices render equally fast (medians
+of 8 alternating in-process ``classify`` passes), and 128-row slices save
+only 0.2 MiB more.  A ``classify`` row formats 20 floats, not 30: its S is
+antisymmetric with a zero diagonal, so ``_square_columns`` formats only the
+upper triangle.
 
 A CSV corpus is parsed into one (n, 8) float array and returned as its
 (n, 4) complex view, with no copy.
@@ -180,6 +183,28 @@ def _python_columns(block: np.ndarray) -> list[list]:
     return block.T.tolist()
 
 
+def _square_columns(block: np.ndarray) -> list:
+    """The (m, k*k) block of a square float leaf as what its k*k slots take
+    for %s.  Where the slice is bitwise antisymmetric with a +0.0 diagonal,
+    as S^{mu nu} of ``bilinear.compute_batch`` is, only the upper triangle
+    goes through repr: a diagonal slot is "0.0", and a lower slot is its
+    upper partner's text with the sign flipped (a leading "-" stripped or
+    added), which is repr(-x) for every finite x.  Otherwise each slot is
+    its float, whose %s is its repr."""
+    m, width = block.shape
+    k = math.isqrt(width)
+    upper = [i * k + j for i in range(k) for j in range(i + 1, k)]
+    lower = [j * k + i for i in range(k) for j in range(i + 1, k)]
+    if block[:, :: k + 1].view(np.int64).any() or np.negative(block[:, upper]).tobytes() != block[:, lower].tobytes():
+        return block.T.tolist()
+    cols = [["0.0"] * m] * width  # the diagonal's slots share one list
+    for up, low in zip(upper, lower):
+        cols[up] = list(map(repr, block[:, up].tolist()))
+        # made as the template reads it, so a slice holds no lower slot's text
+        cols[low] = (text[1:] if text[0] == "-" else "-" + text for text in cols[up])
+    return cols
+
+
 def _columns(node) -> list[np.ndarray]:
     """The leaves of a row layout's dict, in key order, each as an (m, width) array."""
     if isinstance(node, dict):
@@ -196,35 +221,38 @@ class _RowLayout:
     arrays, or str arrays.  The template is ``json.dumps(indent=2,
     sort_keys=True)`` of a skeleton row whose leaves are sentinel strings,
     each swapped for a conversion (%r for floats, %d for ints, %s for JSON
-    text), so key order and whitespace are the stdlib's.  It is compiled
-    once, from the first block, and renders every block's ``_columns``.
+    text, and %s for a float leaf of shape (k, k), which
+    ``_square_columns`` renders), so key order and whitespace are the
+    stdlib's.  It is compiled once, from the first block, and renders every
+    block's ``_columns``.
     """
 
     def __init__(self, row: dict, newline: str) -> None:
-        self.leaves: list[tuple[str, int, str]] = []  # (field, its first slot, dtype kind)
-        self.width = 0  # slots in a row
+        self.conversions: list[str] = []  # per slot
+        self.makers: list = []  # per leaf, what makes its slots' arguments from its (m, width) block
+        self.floats: list[tuple[int, str, int]] = []  # (first slot, field, leaf) of each float leaf
         skeleton = self._skeleton(row, "")
         text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%").replace("\n", newline)
-        starts = [start for _, start, _ in self.leaves] + [self.width]
-        for (_, start, kind), end in zip(self.leaves, starts[1:]):
-            for j in range(start, end):
-                text = text.replace(f'"@{j}@"', _CONVERSIONS.get(kind, "%s"))
+        for j, conversion in enumerate(self.conversions):
+            text = text.replace(f'"@{j}@"', conversion)
         self.template = text  # slot j is its j-th conversion: the skeleton is built in key order
-        # (first slot, field, leaf) of each float leaf
-        self.floats = [(start, field, k) for k, (field, start, kind) in enumerate(self.leaves) if kind == "f"]
 
     def _skeleton(self, node, field: str):
         if isinstance(node, dict):
             items = sorted(node.items())
             return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in items}
         column = np.asarray(node)
-        self.leaves.append((field, self.width, column.dtype.kind))
-        slots = range(self.width, self.width + math.prod(column.shape[1:]))
-        self.width += len(slots)
-        return np.array([f"@{j}@" for j in slots], dtype=object).reshape(column.shape[1:]).tolist()
+        kind, shape = column.dtype.kind, column.shape[1:]
+        slots = range(len(self.conversions), len(self.conversions) + math.prod(shape))
+        if kind == "f":
+            self.floats.append((slots.start, field, len(self.makers)))
+        square = kind == "f" and len(shape) == 2 and shape[0] == shape[1]
+        self.conversions += ["%s" if square else _CONVERSIONS.get(kind, "%s")] * len(slots)
+        self.makers.append(_square_columns if square else _python_columns)
+        return np.array([f"@{j}@" for j in slots], dtype=object).reshape(shape).tolist()
 
     def render(self, columns: list[np.ndarray], rows: np.ndarray) -> list[str]:
-        cols = [col for column in columns for col in _python_columns(column[rows])]
+        cols = [col for make, column in zip(self.makers, columns) for col in make(column[rows])]
         return list(map(self.template.__mod__, zip(*cols)))
 
 

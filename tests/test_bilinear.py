@@ -300,6 +300,22 @@ def test_fpk_residuals_batch_is_the_full_contraction_bit_for_bit(psis, kind):
     assert_same_bits(one[0], got[-1])
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), decade=st.floats(-150.0, 150.0), kind=st.sampled_from(DualKind))
+@settings(deadline=None, max_examples=100)
+def test_compute_batch_s_is_bitwise_antisymmetric_with_a_positive_zero_diagonal(seed, n, decade, kind):
+    """S^{nu mu} has the bits of -S^{mu nu} and each S^{mu mu} is +0.0 in both
+    parts, so the report writer renders every finite classify row's S from
+    its upper triangle (``io._square_columns``)."""
+    gen = np.random.default_rng(seed)
+    psis = gen.standard_normal((n, 4, 2)).view(complex)[..., 0] * 10.0**decade
+    psis[gen.random((n, 4)) < 0.25] = 0.0  # exact zeros, so sums of signed zeros too
+    cov, _ = _covariants(psis, kind)
+    bits = cov["S"].view(np.float64).view(np.int64).reshape(n, 4, 4, 2)
+    upper, lower = np.triu_indices(4, 1)
+    assert not bits[:, range(4), range(4)].any()
+    assert np.array_equal(bits[:, lower, upper], bits[:, upper, lower] ^ np.int64(-(2**63)))
+
+
 @st.composite
 def blocked_batches(draw):
     """(n, 4) spinors with n around blocks of 3 rows, a dual and its Xi:

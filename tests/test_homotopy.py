@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,18 @@ def test_constant_path_when_endpoints_match():
 def test_degenerate_parameter_antipodal():
     path = homotopy.basis_homotopy(CoordFunction(1.0), CoordFunction(-1.0))
     assert path.degenerate_t == pytest.approx(0.5, abs=1e-15)
+
+
+def test_degenerate_parameter_of_subnormal_multipliers():
+    """The antipodal path keeps its t = 0.5 at any scale: a subnormal span
+    would overflow w / span, so the root is taken of the rescaled pair.  A
+    span far below w still overflows it, silently: there is no root."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = homotopy.basis_homotopy(CoordFunction(1e-310), CoordFunction(-1e-310))
+        near = homotopy.basis_homotopy(CoordFunction(1.0), CoordFunction(1.0 + 1e-310j))
+    assert path.degenerate_t == 0.5
+    assert near.degenerate_t is None
 
 
 def test_degenerate_parameter_absent_for_complex_pairs():

@@ -5,7 +5,7 @@ same report as a dict."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +18,7 @@ TEXTS = st.one_of(
     st.text(max_size=12),
 )
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+UPPER, LOWER = np.triu_indices(4, 1)
 
 
 def _texts(draw, n):
@@ -46,6 +47,8 @@ def corpus_reports(draw):
     if command == "classify":
         shapes = {"A": (), "B": (), "J": (4,), "K": (4,), "S": (4, 4), "fpk_residuals": (4,)}
         values = {key: floats(*shape) for key, shape in shapes.items()}
+        if draw(st.booleans()):  # S as bilinear.compute_batch builds it, which io renders from its upper triangle
+            values["S"] = antisymmetric(floats(6))
         layouts = [{"id": ids, **flags, **values}, error_row]
         header = {"command": command, "config": config}
     else:
@@ -61,6 +64,15 @@ def corpus_reports(draw):
     rows = [_plain(layouts[code], i) for i, code in enumerate(codes.tolist())]
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
     return header, _blocks(layouts, codes, cuts), rows
+
+
+def antisymmetric(upper: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) stack with a +0.0 diagonal, the (n, 6) ``upper`` above
+    it and its bitwise negation below."""
+    S = np.zeros((len(upper), 4, 4))
+    S[:, UPPER, LOWER] = upper
+    S[:, LOWER, UPPER] = np.negative(upper)
+    return S
 
 
 def _rows_of(node, rows: slice):
@@ -91,6 +103,48 @@ def test_writer_bytes_equal_the_stdlib_encoder(report, tmp_path_factory):
     out = tmp_path_factory.mktemp("report") / "report.json"
     io.write_rows_report(header, blocks, out)
     assert out.read_bytes() == io.dumps_report({**header, "rows": rows}).encode()
+
+
+@given(x=FLOATS)
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=1e308)
+@example(x=1.7976931348623157e308)
+def test_a_lower_slot_is_the_sign_flipped_text_of_its_upper_partner(x):
+    """For every finite x, repr(x) with its sign flipped is repr(-x), so an
+    antisymmetric square leaf formats only its upper triangle."""
+    text = repr(x)
+    assert (text[1:] if text[0] == "-" else "-" + text) == repr(-x)
+    assert list(map(list, io._square_columns(np.array([[0.0, x, -x, 0.0]])))) == [["0.0"], [text], [repr(-x)], ["0.0"]]
+
+
+def _s_rows(n: int) -> tuple[list[dict], np.ndarray]:
+    """One layout of n rows: an id and an antisymmetric S of edge and normal floats."""
+    upper = np.resize(EDGE_FLOATS + [-1.5, 2.0**-1074, 0.1], (n, 6))
+    return [{"id": np.arange(n), "S": antisymmetric(upper)}], np.zeros(n, int)
+
+
+@pytest.mark.parametrize(
+    "slot, bit",
+    [((2, 2), 63), ((3, 1), 63), ((0, 3), 0)],
+    ids=["negative-zero-diagonal", "lower-equals-upper", "upper-one-ulp-off"],
+)
+def test_an_s_one_bit_off_antisymmetric_formats_every_slot_of_its_slice(slot, bit, tmp_path, monkeypatch):
+    """One flipped bit in one row's S sends that row's slice back to a float
+    per slot; the other slices keep the upper triangle's texts, and every
+    slice the stdlib's bytes."""
+    monkeypatch.setattr(io, "_ROWS_PER_SLICE", 2)
+    layouts, codes = _s_rows(5)
+    flat = layouts[0]["S"].reshape(5, 16)
+    flat.view(np.int64)[3, 4 * slot[0] + slot[1]] ^= np.left_shift(np.int64(1), bit)
+    assert io._square_columns(flat[2:4]) == flat[2:4].T.tolist()
+    for rows in (slice(0, 2), slice(4, 5)):
+        assert io._square_columns(flat[rows])[1] == list(map(repr, flat[rows, 1].tolist()))
+    out = tmp_path / "report.json"
+    io.write_rows_report({}, _blocks(layouts, codes), out)
+    assert out.read_text() == io.dumps_report({"rows": [_plain(layouts[0], i) for i in range(5)]})
 
 
 def _mixed_rows(n, rng):

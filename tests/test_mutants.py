@@ -11,7 +11,10 @@ guards A1 and A2 against the matrix route when one formula feeds both sides.
 ``mn_identity`` among its checks.  A ``homotopy._root`` that moves every
 root by a relative 1e-6 must fail ``crossing_classes``, and types 4 and 5
 swapped in the Lounesto decision must fail ``mdo``, whose Elko spinors are
-flagpoles.
+flagpoles.  Types 2 and 3 swapped in both class tables must fail ``props``'
+constructed spinors and ``homotopy``'s crossings, a negated Xi must fail
+``mdo``'s Dirac-like sign, and one flipped sign of the Hodge table must fail
+``fpk``'s axial-tensor identity.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinorlab import cli, homotopy, lounesto, plane, spinor
+from spinorlab import bilinear, cli, homotopy, lounesto, mdo, plane, spinor
 
 ORIGINAL = spinor.chiral_overlaps
 
@@ -121,12 +124,60 @@ def test_shifted_roots_fail_crossing_classes(monkeypatch, tmp_path):
     assert "crossing_classes" in failed
 
 
+def swap_classes(monkeypatch, one, other) -> set[str]:
+    """Swap two Lounesto classes in the covariant decision, its class codes
+    and the coefficient class table; the modules patched."""
+    decision = tuple({one: other, other: one}.get(e, e) for e in lounesto.DECISION)
+    assert decision != lounesto.DECISION
+    codes = np.array([0 if isinstance(e, tuple) else int(e) for e in decision])
+    swap = {int(one): int(other), int(other): int(one)}
+    coefficient_classes = np.array([swap.get(c, c) for c in lounesto._COEFFICIENT_CLASSES.tolist()])
+    return (
+        patch_every_binding(monkeypatch, lounesto.DECISION, decision)
+        | patch_every_binding(monkeypatch, lounesto._CLASS_CODES, codes)
+        | patch_every_binding(monkeypatch, lounesto._COEFFICIENT_CLASSES, coefficient_classes)
+    )
+
+
 def test_type4_type5_swap_fails_mdo(monkeypatch, tmp_path):
-    T4, T5 = lounesto.LounestoClass.TYPE4, lounesto.LounestoClass.TYPE5
-    swapped = tuple({T4: T5, T5: T4}.get(e, e) for e in lounesto.DECISION)
-    assert swapped != lounesto.DECISION
-    monkeypatch.setattr(lounesto, "DECISION", swapped)
-    monkeypatch.setattr(lounesto, "_CLASS_CODES", np.array([0 if isinstance(e, tuple) else int(e) for e in swapped]))
+    assert swap_classes(monkeypatch, lounesto.LounestoClass.TYPE4, lounesto.LounestoClass.TYPE5) == {"spinorlab.lounesto"}
     code, failed = failed_checks(tmp_path, "mdo", 200)
     assert code == cli.EXIT_SUITE_FAILURE
     assert "elko_flagpole" in failed
+
+
+def test_unmutated_props_passes(tmp_path):
+    assert failed_checks(tmp_path, "props", 200) == (cli.EXIT_OK, [])
+
+
+@pytest.mark.parametrize(
+    "suite, checks", [("props", {"constructed_type2", "constructed_type3"}), ("homotopy", {"crossing_classes"})]
+)
+def test_type2_type3_swap_fails_props_and_homotopy(suite, checks, monkeypatch, tmp_path):
+    assert swap_classes(monkeypatch, lounesto.LounestoClass.TYPE2, lounesto.LounestoClass.TYPE3) == {"spinorlab.lounesto"}
+    code, failed = failed_checks(tmp_path, suite, 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert checks <= set(failed)
+
+
+XI = mdo.xi
+
+
+def test_negated_xi_fails_diraclike_sign_fixture(monkeypatch, tmp_path):
+    # the package root re-exports xi; mdo's own binding is the one its checks read
+    assert "spinorlab.mdo" in patch_every_binding(monkeypatch, XI, lambda mom: -XI(mom))
+    code, failed = failed_checks(tmp_path, "mdo", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert "diraclike_sign_fixture" in failed
+
+
+HODGE = bilinear._HODGE
+
+
+def test_one_flipped_hodge_sign_fails_fpk_axial_tensor(monkeypatch, tmp_path):
+    flipped = HODGE.copy()
+    flipped[0, 1] = -flipped[0, 1]
+    assert patch_every_binding(monkeypatch, HODGE, flipped) == {"spinorlab.bilinear"}
+    code, failed = failed_checks(tmp_path, "fpk", 200)
+    assert code == cli.EXIT_SUITE_FAILURE
+    assert "fpk_axial_tensor" in failed
