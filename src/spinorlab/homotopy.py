@@ -81,8 +81,8 @@ def _root(v0, v1):
 
 def _unit_scaled(wf, wg):
     """wf and wg times one power of two per path that brings the largest part
-    of either into [1, 2), as lounesto._unit_scale does: every root of a line
-    through them keeps its t, and products of them stay finite and normal."""
+    of either into [1, 2), as the coefficient rules rescale (r1, r2): every
+    root of a line through them keeps its t, and products of them stay finite and normal."""
     wf, wg = np.broadcast_arrays(*np.atleast_1d(wf, wg))
     k = 1 - np.frexp(np.max(np.abs([wf.real, wf.imag, wg.real, wg.imag]), axis=0))[1]
     return [np.ldexp(w.real, k) + 1j * np.ldexp(w.imag, k) for w in (wf, wg)]

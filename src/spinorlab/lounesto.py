@@ -3,17 +3,17 @@
 Classes 1-3 are regular (A or B nonzero), 4-6 singular (A = B = 0, told
 apart by which of K, S vanish).  J must never vanish.  One decision table
 serves the scalar ``classify``, which raises, and ``classify_batch``, which
-returns per-row class and error codes.  The coefficient route
-classifies psi = r1*block1(base) + r2*block2(base) straight from (r1, r2)
-and the base scalars (A, B) without building any covariant; its scalar
-``classify_by_coefficients`` and ``classify_by_coefficients_batch`` do the
-same real arithmetic, on Python floats and on arrays.  Every zero test
-reads one tolerance, passed as the float ``tol`` (``DEFAULT_TOL`` by default).
+returns per-row class and error codes.  The coefficient route classifies
+psi = r1*block1(base) + r2*block2(base) straight from (r1, r2) and the base
+scalars (A, B) without building any covariant: ``_coefficient_row`` does the
+arithmetic of ``classify_by_coefficients_batch`` on one row of Python
+numbers, and ``classify_by_coefficients`` and ``near_degenerate`` are views
+of it.  Every zero test reads one tolerance, the float ``tol`` (``DEFAULT_TOL``).
 
-``classify``, ``classify_by_coefficients`` and ``near_degenerate`` stay
-scalar code, the tests' reference for the batch routes and measured by the
-``scalar-api`` benchmark workload: a one-row ``classify_by_coefficients_batch``
-call costs 51-61 us against 2.3 us (best of 10x3000 calls, 2-vCPU host).
+``classify`` and ``_coefficient_row`` stay scalar code, the tests' reference
+for the batch routes and measured by the ``scalar-api`` benchmark workload: a
+one-row batch call costs 26-27 us against 5.1-5.2 us for ``classify``, and
+42-44 us against 2.3-2.4 us for ``classify_by_coefficients`` (best of 10x3000).
 """
 
 from __future__ import annotations
@@ -137,20 +137,42 @@ _COEFFICIENT_CLASSES = np.array([1, 3, 2, 2, 6, 6, 6, 6])
 NEAR_BAND = 10.0
 
 
-def _unit_scale(rs: float) -> float:
-    """The power of two that brings rs >= 1 into [1, 2).
-
-    Every coefficient test is homogeneous in (r1, r2) and a power-of-two
-    rescale is exact, so the tests decide on the rescaled coordinates as on
-    the originals while their quartic products stay finite."""
-    return math.ldexp(1.0, 1 - math.frexp(rs)[1])
-
-
 def _conj_product(r1, r2, s):
     """(Re z, Im z) of z = (s r1) conj(s r2), in real arithmetic, so Python
     complex numbers and complex arrays give the same bits."""
     x1, y1, x2, y2 = r1.real * s, r1.imag * s, r2.real * s, r2.imag * s
     return x1 * x2 + y1 * y2, y1 * x2 - x1 * y2
+
+
+def _coefficient_row(r1: complex, r2: complex, A: float, B: float, tol: float):
+    """One row of ``classify_by_coefficients_batch`` in Python numbers, as (entry, near):
+    the class or ``COEFFICIENT_ERRORS`` entry, and the near flag (False on an error row)."""
+    A, B = complex(A), complex(B)
+    scale = max(abs(A), abs(B), 1.0)
+    if abs(A) <= tol * scale or abs(B) <= tol * scale:
+        return _INVALID_BASE, False
+    r1, r2 = complex(r1), complex(r2)
+    a1, a2 = abs(r1), abs(r2)
+    rs = max(1.0, a1, a2)
+    if max(a1, a2) <= tol * rs:
+        return _ZERO_DECOMPOSITION, False
+    # every test is homogeneous in (r1, r2), so an exact power-of-two rescale keeps g^2 finite
+    s = math.ldexp(1.0, 1 - math.frexp(rs)[1])
+    zr, zi = _conj_product(r1, r2, s)
+    near = tol * rs < min(a1, a2) <= NEAR_BAND * tol * rs
+    if zr != 0.0 and zi != 0.0:  # the batch tests this band on type-6 rows too
+        type2 = abs(A + B * (zr / zi))
+        type3 = abs(A - B * (zi / zr))
+        near = near or tol < min(type2, type3) / scale <= NEAR_BAND * tol
+    if min(a1, a2) <= tol * rs:
+        return LounestoClass.TYPE6, near
+    g = (a1 * s) * (a2 * s)
+    if abs(zr * zi) > tol * (g * g):  # so zr and zi are nonzero, and type2 and type3 set
+        if type2 <= tol * scale:
+            return LounestoClass.TYPE2, near
+        if type3 <= tol * scale:
+            return LounestoClass.TYPE3, near
+    return LounestoClass.TYPE1, near  # boundary-straddling inputs fall through to the generic class
 
 
 def classify_by_coefficients(
@@ -167,30 +189,10 @@ def classify_by_coefficients(
     types 2 and 3, one vanishing coordinate selects type 6.  With
     z = r1 r2* they read A + B Re z / Im z = 0 and A - B Im z / Re z = 0.
     """
-    scale = max(abs(A), abs(B), 1.0)
-    if abs(A) <= tol * scale or abs(B) <= tol * scale:
-        _raise(_INVALID_BASE)
-    r1, r2 = complex(r1), complex(r2)
-    a1, a2 = abs(r1), abs(r2)
-    rs = max(1.0, a1, a2)
-    r1_zero = a1 <= tol * rs
-    r2_zero = a2 <= tol * rs
-    if r1_zero and r2_zero:
-        _raise(_ZERO_DECOMPOSITION)
-    if r1_zero or r2_zero:
-        return LounestoClass.TYPE6
-
-    s = _unit_scale(rs)
-    zr, zi = _conj_product(r1, r2, s)
-    g = (a1 * s) * (a2 * s)
-    if abs(zr * zi) > tol * (g * g):
-        margin = tol * scale
-        if abs(A + B * (zr / zi)) <= margin:
-            return LounestoClass.TYPE2
-        if abs(A - B * (zi / zr)) <= margin:
-            return LounestoClass.TYPE3
-    # boundary-straddling inputs fall through to the generic class
-    return LounestoClass.TYPE1
+    entry, _ = _coefficient_row(r1, r2, A, B, tol)
+    if isinstance(entry, tuple):
+        _raise(entry)
+    return entry
 
 
 def classify_by_coefficients_batch(
@@ -218,7 +220,7 @@ def classify_by_coefficients_batch(
     zr, zi = _conj_product(r1, r2, s)
     g = (a1 * s) * (a2 * s)
     scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         type2 = np.abs(A + B * (zr / zi))
         type3 = np.abs(A - B * (zi / zr))
     guard = np.abs(zr * zi) > tol * (g * g)
@@ -245,16 +247,6 @@ def near_degenerate(
     B: float,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """True when the input sits within ``NEAR_BAND`` tolerances of a decision
-    boundary (a vanishing coordinate or a type-2/3 ratio condition)."""
-    r1, r2 = complex(r1), complex(r2)
-    a1, a2 = abs(r1), abs(r2)
-    rs = max(1.0, a1, a2)
-    if tol * rs < min(a1, a2) <= NEAR_BAND * tol * rs:
-        return True
-    zr, zi = _conj_product(r1, r2, _unit_scale(rs))
-    if zr == 0.0 or zi == 0.0:
-        return False
-    scale = max(abs(A), abs(B), 1.0)
-    lo = min(abs(A + B * (zr / zi)) / scale, abs(A - B * (zi / zr)) / scale)
-    return tol < lo <= NEAR_BAND * tol
+    """True within ``NEAR_BAND`` tolerances of a decision boundary (a vanishing
+    coordinate or a type-2/3 ratio); False where ``classify_by_coefficients`` raises."""
+    return _coefficient_row(r1, r2, A, B, tol)[1]

@@ -25,7 +25,17 @@ def random_spinor(rng, n=None):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-COORDINATE_KINDS = ("generic", "type2", "type3", "near_surface", "one_zero", "near_zero", "all_zero")
+COORDINATE_KINDS = (
+    "generic",
+    "type2",
+    "type3",
+    "near_surface",
+    "one_zero",
+    "near_zero",
+    "all_zero",
+    "band_surface",
+    "zero_band_surface",
+)
 
 
 def coordinate_rows(rng, A, B, n):
@@ -33,7 +43,11 @@ def coordinate_rows(rng, A, B, n):
     COORDINATE_KINDS for a base with scalars A, B (floats or (n,) arrays):
     generic pairs, pairs on the type-2 and type-3 surfaces, a few
     tolerances off the type-2 surface, one zero coordinate, one coordinate
-    in the near-zero band, and both zero.  Returns r1, r2 and the kinds."""
+    in the near-zero band, both zero, and two kinds whose type-2 or type-3
+    ratio (A + B Re z / Im z or A - B Im z / Re z) is 2 to 8 tolerances of
+    the base scale from 0, the near band: a generic pair (type 1, near) and
+    a pair whose r2 is in the zero band of r1 (type 6, near by the ratio
+    alone).  Returns r1, r2 and the kinds."""
     A, B = np.broadcast_to(A, (n,)), np.broadcast_to(B, (n,))
     kinds = np.array([COORDINATE_KINDS[i % len(COORDINATE_KINDS)] for i in range(n)])
     r1 = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
@@ -52,6 +66,13 @@ def coordinate_rows(rng, A, B, n):
     band = 5e-9 * np.maximum(1.0, np.abs(r1)) * np.exp(2j * np.pi * rng.uniform(size=n))
     r2 = np.where(kinds == "near_zero", band, r2)
     r2 = np.where(kinds == "one_zero", 0.0, r2)
+    # the direction of z that puts the type-2 (or type-3) ratio at eps, and |r2|
+    eps = sign * rng.uniform(2.0, 8.0, n) * DEFAULT_TOL * np.maximum(np.maximum(np.abs(A), np.abs(B)), 1.0)
+    zb = np.where(rng.uniform(size=n) < 0.5, (eps - A) / B + 1j, 1.0 + 1j * (A - eps) / B)
+    zero_band = rng.uniform(0.1, 0.9, n) * DEFAULT_TOL * np.maximum(1.0, np.abs(r1))
+    size = np.where(kinds == "zero_band_surface", zero_band, np.abs(r2))
+    zb = zb / np.abs(zb) * size * np.abs(r1)
+    r2 = np.where(np.isin(kinds, ["band_surface", "zero_band_surface"]), np.conj(zb / r1), r2)
     r1 = np.where(kinds == "all_zero", 0.0, r1)
     r2 = np.where(kinds == "all_zero", 0.0, r2)
     return r1, r2, kinds

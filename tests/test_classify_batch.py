@@ -1,6 +1,6 @@
 """classify_batch against the scalar classify, and
-classify_by_coefficients_batch against the scalar coefficient rules, row by
-row.
+classify_by_coefficients_batch against the coefficient rules' reference row
+``lounesto._coefficient_row``, row by row.
 
 Each pair computes its tests once with array masks and once on Python
 numbers and reports errors as codes, so every row must give the same class
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto
-from spinorlab.errors import AmbiguousScale, InconsistentBilinears, InvalidBase, NullCurrent, ZeroDecomposition
+from spinorlab.errors import AmbiguousScale, InconsistentBilinears, NullCurrent, ZeroDecomposition
 from spinorlab.generators import random_rim_bases
 from spinorlab.lounesto import LounestoClass
 from spinorlab.spinor import DEFAULT_TOL, DualKind
@@ -210,26 +210,34 @@ def _base_scalars(gen, n):
     return np.real(cov["A"]), np.real(cov["B"])
 
 
-def assert_coefficient_batch_matches_scalar(r1, r2, A, B, tol=DEFAULT_TOL):
-    classes, errors, near = lounesto.classify_by_coefficients_batch(r1, r2, A, B, tol)
+# (class code, error code) of each entry ``_coefficient_row`` may give
+ROW_CODES = {entry: (0, 1 + c) for c, entry in enumerate(lounesto.COEFFICIENT_ERRORS)} | {
+    cls: (int(cls), 0) for cls in LounestoClass
+}
+
+
+def assert_coefficient_batch_matches_scalar(
+    r1, r2, A, B, tol=DEFAULT_TOL, batch=lounesto.classify_by_coefficients_batch
+):
+    """Row by row, the batch's (class, error, near) is the reference row's."""
+    classes, errors, near = batch(r1, r2, A, B, tol)
     n = r1.shape[0]
     assert classes.shape == errors.shape == near.shape == (n,)
     A, B = np.broadcast_to(A, (n,)), np.broadcast_to(B, (n,))
     for i in range(n):
-        try:
-            cls = lounesto.classify_by_coefficients(r1[i], r2[i], A[i], B[i], tol)
-        except (InvalidBase, ZeroDecomposition) as exc:
-            assert errors[i] != 0, f"row {i}: scalar raised {exc!r}"
-            assert lounesto.COEFFICIENT_ERRORS[errors[i] - 1] == (type(exc), str(exc))
-            assert classes[i] == 0 and not near[i]
-        else:
-            assert errors[i] == 0, f"row {i}: batch error {errors[i]}, scalar {cls!r}"
-            assert classes[i] == cls
-            assert near[i] == lounesto.near_degenerate(r1[i], r2[i], A[i], B[i], tol)
+        entry, flag = lounesto._coefficient_row(r1[i], r2[i], A[i], B[i], tol)
+        assert (classes[i], errors[i], near[i]) == (*ROW_CODES[entry], flag), f"row {i}: {entry!r}, near {flag}"
     return classes, errors, near
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=7, max_value=35))
+def _type6_band_dropped(r1, r2, A, B, tol):
+    """A batch that forgets the ratio band on type-6 rows, where the zero
+    band cannot hold (one coordinate is at or below the zero test)."""
+    classes, errors, near = lounesto.classify_by_coefficients_batch(r1, r2, A, B, tol)
+    return classes, errors, near & (classes != LounestoClass.TYPE6)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=9, max_value=35))
 @settings(deadline=None, max_examples=100)
 def test_coefficient_batch_matches_scalar(seed, n):
     gen = np.random.default_rng(seed)
@@ -238,11 +246,14 @@ def test_coefficient_batch_matches_scalar(seed, n):
     classes, errors, near = assert_coefficient_batch_matches_scalar(r1, r2, A, B)
     assert set(classes[kinds == "type2"]) == {LounestoClass.TYPE2}
     assert set(classes[kinds == "type3"]) == {LounestoClass.TYPE3}
-    assert set(classes[kinds == "one_zero"]) == {LounestoClass.TYPE6}
-    assert near[kinds == "near_zero"].all()
+    assert set(classes[np.isin(kinds, ["one_zero", "zero_band_surface"])]) == {LounestoClass.TYPE6}
+    assert set(classes[kinds == "band_surface"]) == {LounestoClass.TYPE1}
+    assert near[np.isin(kinds, ["near_zero", "band_surface", "zero_band_surface"])].all()
     assert set(errors[kinds == "all_zero"]) == {1 + lounesto.COEFFICIENT_ERRORS.index(
         (ZeroDecomposition, "r1 = r2 = 0 is not a decomposition")
     )}
+    with pytest.raises(AssertionError, match="TYPE6"):
+        assert_coefficient_batch_matches_scalar(r1, r2, A, B, batch=_type6_band_dropped)
     # one base for every row, and per-row bases of which some are invalid
     assert_coefficient_batch_matches_scalar(r1, r2, float(A[0]), float(B[0]))
     A[::3], B[1::4] = 0.0, 1e-12

@@ -62,3 +62,24 @@ def test_reports_have_no_custom_encoder():
 def test_homotopy_keeps_no_emulated_complex_arithmetic():
     """Paths take numpy's own complex products and quotients, as every other module does."""
     assert not {"_complex", "_times", "_over"} & set(vars(homotopy))
+
+
+def test_the_coefficient_route_has_one_scalar_reference_row(monkeypatch):
+    """``classify_by_coefficients`` and ``near_degenerate`` are views of
+    ``_coefficient_row``: what it gives, they give, and no rescale helper
+    stands beside it."""
+    assert not hasattr(lounesto, "_unit_scale")
+    zero = lounesto.COEFFICIENT_ERRORS[1]
+    entries = iter([(lounesto.LounestoClass.TYPE3, True), (lounesto.LounestoClass.TYPE3, True), (zero, False)])
+    calls = []
+
+    def row(*args):
+        calls.append(args)
+        return next(entries)
+
+    monkeypatch.setattr(lounesto, "_coefficient_row", row)
+    assert lounesto.classify_by_coefficients(1.0, 2.0, 0.6, 0.8) is lounesto.LounestoClass.TYPE3
+    assert lounesto.near_degenerate(1.0, 2.0, 0.6, 0.8) is True
+    with pytest.raises(zero[0], match=zero[1]):
+        lounesto.classify_by_coefficients(1.0, 2.0, 0.6, 0.8, tol=1e-6)
+    assert calls == [(1.0, 2.0, 0.6, 0.8, DEFAULT_TOL)] * 2 + [(1.0, 2.0, 0.6, 0.8, 1e-6)]

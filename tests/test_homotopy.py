@@ -46,6 +46,19 @@ def test_degenerate_parameter_of_subnormal_multipliers():
     assert near.degenerate_t is None
 
 
+def test_an_overflowing_type2_ratio_classifies_without_a_warning():
+    """At z = 1 - 1e-310i the type-2 ratio Re z / Im z overflows: the batch
+    lets it, as it lets a zero Im z divide, and gives type 1 with no
+    warning, alone and on the path of multipliers from 1 to 1 + 1e-310i."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = lounesto.classify_by_coefficients_batch([1 + 0j], [1 + 1e-310j], 1.0, 0.5)
+        path = homotopy.basis_homotopy(CoordFunction(1.0), CoordFunction(1 + 1e-310j))
+        crossings, grid = homotopy.class_transition(path, 1.0, 0.5)
+    assert [a.tolist() for a in row] == [[1], [0], [False]]
+    assert np.isnan(crossings).all() and set(grid.ravel().tolist()) == {1}
+
+
 def test_degenerate_parameter_absent_for_complex_pairs():
     path = homotopy.basis_homotopy(CoordFunction(1.0), CoordFunction(1j))
     assert path.degenerate_t is None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,12 @@ def test_the_classifiers_read_their_tol():
     assert lounesto.near_degenerate(1.0, 5e-7, A, B, tol=1e-7)
 
 
+def _band_direction(A, B, eps=5e-9):
+    """conj of the unit z whose type-2 ratio A + B Re z / Im z is eps."""
+    z = complex((eps - A) / B, 1.0)
+    return (z / abs(z)).conjugate()
+
+
 def test_near_degenerate_flag():
     A, B = 0.6, 0.8
     r1, r2 = _type2_pair(A, B)
@@ -185,3 +193,47 @@ def test_near_degenerate_flag():
     assert cls == LounestoClass.TYPE1
     assert lounesto.near_degenerate(r1, r2_off, A, B, DEFAULT_TOL)
     assert not lounesto.near_degenerate(1.0, 1.0, A, B, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize(
+    "r1, r2, A, B, error",
+    [
+        (1.0, 5e-9, 0.0, 1.0, InvalidBase),  # r2 in the zero test's near band
+        (1e-10, 1e-10 * _band_direction(0.6, 0.8), 0.6, 0.8, ZeroDecomposition),  # the type-2 ratio in its near band
+    ],
+    ids=["invalid_base", "zero_decomposition"],
+)
+def test_near_degenerate_is_false_where_the_class_raises(r1, r2, A, B, error):
+    """An error row has no near flag, as in the batch, even where an input
+    lies in a near band."""
+    with pytest.raises(error):
+        lounesto.classify_by_coefficients(r1, r2, A, B, DEFAULT_TOL)
+    assert lounesto.near_degenerate(r1, r2, A, B, DEFAULT_TOL) is False
+    assert lounesto.classify_by_coefficients_batch(np.array([r1]), np.array([r2]), A, B)[2].tolist() == [False]
+
+
+def test_numpy_scalars_classify_without_a_warning():
+    """At z = 1 - 1e-300i, B Re z / Im z overflows a double for B = 1e10.
+    The reference row casts A and B to Python complex numbers, so numpy
+    scalars give the batch's type 1 and no flag, and no overflow warning, as
+    Python floats do."""
+    A = B = np.float64(1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lounesto.classify_by_coefficients(1.0, 1 + 1e-300j, A, B) is LounestoClass.TYPE1
+        assert lounesto.near_degenerate(1.0, 1 + 1e-300j, A, B) is False
+        row = lounesto.classify_by_coefficients_batch(np.ones(1), np.array([1 + 1e-300j]), A, B)
+    assert [a.tolist() for a in row] == [[1], [0], [False]]
+
+
+def test_complex_scalars_of_a_base_classify_as_in_the_batch():
+    """``bilinear.compute`` gives A and B as Python complex numbers whose
+    imaginary parts are rounding; the scalar views take them as the batch
+    does, on a generic, a type-6 and a type-2 row."""
+    for base in random_rim_bases(np.random.default_rng(5), 8):
+        b = bilinear.compute(base)
+        assert isinstance(b.A, complex) and isinstance(b.B, complex)
+        for r1, r2 in [(1.3 - 0.4j, -0.7 + 0.2j), (1.0, 0.0), _type2_pair(b.A.real, b.B.real)]:
+            classes, _, near = lounesto.classify_by_coefficients_batch(np.array([r1]), np.array([r2]), b.A, b.B)
+            assert lounesto.classify_by_coefficients(r1, r2, b.A, b.B) == classes[0]
+            assert lounesto.near_degenerate(r1, r2, b.A, b.B) == near[0]

@@ -7,9 +7,12 @@ A rewrite of a suite may change how a check computes its value, but not
 drop a check, rename it or shrink its draws.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
-from spinorlab.suites import SUITES, SuiteConfig
+from spinorlab.suites import SUITES, SuiteConfig, run_suites
 
 SEED = 42
 
@@ -127,3 +130,14 @@ def test_suite_keeps_its_checks_and_draw_counts(name, reports):
     report = reports[name]
     assert [(c["name"], c["trials"]) for c in report["checks"]] == PINNED[name]
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("trials", [17, 1025])
+def test_no_floating_point_warning_escapes_the_suites(trials, seed):
+    """The ``verify`` command ignores numpy's floating-point errors and every
+    warning for its whole run; called from Python under numpy's default error
+    state and warnings-as-errors, every suite still runs and passes."""
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_suites(["all"], SuiteConfig(trials=trials, seed=seed))["pass"]
