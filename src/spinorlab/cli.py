@@ -4,8 +4,9 @@ Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 0 success, 1 classification produced but with near-degenerate flags (or an
 ``mdo`` report whose Dirac-like sign is unresolved), 2 invalid input or an
 --output that cannot be written, 3 identity-suite failure, 4 an internal
-error (any other exception); stderr is empty or one ``error:`` line.  --tol
-defaults to 1e-9; report order always equals input order.  ``classify`` and
+error (any other exception, and a ``SpinorlabError`` from a ``verify`` suite,
+whose arguments the parser checks); stderr is empty or one ``error:`` line.
+--tol defaults to 1e-9; report order equals input order.  ``classify`` and
 ``decompose`` each make one pass over the corpus in ``bilinear._blocks`` of
 1024 rows (covariants or plane coordinates, then classes) and hand
 ``io.write_rows_report`` the report's header and, block by block, the numpy
@@ -374,10 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         except (io.InputError, IntegrabilityViolation, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        except SpinorlabError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
         except Exception as exc:  # a defect, not an input: never 1, "flagged"
+            if isinstance(exc, SpinorlabError) and args.command != "verify":  # the parser checks verify's arguments
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return EXIT_INVALID_INPUT
             print(f"error: internal: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
             return EXIT_INTERNAL_ERROR
 

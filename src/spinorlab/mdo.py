@@ -28,7 +28,7 @@ from .bilinear import Bilinears, compute, compute_batch  # noqa: F401
 from .clifford import build, slash
 from .errors import NonFiniteMomentum, one_row, raise_first
 from .rim import RimParams
-from .spinor import DualKind, assemble, mdo_dual, row_norms
+from .spinor import DualKind, assemble, chiral_parts, mdo_dual, row_norms
 
 # realized eigenvalue of slash(p) Xi on a constructed spinor, by conjugacy
 DIRACLIKE_SIGN = {"S": +1, "A": -1}
@@ -157,20 +157,21 @@ def xi(mom: Momentum) -> np.ndarray:
     NonFiniteMomentum where an entry overflows.
     """
     m, p, theta, phi, E = mom.rows()
-    s, c = np.sin(theta), np.cos(theta)
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    # p s / m has no phase: real arithmetic gives the bits of the complex
-    # quotient (i p s) / m, whose real part is zero
-    ps = p * s / m
     out = np.zeros((len(m), 4, 4), dtype=complex)
-    out[:, 0, 0] = -1j * ps
-    out[:, 0, 1] = -1j * (E - p * c) * em / m
-    out[:, 1, 0] = 1j * (E + p * c) * ep / m
-    out[:, 1, 1] = 1j * ps
-    out[:, 2, 2] = 1j * ps
-    out[:, 2, 3] = -1j * (E + p * c) * em / m
-    out[:, 3, 2] = 1j * (E - p * c) * ep / m
-    out[:, 3, 3] = -1j * ps
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _check_finite reports a non-finite entry
+        s, c = np.sin(theta), np.cos(theta)
+        em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+        # p s / m has no phase: real arithmetic gives the bits of the complex
+        # quotient (i p s) / m, whose real part is zero
+        ps = p * s / m
+        out[:, 0, 0] = -1j * ps
+        out[:, 0, 1] = -1j * (E - p * c) * em / m
+        out[:, 1, 0] = 1j * (E + p * c) * ep / m
+        out[:, 1, 1] = 1j * ps
+        out[:, 2, 2] = 1j * ps
+        out[:, 2, 3] = -1j * (E + p * c) * em / m
+        out[:, 3, 2] = 1j * (E - p * c) * ep / m
+        out[:, 3, 3] = -1j * ps
     _check_finite(mom, out, "Xi is not finite: p sin(theta)/m or (E +- p cos(theta))/m overflows")
     return one_row(out, mom.one)
 
@@ -213,9 +214,7 @@ def chirality_current_residuals(e: ElkoSpinor, mom: Momentum) -> np.ndarray:
     """
     lam = np.atleast_2d(e.spinor)
     cov = compute_batch(lam, DualKind.MDO, xi(mom))
-    zero = np.zeros_like(lam[:, :2])
-    lam_l = assemble(zero, lam[:, 2:])
-    lam_r = assemble(lam[:, :2], zero)
+    lam_r, lam_l = chiral_parts(lam)
     sj = slash(cov["J"])
     sk = slash(cov["K"])
     amib = (cov["A"] - 1j * cov["B"])[:, None]
@@ -318,14 +317,8 @@ def dual_helicity_eigenvalues(e: ElkoSpinor, mom: Momentum):
     """Rayleigh quotients of sigma.phat on the two blocks (must be opposite);
     (n,) arrays for n momenta."""
     _, _, theta, phi, _ = mom.rows()
-    sp = sigma_phat(theta, phi)
-    lam = np.atleast_2d(e.spinor)
-
-    def dot(u, v):
-        return (np.conj(u)[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-    ev = []
-    for blk in (lam[:, :2], lam[:, 2:]):
-        n = np.real(dot(blk, blk))
-        ev.append(np.real(dot(blk, (sp @ blk[:, :, None])[:, :, 0])) / n)
-    return one_row(tuple(ev), mom.one)
+    sp = sigma_phat(theta, phi)[:, None]
+    blk = np.atleast_2d(e.spinor).reshape(-1, 2, 2, 1)  # (row, chiral block, component, 1)
+    bra = np.conj(blk).swapaxes(-1, -2)
+    ev = np.real(bra @ (sp @ blk))[..., 0, 0] / np.real(bra @ blk)[..., 0, 0]
+    return one_row(tuple(ev.T), mom.one)

@@ -16,7 +16,7 @@ has a real factor or is taken between arrays (0-d for a scalar).
 
 ``decompose`` stays scalar code, the tests' reference for ``decompose_batch``
 and measured by the ``scalar-api`` benchmark workload: a one-row batch call
-costs 101 us against its 20 us (best of 10x3000 calls, 2-vCPU host).  It
+costs 56-58 us against its 15-17 us (best of 10x3000 calls, 2-vCPU host).  It
 slices its blocks and takes each norm as two dot products and a
 ``math.sqrt`` (``_norm``, bit for bit ``np.linalg.norm``), without numpy's
 dispatch.
@@ -294,40 +294,30 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
     norms are out of range too; on a failed row they are not meaningful.
     """
     tol = DECOMPOSE_TOL
-    psis = np.ascontiguousarray(psis, dtype=complex)
-    n = psis.shape[0]
-    coords = np.zeros((n, 2), dtype=complex)
-    residuals = np.zeros((n, 2))
-    failed = np.zeros(n, dtype=bool)
-    degenerate = np.zeros(n, dtype=bool)
-    misfit = np.zeros((n, 2))
     # out-of-range norms (finite rows above ~1e154, bases below _SMALL_BASE)
     # are brought into range; a vanishing block divides by zero
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bases, base_norm, down = _rows_in_range(np.atleast_2d(np.asarray(base, dtype=complex)), _SMALL_BASE)
-        psis, psi_norm, up = _rows_in_range(psis)
-        for k, block in enumerate((slice(0, 2), slice(2, 4))):
-            bb = bases[:, block]
-            bb_sq = (np.conj(bb)[:, None, :] @ bb[:, :, None])[:, 0, 0].real
-            degenerate |= ~failed & (np.sqrt(bb_sq) <= tol * np.maximum(base_norm, 1e-300))
-            failed |= degenerate
-            pb = psis[:, block]
-            r = (np.conj(bb)[:, None, :] @ pb[:, :, None])[:, 0, 0] / bb_sq
-            resid = row_norms(pb - r[:, None] * bb)
-            denom = np.maximum(row_norms(pb), np.hypot(r.real, r.imag) * np.sqrt(bb_sq))
-            bad = ~failed & (denom > tol * psi_norm) & (resid > tol * denom)
-            failed |= bad
-            misfit[bad, 0] = resid[bad]
-            misfit[bad, 1] = denom[bad]
-            coords[:, k] = r
-            residuals[:, k] = resid
-    coords = (coords.view(float) * (up / down)[:, None]).view(complex)
-    residuals *= up[:, None]
-    misfit *= up[:, None]
-    rows = np.flatnonzero(failed & ~degenerate)
-    failures = {i: _not_in_plane(resid, denom) for i, (resid, denom) in zip(rows.tolist(), misfit[rows].tolist())}
-    failures.update((i, DegenerateBasis(_VANISHING_BLOCK)) for i in np.flatnonzero(degenerate).tolist())
-    return coords, residuals, failures
+        psis, psi_norm, up = _rows_in_range(np.ascontiguousarray(psis, dtype=complex))
+        # (row, chiral block, component): each quantity below has one column per block
+        bb = bases.reshape(-1, 2, 2)
+        pb = psis.reshape(-1, 2, 2)
+        bb_sq = (np.conj(bb)[..., None, :] @ bb[..., None])[..., 0, 0].real
+        degenerate = np.sqrt(bb_sq) <= tol * np.maximum(base_norm, 1e-300)[:, None]
+        r = (np.conj(bb)[..., None, :] @ pb[..., None])[..., 0, 0] / bb_sq
+        resid = row_norms(pb - r[..., None] * bb)
+        denom = np.maximum(row_norms(pb), np.hypot(r.real, r.imag) * np.sqrt(bb_sq))
+        bad = (denom > tol * psi_norm[:, None]) & (resid > tol * denom)
+    coords = (r.view(float) * (up / down)[:, None]).view(complex)
+    residuals = resid * up[:, None]
+    # a row fails on the first of (block 1 vanishes, block 1 is off the plane,
+    # block 2 vanishes, block 2 is off the plane), the order ``decompose`` tests
+    errors = np.stack(np.broadcast_arrays(degenerate, bad), -1).reshape(-1, 4)
+    rows = np.flatnonzero(errors.any(axis=1))
+    block, off_plane = np.divmod(np.argmax(errors[rows], axis=1), 2)
+    misfits = zip(off_plane.tolist(), residuals[rows, block].tolist(), (denom[rows, block] * up[rows]).tolist())
+    failed = [_not_in_plane(res, scale) if off else DegenerateBasis(_VANISHING_BLOCK) for off, res, scale in misfits]
+    return coords, residuals, dict(zip(rows.tolist(), failed))
 
 
 def basis_scalars(basis: str, c: CoefficientSet) -> tuple[complex, complex]:

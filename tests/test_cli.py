@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, cli, homotopy, io, lounesto, mdo, plane, rim, spinor
-from spinorlab.errors import SpinorlabError
+from spinorlab.errors import NullCurrent, SpinorlabError
 from spinorlab.generators import random_rim_bases
 
 from conftest import assert_class_at_crossing
@@ -441,6 +441,22 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, rep = run_cli(["verify", "--suite", "clifford", "--trials", "10", "--seed", "1"], capsys)
     assert code == 3
     assert rep["pass"] is False
+
+
+def test_a_spinorlab_error_out_of_a_suite_exits_4_with_one_line(monkeypatch, capsys):
+    # the parser checks every verify argument, so a suite that raises is a defect, not bad input
+    from spinorlab import suites
+
+    message = "row 0: J^2 <= 0: potentials need a timelike current"
+
+    def broken(cfg):
+        raise NullCurrent(message)
+
+    monkeypatch.setitem(suites.SUITES, "rim", broken)
+    code = cli.main(["verify", "--suite", "rim", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert (captured.out, captured.err) == ("", f"error: internal: NullCurrent: {message}\n")
 
 
 def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypatch, capsys):

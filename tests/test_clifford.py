@@ -51,8 +51,9 @@ def test_projector_rejects_bad_block():
 
 
 def test_slash_unit_vectors(gamma):
-    assert np.array_equal(clifford.slash([1, 0, 0, 0]), gamma.gamma[0])
-    assert np.array_equal(clifford.slash([0, 0, 0, 1]), -gamma.gamma[3])
+    # slash(e_mu) = eta_{mu mu} gamma^mu pins the sign of each term
+    for mu in range(4):
+        assert np.array_equal(clifford.slash(np.eye(4)[mu]), clifford.ETA[mu] * gamma.gamma[mu])
 
 
 def test_slash_square_gives_norm(rng):

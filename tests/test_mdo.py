@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, clifford, mdo, rim
+from spinorlab import bilinear, clifford, mdo, rim, spinor
 from spinorlab.generators import random_momenta, random_rim_bases, random_valid_params
-from spinorlab.spinor import DualKind, dirac_dual
+from spinorlab.errors import NonFiniteMomentum
+from spinorlab.spinor import DualKind, assemble, dirac_dual
 
 THETA = mdo.wigner_theta()
 SIGMA = clifford.SIGMA
@@ -192,6 +193,67 @@ def test_swapped_chirality_relation_fails():
     lam_l = np.concatenate([np.zeros(2), lam[2:]])
     wrong = np.linalg.norm(clifford.slash(b.J) @ lam_l - (b.A - 1j * b.B) * lam_l)
     assert wrong > 0.1
+
+
+def _blockwise_eigenvalues(e, mom):
+    """``dual_helicity_eigenvalues`` one chiral block at a time."""
+    sp = mdo.sigma_phat(mom.theta, mom.phi)
+
+    def dot(u, v):
+        return (np.conj(u)[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    ev = []
+    for blk in (e.spinor[:, :2], e.spinor[:, 2:]):
+        n = np.real(dot(blk, blk))
+        ev.append(np.real(dot(blk, (sp @ blk[:, :, None])[:, :, 0])) / n)
+    return tuple(ev)
+
+
+def _assembled_chirality_residuals(e, mom):
+    """``chirality_current_residuals`` with each chiral part assembled from
+    its block and a zero block."""
+    lam = e.spinor
+    cov = bilinear.compute_batch(lam, DualKind.MDO, mdo.xi(mom))
+    zero = np.zeros_like(lam[:, :2])
+    lam_l = assemble(zero, lam[:, 2:])
+    lam_r = assemble(lam[:, :2], zero)
+    sj, sk = clifford.slash(cov["J"]), clifford.slash(cov["K"])
+    amib = (cov["A"] - 1j * cov["B"])[:, None]
+    apib = (cov["A"] + 1j * cov["B"])[:, None]
+
+    def times(op, v):
+        return (op @ v[..., None])[..., 0]
+
+    return np.stack(
+        [
+            spinor.row_norms(times(sj, lam_l) - amib * lam_r),
+            spinor.row_norms(times(sj, lam_r) - apib * lam_l),
+            spinor.row_norms(times(sk, lam_l) - amib * lam_r),
+            spinor.row_norms(times(sk, lam_r) + apib * lam_l),
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("conj", ["S", "A"])
+@pytest.mark.parametrize("h", [+1, -1])
+def test_stacked_blocks_match_the_blockwise_reference(rng, conj, h):
+    # both chiral blocks in one stacked pass give the bits of one pass per block
+    n = 2000
+    m = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    p = m * 10.0 ** rng.uniform(-5.0, 8.0, n)  # p/m from 1e-5 to 1e8
+    mom = mdo.Momentum(m, p, rng.uniform(0.0, np.pi, n), rng.uniform(0.0, 2 * np.pi, n))
+    e = mdo.elko(mom, h, conj)
+    for got, want in zip(mdo.dual_helicity_eigenvalues(e, mom), _blockwise_eigenvalues(e, mom)):
+        assert got.tobytes() == want.tobytes()
+    assert mdo.chirality_current_residuals(e, mom).tobytes() == _assembled_chirality_residuals(e, mom).tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # NonFiniteMomentum is the only signal
+@pytest.mark.parametrize("check", [mdo.xi, mdo.xi_checks])
+def test_an_overflowing_xi_raises_without_a_warning(check):
+    with pytest.raises(NonFiniteMomentum):
+        check(mdo.Momentum(1e-300, 1e300, 0.3, 0.2))
 
 
 def test_mdo_dual_j2_identity(rng):
