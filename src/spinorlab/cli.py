@@ -2,19 +2,22 @@
 
 Commands: classify, decompose, map, homotopy, mdo, verify.  Exit codes:
 0 success, 1 classification produced but with near-degenerate flags (or an
-``mdo`` report whose Dirac-like sign is unresolved), 2 invalid input or an
---output that cannot be written, 3 identity-suite failure, 4 an internal
-error (any other exception, and a ``SpinorlabError`` from a ``verify`` suite,
-whose arguments the parser checks); stderr is empty or one ``error:`` line.
+``mdo`` report whose Dirac-like sign is unresolved), 2 invalid input (an
+``OSError``, such as an --output that cannot be written, or a
+``SpinorlabError`` from a command other than ``verify``, whose arguments
+the parser checks), 3 identity-suite failure, 4 any other exception, a
+defect: under ``verify``, every exception but an unwritable --output.
+stderr is empty or one ``error:`` line.
 --tol defaults to 1e-9; report order equals input order.  ``classify`` and
 ``decompose`` each make one pass over the corpus in ``bilinear._blocks`` of
 1024 rows (covariants or plane coordinates, then classes) and hand
 ``io.write_rows_report`` the report's header and, block by block, the numpy
-columns and per-row layouts; it checks that each block's floats are finite
-and streams its rows through one template per layout before the next block
-is computed.  A row whose covariants, residuals or plane coordinates
-overflow is a ``NonFiniteValue`` error row naming its first such field, and
-the rest of the corpus is written.  ``homotopy`` classifies its rows in one
+columns and per-row layouts; it streams each block's rows through one
+template per layout before the next block is computed.  A row whose
+covariants, residuals or plane coordinates overflow is a ``NonFiniteValue``
+error row naming its first such field, and the rest of the corpus is
+written, so a non-finite float that reaches the writer is a defect.
+``homotopy`` classifies its rows in one
 sweep of their grid at their x (the from-spinor's r1), lists every t in
 (0, 1] where the path meets a type-2, 3 or 6 surface exactly, and fails with
 exit 2 on a row that cannot be classified.
@@ -336,7 +339,7 @@ def _cmd_mdo(args) -> int:
     }
     try:
         _emit(report, args.output)
-    except ValueError as exc:  # a non-finite field, named by io.dumps_report
+    except NonFiniteValue as exc:  # a non-finite field, named by io.dumps_report
         where = f"momentum m={mom.m!r}, p={mom.p!r}, theta={mom.theta!r}, phi={mom.phi!r}"
         raise NonFiniteMomentum(f"{where}: {exc}") from exc
     # sign 0: rounding hides which sign the Dirac-like relation takes (p/m >~ 2e7)
@@ -370,17 +373,18 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("ignore")
         try:
             return _COMMANDS[args.command](args)
-        # ValueError: a report with a non-finite value, which is never
-        # written; OSError: an --output that cannot be written
-        except (io.InputError, IntegrabilityViolation, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        except Exception as exc:  # a defect, not an input: never 1, "flagged"
-            if isinstance(exc, SpinorlabError) and args.command != "verify":  # the parser checks verify's arguments
-                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-                return EXIT_INVALID_INPUT
-            print(f"error: internal: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
-            return EXIT_INTERNAL_ERROR
+        except Exception as exc:
+            # the input's fault: an --output that cannot be written, or a spinorlab
+            # error outside verify, whose arguments the parser checks; else a defect
+            invalid = isinstance(exc, OSError) or (isinstance(exc, SpinorlabError) and args.command != "verify")
+            if not invalid:
+                line = f"error: internal: {type(exc).__name__}: {exc}"
+            elif isinstance(exc, (io.InputError, IntegrabilityViolation, NonFiniteValue, OSError)):
+                line = f"error: {exc}"
+            else:
+                line = f"error: {type(exc).__name__}: {exc}"
+            print(" ".join(line.splitlines()), file=sys.stderr)  # one line, whatever the message holds
+            return EXIT_INVALID_INPUT if invalid else EXIT_INTERNAL_ERROR  # a defect is never 1, "flagged"
 
 
 def entry() -> None:

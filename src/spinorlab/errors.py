@@ -71,8 +71,8 @@ class InconsistentBilinears(SpinorlabError):
     """A hand-built bilinear record violates the algebraic constraints."""
 
 
-class NonFiniteValue(SpinorlabError):
-    """A finite spinor whose covariants or constraint residuals overflow."""
+class NonFiniteValue(SpinorlabError, ValueError):
+    """A finite input whose covariants, residuals or report values overflow."""
 
 
 def raise_first(bad, error: type[Exception], template: str, *values) -> None:

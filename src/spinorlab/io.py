@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spinor
-from .errors import SpinorlabError
+from .errors import NonFiniteValue, SpinorlabError
 
 
 class InputError(SpinorlabError):
@@ -151,10 +151,10 @@ def _non_finite_field(node, name: str = "") -> str | None:
 
 
 def dumps_report(report: dict) -> str:
-    """The report's JSON text, or ValueError "FIELD is not finite".  Every
-    value is a Python bool, int, float, str, None, list or dict."""
+    """The report's JSON text, or NonFiniteValue "FIELD is not finite".
+    Every value is a Python bool, int, float, str, None, list or dict."""
     if field := _non_finite_field(report):
-        raise ValueError(f"{field} is not finite")
+        raise NonFiniteValue(f"{field} is not finite")
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -230,22 +230,18 @@ class _RowLayout:
     def __init__(self, row: dict, newline: str) -> None:
         self.conversions: list[str] = []  # per slot
         self.makers: list = []  # per leaf, what makes its slots' arguments from its (m, width) block
-        self.floats: list[tuple[int, str, int]] = []  # (first slot, field, leaf) of each float leaf
-        skeleton = self._skeleton(row, "")
+        skeleton = self._skeleton(row)
         text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%").replace("\n", newline)
         for j, conversion in enumerate(self.conversions):
             text = text.replace(f'"@{j}@"', conversion)
         self.template = text  # slot j is its j-th conversion: the skeleton is built in key order
 
-    def _skeleton(self, node, field: str):
+    def _skeleton(self, node):
         if isinstance(node, dict):
-            items = sorted(node.items())
-            return {key: self._skeleton(value, f"{field}.{key}" if field else key) for key, value in items}
+            return {key: self._skeleton(value) for key, value in sorted(node.items())}
         column = np.asarray(node)
         kind, shape = column.dtype.kind, column.shape[1:]
         slots = range(len(self.conversions), len(self.conversions) + math.prod(shape))
-        if kind == "f":
-            self.floats.append((slots.start, field, len(self.makers)))
         square = kind == "f" and len(shape) == 2 and shape[0] == shape[1]
         self.conversions += ["%s" if square else _CONVERSIONS.get(kind, "%s")] * len(slots)
         self.makers.append(_square_columns if square else _python_columns)
@@ -256,19 +252,11 @@ class _RowLayout:
         return list(map(self.template.__mod__, zip(*cols)))
 
 
-def _check_finite(layouts: list[_RowLayout], columns: list[list[np.ndarray]], codes: np.ndarray, offset: int) -> None:
-    """ValueError naming the first row that would write a non-finite float,
-    by its index in the report (``offset`` plus its index in ``codes``), and
-    its first such field in key order."""
-    first = None  # (row, first slot, field)
-    for k, (layout, leaves) in enumerate(zip(layouts, columns)):
-        written = codes == k
-        for slot, field, leaf in layout.floats:
-            bad = np.flatnonzero(written & ~np.isfinite(leaves[leaf]).all(axis=1))
-            if bad.size:
-                first = min(first or (int(bad[0]), slot, field), (int(bad[0]), slot, field))
-    if first is not None:
-        raise ValueError(f"row {first[0] + offset}: {first[2]} is not finite")
+def _check_finite(columns: list[list[np.ndarray]], codes: np.ndarray) -> None:
+    """RuntimeError, a defect, if a float that ``codes`` writes is not finite."""
+    for k, leaves in enumerate(columns):
+        if not all(np.isfinite(leaf[codes == k]).all() for leaf in leaves if leaf.dtype.kind == "f"):
+            raise RuntimeError("a streamed report row holds a non-finite float")
 
 
 def _slice_text(
@@ -291,7 +279,6 @@ def _row_chunks(header: dict, blocks):
     newline = head[head.rindex("\n") :]
     sep = "," + newline
     lead = head  # the text before the next slice
-    done = 0  # rows of the blocks before this one
     compiled = None  # the layouts' templates, made from the first block with rows
     for layouts, codes in blocks:
         codes = np.asarray(codes)
@@ -299,14 +286,13 @@ def _row_chunks(header: dict, blocks):
             continue
         compiled = compiled or [_RowLayout(row, newline) for row in layouts]
         columns = [_columns(row) for row in layouts]
-        _check_finite(compiled, columns, codes, done)
+        _check_finite(columns, codes)
         for start in range(0, codes.size, _ROWS_PER_SLICE):
             yield lead
             yield _slice_text(compiled, columns, codes[start : start + _ROWS_PER_SLICE], start, sep)
             lead = sep
-        done += codes.size
         del layouts, codes, columns  # this block is freed before the next is made
-    yield tail if done else dumps_report({**header, "rows": []})
+    yield tail if compiled else dumps_report({**header, "rows": []})
 
 
 def write_rows_report(header: dict, blocks, path: str | Path | None) -> None:
@@ -320,10 +306,11 @@ def write_rows_report(header: dict, blocks, path: str | Path | None) -> None:
     first block's, whose templates render them all.  Every key of
     ``header`` sorts before "rows".  The header and the first block are
     checked before the output is opened, and each later block before its
-    text is written: a non-finite written float raises ValueError naming
-    the first such row, by its index in the report, and field.  A failure,
-    a later block's check included, removes the partial file; on stdout the
-    blocks already written stay written.
+    text is written: a non-finite float raises NonFiniteValue in the header
+    and RuntimeError in a written row, a defect, as the CLI makes every row
+    that holds one an error row.  A failure, a later block's check included,
+    removes the partial file; on stdout the blocks already written stay
+    written.
     """
     chunks = _row_chunks(header, blocks)
     first = next(chunks)

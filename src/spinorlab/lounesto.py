@@ -10,10 +10,9 @@ arithmetic of ``classify_by_coefficients_batch`` on one row of Python
 numbers, and ``classify_by_coefficients`` and ``near_degenerate`` are views
 of it.  Every zero test reads one tolerance, the float ``tol`` (``DEFAULT_TOL``).
 
-``classify`` and ``_coefficient_row`` stay scalar code, the tests' reference
-for the batch routes and measured by the ``scalar-api`` benchmark workload: a
-one-row batch call costs 26-27 us against 5.1-5.2 us for ``classify``, and
-42-44 us against 2.3-2.4 us for ``classify_by_coefficients`` (best of 10x3000).
+``classify`` and ``_coefficient_row`` stay scalar code: they are the tests'
+reference for the batch routes, and a one-row batch call costs several times
+as much (the ``scalar-api`` benchmark workload measures both).
 """
 
 from __future__ import annotations

@@ -14,12 +14,11 @@ same row of an array call: numpy's array loop fuses the multiply-adds of a
 complex product where its scalar multiply does not, so each complex product
 has a real factor or is taken between arrays (0-d for a scalar).
 
-``decompose`` stays scalar code, the tests' reference for ``decompose_batch``
-and measured by the ``scalar-api`` benchmark workload: a one-row batch call
-costs 56-58 us against its 15-17 us (best of 10x3000 calls, 2-vCPU host).  It
-slices its blocks and takes each norm as two dot products and a
-``math.sqrt`` (``_norm``, bit for bit ``np.linalg.norm``), without numpy's
-dispatch.
+``decompose`` stays scalar code: it is the tests' reference for
+``decompose_batch``, and a one-row batch call costs several times as much
+(the ``scalar-api`` benchmark workload measures both).  It slices its blocks
+and takes each norm as two dot products and a ``math.sqrt`` (``_norm``, bit
+for bit ``np.linalg.norm``), without numpy's dispatch.
 """
 
 from __future__ import annotations

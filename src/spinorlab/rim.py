@@ -131,22 +131,6 @@ def vartheta(params: RimParams, pots: Potentials):
     return one_row(np.exp(2j * np.atleast_1d(params.s) * pots.R), np.ndim(params.s) == np.ndim(pots.R) == 0)
 
 
-def _pointwise(psi, a, b) -> tuple:
-    """The pass behind the pointwise identities: the (n, 4) spinors, their
-    covariants, gamma5 psi, J_mu and K_mu (the stored currents lowered with
-    eta), the (n,) couplings and the (n, 4mu, 4) stack D_mu psi =
-    (a J_mu - b K_mu gamma5) psi, whose axial term carries -gamma5 (see the
-    module docstring)."""
-    psis = np.atleast_2d(np.asarray(psi, dtype=complex))
-    cov = compute_batch(psis)
-    g5psi = psis @ build().gamma5.T
-    a, b = (np.atleast_1d(np.asarray(c, dtype=complex)) for c in (a, b))
-    jl = cov["J"] * ETA
-    kl = cov["K"] * ETA
-    d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
-    return psis, cov, g5psi, jl, kl, a, b, d
-
-
 def pointwise_residuals(psi: np.ndarray, params: RimParams):
     """(Heisenberg, d_mu A, d_mu B) residuals from one pass over the spinors.
 
@@ -167,9 +151,15 @@ def pointwise_residuals(psi: np.ndarray, params: RimParams):
 
 
 def _residuals(psis: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple:
-    """``pointwise_residuals`` of one block of rows and its (m,) couplings."""
-    psis, cov, g5psi, jl, kl, a, b, d = _pointwise(psis, a, b)
+    """``pointwise_residuals`` of one block and its (m,) couplings, from the
+    (m, 4mu, 4) stack D_mu psi = (a J_mu - b K_mu gamma5) psi, J_mu and K_mu lowered by eta."""
+    cov = compute_batch(psis)
     g = build()
+    g5psi = psis @ g.gamma5.T
+    a, b = a.astype(complex), b.astype(complex)
+    jl = cov["J"] * ETA
+    kl = cov["K"] * ETA
+    d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
     lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
     rhs = 2.0 * s[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
     heisenberg = np.linalg.norm(lhs - rhs, axis=1)

@@ -527,36 +527,37 @@ def suite_mdo(cfg: SuiteConfig) -> dict:
 
     m = min(n, 250)
     mom = mdo.Momentum(*moms[:m].T)
-    slash_xi = clifford.slash(mdo.four_momentum(mom)) @ mdo.xi(mom)
+    both = mdo.Momentum(*np.tile(moms[:m], (2, 1)).T)  # the m momenta at helicity +1, then at -1
+    h = np.repeat([+1, -1], m)
+    slash_xi = clifford.slash(mdo.four_momentum(both)) @ mdo.xi(both)
     g5 = clifford.build().gamma5
-    passes = []  # per (conj, h) pass, its per-momentum rows of each Elko check
+    passes = []  # per conjugacy, its rows of each Elko check and its spinors
     for conj in ("S", "A"):
-        for h in (+1, -1):
-            e = mdo.elko(mom, h, conj)
-            lam = e.spinor
-            nrm = spinor.row_norms(lam)
-            rebuilt = (e.sign * 1j * mdo.wigner_theta() @ np.conj(lam[:, 2:, None]))[:, :, 0]
-            ev_top, ev_bottom = mdo.dual_helicity_eigenvalues(e, mom)
-            res, eta = mdo.diraclike_residual(e, mom)
-            v = (slash_xi @ lam[:, :, None])[:, :, 0]
-            flip = spinor.row_norms(v + (eta * mom.m)[:, None] * lam)
-            d = dirac_dual(lam)[:, None, :]
-            singular = np.stack([(d @ lam[:, :, None])[:, 0, 0], 1j * (d @ g5 @ lam[:, :, None])[:, 0, 0]], axis=1)
-            passes.append(
-                (
-                    lam[:, :2] - rebuilt,
-                    np.stack([ev_top + h, ev_bottom - h], axis=1),
-                    res / (mom.m * nrm),
-                    eta != mdo.DIRACLIKE_SIGN[conj],
-                    np.abs(flip - 2.0 * mom.m * nrm) / (mom.m * nrm),
-                    _rel(singular, nrm**2),
-                    lounesto.classify_batch(bilinear.compute_batch(lam), cfg.tol)[0] != lounesto.LounestoClass.TYPE5,
-                )
+        e = mdo.elko(both, h, conj)
+        lam = e.spinor
+        nrm = spinor.row_norms(lam)
+        rebuilt = (e.sign * 1j * mdo.wigner_theta() @ np.conj(lam[:, 2:, None]))[:, :, 0]
+        ev_top, ev_bottom = mdo.dual_helicity_eigenvalues(e, both)
+        res, eta = mdo.diraclike_residual(e, both)
+        v = (slash_xi @ lam[:, :, None])[:, :, 0]
+        flip = spinor.row_norms(v + (eta * both.m)[:, None] * lam)
+        d = dirac_dual(lam)[:, None, :]
+        singular = np.stack([(d @ lam[:, :, None])[:, 0, 0], 1j * (d @ g5 @ lam[:, :, None])[:, 0, 0]], axis=1)
+        passes.append(
+            (
+                lam[:, :2] - rebuilt,
+                np.stack([ev_top + h, ev_bottom - h], axis=1),
+                res / (both.m * nrm),
+                eta != mdo.DIRACLIKE_SIGN[conj],
+                np.abs(flip - 2.0 * both.m * nrm) / (both.m * nrm),
+                _rel(singular, nrm**2),
+                lounesto.classify_batch(bilinear.compute_batch(lam), cfg.tol)[0] != lounesto.LounestoClass.TYPE5,
+                lam,
             )
-    # the four passes stacked, 4 m rows per check
-    struct, hel, dirac, sign_bad, flipped, singular, flagpole = (np.concatenate(rows) for rows in zip(*passes))
-    e_s = mdo.elko(mom, +1, "S").spinor
-    e_a = mdo.elko(mom, +1, "A").spinor
+        )
+    # the two passes stacked, 4 m rows per check: S at helicity +1 and -1, then A
+    struct, hel, dirac, sign_bad, flipped, singular, flagpole, lams = (np.concatenate(rows) for rows in zip(*passes))
+    e_s, e_a = lams[:m], lams[2 * m : 3 * m]  # the helicity-(+1) spinors of each conjugacy
     # helicity alternates +1, -1 over the momenta
     e = mdo.elko(mom, np.where(np.arange(m) % 2 == 0, +1, -1), "S")
     ns = spinor.norm_sq(e.spinor)

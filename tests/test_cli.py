@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, cli, homotopy, io, lounesto, mdo, plane, rim, spinor
-from spinorlab.errors import NullCurrent, SpinorlabError
+from spinorlab.errors import IntegrabilityViolation, NullCurrent, SpinorlabError
 from spinorlab.generators import random_rim_bases
 
 from conftest import assert_class_at_crossing
@@ -457,6 +457,27 @@ def test_a_spinorlab_error_out_of_a_suite_exits_4_with_one_line(monkeypatch, cap
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL_ERROR
     assert (captured.out, captured.err) == ("", f"error: internal: NullCurrent: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [IntegrabilityViolation("Re(a)=0.5 != Re(b)=0.6"), ValueError("mass must be positive")],
+    ids=["IntegrabilityViolation", "ValueError"],
+)
+def test_a_defect_out_of_a_suite_exits_4_with_one_line_whatever_its_type(exc, monkeypatch, tmp_path, capsys):
+    # neither type is the input's fault under verify: only an --output that cannot be written is
+    from spinorlab import suites
+
+    def broken(cfg):
+        raise exc
+
+    monkeypatch.setitem(suites.SUITES, "rim", broken)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", "rim", "--trials", "10", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert (captured.out, captured.err) == ("", f"error: internal: {type(exc).__name__}: {exc}\n")
+    assert not out.exists()
 
 
 def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypatch, capsys):
@@ -1031,6 +1052,16 @@ def _only_error_line(capsys) -> str:
     return captured.err
 
 
+def _strict_json(text: str):
+    """The report of ``text``, refusing NaN and Infinity, which the writer
+    never writes: every overflowing row is an error row before it gets there."""
+
+    def refuse(constant):
+        raise AssertionError(f"the report holds {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main
 def test_classify_overflowing_rows_are_row_errors(tmp_path, capsys):
     # |psi|^2 = 2e400 overflows A; at |psi| ~ 1e100 the covariants are
@@ -1038,7 +1069,7 @@ def test_classify_overflowing_rows_are_row_errors(tmp_path, capsys):
     rows = [[1, 0, 0, 0, 0, 0, 0, 0], [1e200, 0, 0, 0, 1e200, 0, 0, 0], [1e100, 0, 0, 0, 1e100, 0, 0, 0], [1] * 8]
     path = tmp_path / "corpus.csv"
     path.write_text("".join(",".join(map(repr, map(float, row))) + "\n" for row in rows))
-    code, rep = run_cli(["classify", "--input", str(path)], capsys)
+    code, rep = cli.main(["classify", "--input", str(path)]), _strict_json(capsys.readouterr().out)
     assert code == cli.EXIT_OK
     assert rep["rows"][1] == {"id": 1, "error": "NonFiniteValue", "detail": "A is not finite"}
     assert rep["rows"][2] == {"id": 2, "error": "NonFiniteValue", "detail": "fpk_residuals is not finite"}
@@ -1061,7 +1092,7 @@ def test_decompose_overflowing_rows_are_row_errors(tmp_path, capsys):
     base_path = write_json(tmp_path / "base.json", spinor.to_json(1e-10 * base))
     rows = [base, 1e300 * base, 2.0 * base, -1e299 * base]
     argv = ["decompose", "--input", write_json(tmp_path / "rows.json", {"spinors": list(map(spinor.to_json, rows))})]
-    code, rep = run_cli(argv + ["--base", base_path], capsys)
+    code, rep = cli.main(argv + ["--base", base_path]), _strict_json(capsys.readouterr().out)
     assert code == cli.EXIT_OK
     assert rep["rows"][1] == {"id": 1, "error": "NonFiniteValue", "detail": "r1 is not finite"}
     assert rep["rows"][3] == {"id": 3, "error": "NonFiniteValue", "detail": "r1 is not finite"}
@@ -1110,3 +1141,26 @@ def test_stdout_and_output_give_the_pinned_report(argv, tmp_path, capsys, monkey
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_FLAGGED
     assert out.read_bytes() == pinned
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_a_non_finite_float_that_reaches_the_writer_exits_4(command, monkeypatch, tmp_path, capsys):
+    # without its overflowing rows made error rows, the corpus would write a non-finite float: a defect
+    monkeypatch.setattr(cli, "_non_finite_rows", lambda columns, rows, *texts: np.zeros_like(rows))
+    # A of a row of norm 1e200 overflows, and so does r1 of a row of norm 1e300 against a base of 1e-10
+    base = io.load_spinors(MIXED_BASE)[0]
+    corpus = write_json(tmp_path / "rows.json", {"spinors": [spinor.to_json(x * base) for x in (1e200, 1e300)]})
+    out = tmp_path / "report.json"
+    argv = [command, "--input", corpus, "--output", str(out)]
+    tiny_base = write_json(tmp_path / "base.json", spinor.to_json(1e-10 * base))
+    code = cli.main(argv if command == "classify" else argv + ["--base", tiny_base])
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert _only_error_line(capsys).startswith("error: internal: RuntimeError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv", "a\u2028b.csv"], ids=["LF", "CR", "LS"])
+def test_a_line_break_in_a_message_still_gives_one_error_line(name, tmp_path, capsys):
+    assert cli.main(["classify", "--input", str(tmp_path / name)]) == cli.EXIT_INVALID_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path}/a b.csv: cannot parse CSV")

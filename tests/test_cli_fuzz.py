@@ -7,18 +7,21 @@ JSON at all, CSV corpora with wrong column counts, CSV corpora of more
 than one row block, and --output paths that cannot be written.  Exit 4, a traceback or a second stderr line is a
 defect.  ``homotopy`` also runs between spinors of a regular base's plane,
 and an exit-0 report lists its crossings sorted by t, each t in (0, 1] and
-each class 2, 3 or 6.
+each class 2, 3 or 6.  ``verify`` takes no input file, so any exception
+out of a suite, of any spinorlab type or a ``ValueError``, exits 4 with one
+line.
 """
 
 import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinorlab import bilinear, cli, plane, spinor
+from spinorlab import bilinear, cli, errors, plane, spinor, suites
 from spinorlab.generators import random_rim_bases
 
 _SIGNS = st.sampled_from([1.0, -1.0])
@@ -135,3 +138,31 @@ def test_any_input_exits_0_to_3_with_at_most_one_error_line(invocation, tmp_path
         ts = [c["t"] for c in crossings]
         assert ts == sorted(ts) and all(0.0 < t <= 1.0 for t in ts)
         assert {c["lounesto_class"] for c in crossings} <= {2, 3, 6}
+
+
+# every exception type of the package, and the ValueError a numpy or library check raises
+_RAISED = sorted(
+    [t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, Exception)] + [ValueError],
+    key=lambda t: t.__name__,
+)
+
+
+@given(
+    suite=st.sampled_from(sorted(suites.SUITES)),
+    alone=st.booleans(),
+    raised=st.sampled_from(_RAISED),
+    message=st.text(max_size=20),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_exception_out_of_a_verify_suite_exits_4_with_one_line(suite, alone, raised, message):
+    def broken(cfg):
+        raise raised(message)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(suites.SUITES, {suite: broken}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--suite", suite if alone else "all", "--trials", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == cli.EXIT_INTERNAL_ERROR, err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith(f"error: internal: {raised.__name__}: "), err.getvalue()
+    assert out.getvalue() == ""

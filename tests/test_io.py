@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinorlab import io
+from spinorlab.errors import NonFiniteValue, SpinorlabError
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-09, 1.7976931348623157e308, 2.2250738585072014e-308]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
@@ -169,7 +170,7 @@ def test_rows_across_slices_and_stdout(n, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == want
 
 
-def test_non_finite_written_float_names_the_first_row_and_field_and_writes_nothing(tmp_path):
+def test_a_non_finite_written_float_is_a_defect_and_writes_nothing(tmp_path):
     ids = np.arange(4)
     a = np.array([1.0, 2.0, np.nan, 4.0])
     b = np.array([[1.0, np.inf], [1.0, 2.0], [np.inf, 0.0], [0.0, 0.0]])
@@ -177,19 +178,12 @@ def test_non_finite_written_float_names_the_first_row_and_field_and_writes_nothi
     layouts = [{"id": ids, "b": b, "a": a}, {"id": ids, "c": c}]
     out = tmp_path / "report.json"
     # row 0's b is not finite, but row 0 is written by the layout without b
-    for codes, message in [([1, 0, 0, 1], "row 2: a is not finite"), ([1, 1, 0, 0], "row 1: c is not finite")]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    for codes in [[1, 0, 0, 1], [1, 1, 0, 0]]:
+        with pytest.raises(RuntimeError, match="non-finite float"):
             io.write_rows_report({"command": "test"}, _blocks(layouts, np.array(codes)), out)
         assert not out.exists()
     io.write_rows_report({"command": "test"}, _blocks(layouts, np.array([1, 0, 1, 0])), out)
     assert out.exists()
-
-
-def test_first_non_finite_field_is_first_in_key_order_not_by_name(tmp_path):
-    # json puts "a" (and a.x) before "a-b", although "a-b" < "a.x" as strings
-    nan = np.array([np.nan])
-    with pytest.raises(ValueError, match=r"^row 0: a\.x is not finite$"):
-        io.write_rows_report({}, [([{"a-b": nan, "a": {"x": nan}}], np.zeros(1, int))], tmp_path / "report.json")
 
 
 def test_non_finite_header_writes_nothing(tmp_path):
@@ -197,6 +191,13 @@ def test_non_finite_header_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         io.write_rows_report({"base": {"A": np.inf}}, [([{"id": np.arange(1)}], np.zeros(1, int))], out)
     assert not out.exists()
+
+
+def test_a_non_finite_report_value_is_a_non_finite_value_error():
+    # library callers that catch ValueError keep working
+    with pytest.raises(NonFiniteValue, match=r"^base\.A is not finite$") as raised:
+        io.dumps_report({"base": {"A": np.inf}})
+    assert isinstance(raised.value, ValueError) and isinstance(raised.value, SpinorlabError)
 
 
 def test_a_write_that_fails_midway_removes_the_partial_file(tmp_path, monkeypatch):
@@ -217,16 +218,16 @@ def test_a_write_that_fails_midway_removes_the_partial_file(tmp_path, monkeypatc
     assert len(calls) == 2 and not out.exists()
 
 
-def test_a_non_finite_float_in_a_later_block_names_its_report_row(tmp_path, capsys):
+def test_a_non_finite_float_in_a_later_block_stops_the_write(tmp_path, capsys):
     ids = np.arange(6)
     x = np.array([1.0, 2.0, 3.0, 4.0, np.inf, 6.0])
     blocks = _blocks([{"id": ids, "x": x}], np.zeros(6, int), [3])
     out = tmp_path / "report.json"
-    with pytest.raises(ValueError, match="^row 4: x is not finite$"):
+    with pytest.raises(RuntimeError, match="non-finite float"):
         io.write_rows_report({"command": "test"}, blocks, out)
     assert not out.exists()
     # on stdout the first block stays written
-    with pytest.raises(ValueError, match="^row 4: x is not finite$"):
+    with pytest.raises(RuntimeError, match="non-finite float"):
         io.write_rows_report({"command": "test"}, blocks, None)
     written = capsys.readouterr().out
     assert '"id": 2' in written and '"id": 3' not in written
@@ -236,7 +237,7 @@ def test_the_first_block_is_checked_before_the_output_is_opened(tmp_path):
     out = tmp_path / "report.json"
     out.write_text("an earlier report")
     blocks = _blocks([{"x": np.array([np.nan, 1.0])}], np.zeros(2, int), [1])
-    with pytest.raises(ValueError, match="^row 0: x is not finite$"):
+    with pytest.raises(RuntimeError, match="non-finite float"):
         io.write_rows_report({}, blocks, out)
     assert out.read_text() == "an earlier report"
 
