@@ -20,7 +20,7 @@ that cuts rows into blocks; each row's values have the same bits in any block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,24 +48,25 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class Bilinears:
-    """All covariants of one spinor; the chiral overlaps A1, A2 are
-    ``spinor.chiral_overlaps`` of the spinor."""
+    """All covariants of one spinor, read from ``rows``, the one-row dict
+    ``compute_batch`` returns: A, B and scale as Python numbers, and J, K
+    and S as row views, so the fields cannot disagree with the rows.  The
+    chiral overlaps A1, A2 are ``spinor.chiral_overlaps`` of the spinor."""
 
-    A: complex
-    B: complex
-    J: np.ndarray
-    K: np.ndarray
-    S: np.ndarray
+    rows: dict[str, np.ndarray] = field(repr=False, compare=False)
+    A: complex = field(init=False)
+    B: complex = field(init=False)
+    J: np.ndarray = field(init=False)
+    K: np.ndarray = field(init=False)
+    S: np.ndarray = field(init=False)
     dual: DualKind
-    scale: float  # sum |c_i|^2 of the source spinor
+    scale: float = field(init=False)  # sum |c_i|^2 of the source spinor
 
-    def as_batch(self) -> dict[str, np.ndarray]:
-        """This record as the one-row dict ``compute_batch`` returns: a copy
-        of the dict ``compute`` kept, or rebuilt from the fields."""
-        rows = self.__dict__.get("_rows")
-        if rows is not None:
-            return dict(rows)
-        return {k: np.asarray(getattr(self, k))[None] for k in ("A", "B", "J", "K", "S", "scale")}
+    def __post_init__(self):
+        for key in ("A", "B", "scale"):
+            object.__setattr__(self, key, self.rows[key].item())
+        for key in ("J", "K", "S"):
+            object.__setattr__(self, key, self.rows[key][0])
 
 
 @lru_cache(maxsize=1)
@@ -172,14 +173,10 @@ def compute(
     dual: DualKind = DualKind.DIRAC,
     xi: np.ndarray | None = None,
 ) -> Bilinears:
-    """All bilinear covariants of a single spinor: row 0 of ``compute_batch``,
-    with the Python numbers and row views ``errors.one_row`` would give.  The
-    record keeps the one-row dict, outside its fields, for ``as_batch``."""
-    rows = compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi)
-    item = {k: rows[k].item() for k in ("A", "B", "scale")}
-    b = Bilinears(J=rows["J"][0], K=rows["K"][0], S=rows["S"][0], dual=dual, **item)
-    object.__setattr__(b, "_rows", rows)
-    return b
+    """All bilinear covariants of a single spinor: the record of row 0 of
+    ``compute_batch``, with the Python numbers and row views
+    ``errors.one_row`` would give."""
+    return Bilinears(compute_batch(np.asarray(psi, dtype=complex).reshape(1, 4), dual, xi), dual)
 
 
 def compute_fast_batch(bases: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> dict[str, np.ndarray]:
@@ -276,7 +273,7 @@ def fpk_residuals_batch(b: dict[str, np.ndarray]) -> np.ndarray:
 
 def fpk_residuals(b: Bilinears) -> np.ndarray:
     """Raw residuals of the four constraints for one covariant record."""
-    return fpk_residuals_batch(b.as_batch())[0]
+    return fpk_residuals_batch(b.rows)[0]
 
 
 def from_scalars(
@@ -288,15 +285,9 @@ def from_scalars(
     dual: DualKind = DualKind.DIRAC,
     scale: float = 1.0,
 ) -> Bilinears:
-    """Assemble a covariant record by hand (for tests and fixed examples)."""
-    S = np.asarray(S, dtype=complex)
-    return Bilinears(
-        A=complex(A),
-        B=complex(B),
-        J=np.asarray(J, dtype=complex),
-        K=np.asarray(K, dtype=complex),
-        S=S,
-        dual=dual,
-        scale=float(scale),
-    )
-
+    """Assemble a covariant record by hand (for tests and fixed examples):
+    the one-row dict of the given values, as complex rows and a float scale."""
+    values = {"A": A, "B": B, "J": J, "K": K, "S": S}
+    rows = {key: np.asarray(value, dtype=complex)[None] for key, value in values.items()}
+    rows["scale"] = np.array([float(scale)])
+    return Bilinears(rows, dual)

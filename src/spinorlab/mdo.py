@@ -245,7 +245,7 @@ def mdo_norm(e: ElkoSpinor, mom: Momentum):
 def _fg_rows(S, R, params: RimParams, bil, mom: Momentum, sign) -> tuple[np.ndarray, ...]:
     """(A, B, F, G) over rows, a Bilinears record ``bil`` taken as one row."""
     raise_first((np.asarray(sign) != 1) & (np.asarray(sign) != -1), ValueError, "sign must be +1 or -1")
-    rows = bil.as_batch() if isinstance(bil, Bilinears) else bil
+    rows = bil.rows if isinstance(bil, Bilinears) else bil
     A, B = rows["A"], rows["B"]
     two_re_a = 2.0 * np.real(params.a)
     common = sign * mom.p * np.sin(mom.theta) * np.exp(-2.0 * two_re_a * S) / (2.0 * two_re_a)

@@ -14,11 +14,12 @@ same row of an array call: numpy's array loop fuses the multiply-adds of a
 complex product where its scalar multiply does not, so each complex product
 has a real factor or is taken between arrays (0-d for a scalar).
 
-``decompose`` stays scalar code: it is the tests' reference for
-``decompose_batch``, and a one-row batch call costs several times as much
-(the ``scalar-api`` benchmark workload measures both).  It slices its blocks
-and takes each norm as two dot products and a ``math.sqrt`` (``_norm``, bit
-for bit ``np.linalg.norm``), without numpy's dispatch.
+``decompose`` stays scalar code for rows whose norms are in range and hands
+any other row to ``decompose_batch``, whose ``_rows_in_range`` is the one
+rescaling.  In range it is the tests' reference for the batch, and a one-row
+batch call costs several times as much (the ``scalar-api`` benchmark workload
+measures both).  It takes each norm as two dot products and a ``math.sqrt``
+(``_norm``, bit for bit ``np.linalg.norm``), without numpy's dispatch.
 """
 
 from __future__ import annotations
@@ -198,21 +199,9 @@ def _not_in_plane(resid: float, denom: float) -> NotInPlane:
     return NotInPlane(f"block residual {resid:.3e} exceeds {DECOMPOSE_TOL:.1e} x {denom:.3e}")
 
 
-def _unit_powers(x: np.ndarray) -> np.ndarray:
-    """Per row of x, the power of two that brings its largest real or
-    imaginary part into [1, 2), so that x divided by it has a finite norm."""
-    top = np.maximum(np.abs(x.real).max(axis=-1), np.abs(x.imag).max(axis=-1))
-    return np.ldexp(1.0, np.frexp(top)[1] - 1)
-
-
 # below this norm a base block's squared norm can leave the normal range
 # (a block counts as vanishing only below DECOMPOSE_TOL times the norm)
 _SMALL_BASE = 2.0**-450
-
-
-def _divided(x: np.ndarray, p) -> np.ndarray:
-    """x / p with each real part divided apart (exact for a power of two)."""
-    return (np.ascontiguousarray(x, dtype=complex).view(float) / np.asarray(p)[..., None]).view(complex)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -223,30 +212,18 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _in_range(x: np.ndarray, small: float = 0.0) -> tuple[np.ndarray, float, float]:
-    """(x, ||x||, 1.0); or, when ||x|| overflows or falls below ``small``,
-    (x / p, ||x / p||, p) for p = ``_unit_powers(x)``; x as a complex vector,
-    its norm taken on the dtype it came in."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)  # as np.linalg.norm measures an integer vector
-    norm = _norm(x)
-    if small <= norm != np.inf:
-        return x.astype(complex, copy=False), norm, 1.0
-    p = float(_unit_powers(x))
-    x = _divided(x, p)
-    return x, _norm(x), p
-
-
 def _rows_in_range(x: np.ndarray, small: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_in_range`` of each row of an (n, 4) stack: (x, norms, p) with p 1
-    on the rows left as they are."""
+    """(x, norms, p) for an (n, 4) complex stack: each row whose norm
+    overflows or falls below ``small`` is divided by p, the power of two that
+    brings its largest real or imaginary part into [1, 2), so that its norm
+    is finite; p is 1 on the rows left as they are."""
     norm = row_norms(x)
     scaled = (norm < small) | (norm == np.inf)
     if not scaled.any():
         return x, norm, np.ones(norm.shape)
-    p = np.where(scaled, _unit_powers(x), 1.0)
-    x = _divided(x, p)
+    top = np.maximum(np.abs(x.real).max(axis=-1), np.abs(x.imag).max(axis=-1))
+    p = np.where(scaled, np.ldexp(1.0, np.frexp(top)[1] - 1), 1.0)
+    x = (np.ascontiguousarray(x).view(float) / p[:, None]).view(complex)  # exact for a power of two
     return x, row_norms(x), p
 
 
@@ -255,21 +232,26 @@ def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
 
     Each coordinate solves min_r ||psi_blk - r*base_blk||; a residual above
     ``DECOMPOSE_TOL`` (relative) means psi is not in the base's plane.  A
-    vanishing base block makes that coordinate unrecoverable.  A psi or base
-    whose norm overflows, or a base whose blocks' squared norms could
-    underflow, is first divided by a power of two, and the results are
-    scaled back.
+    vanishing base block makes that coordinate unrecoverable.  A psi whose
+    norm is not finite, or a base whose norm is not finite or is below
+    ``_SMALL_BASE``, is one row of ``decompose_batch``, which rescales it
+    and names its failure.
     """
     tol = DECOMPOSE_TOL
+    psi = np.asarray(psi, dtype=complex)
+    base = np.asarray(base, dtype=complex)
+    psi_norm, base_norm = _norm(psi), _norm(base)
+    if not (psi_norm < math.inf and _SMALL_BASE <= base_norm < math.inf):
+        rows, _, failed = decompose_batch(psi[None], base)
+        if failed:
+            raise failed[0]
+        return PlaneCoords(*rows[0].tolist())
     coords = []
-    base, base_norm, down = _in_range(base, _SMALL_BASE)
-    psi, psi_norm, up = _in_range(psi)
-    f = up / down  # 1 unless a norm was out of range
     for block in (slice(0, 2), slice(2, 4)):
         pb, bb = psi[block], base[block]
         bb_sq = float(np.vdot(bb, bb).real)
         bb_norm = math.sqrt(bb_sq)
-        if bb_norm <= tol * max(base_norm, 1e-300):
+        if bb_norm <= tol * base_norm:
             raise DegenerateBasis(_VANISHING_BLOCK)
         r = complex(np.vdot(bb, pb) / bb_sq)
         resid = _norm(pb - r * bb)
@@ -277,8 +259,8 @@ def decompose(psi: np.ndarray, base: np.ndarray) -> PlaneCoords:
         # blocks that are negligible at the spinor's own scale count as zero
         # coordinates; only blocks that matter must be proportional
         if denom > tol * psi_norm and resid > tol * denom:
-            raise _not_in_plane(resid * up, denom * up)
-        coords.append(complex(r.real * f, r.imag * f))
+            raise _not_in_plane(resid, denom)
+        coords.append(r)
     return PlaneCoords(r1=coords[0], r2=coords[1])
 
 
@@ -288,9 +270,9 @@ def decompose_batch(psis: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.
 
     Returns (coords, residuals, failures): (n, 2) coordinates (r1, r2);
     (n, 2) block residuals ||psi_blk - r*base_blk||; and, by row index, the
-    exception ``decompose`` raises on each row that fails.  Coordinates and
-    residuals equal ``decompose``'s bit for bit, on rows and bases whose
-    norms are out of range too; on a failed row they are not meaningful.
+    exception ``decompose`` raises on each row that fails.  A row or base
+    whose norm is out of range is divided by a power of two, exactly, and
+    its results scaled back; on a failed row they are not meaningful.
     """
     tol = DECOMPOSE_TOL
     # out-of-range norms (finite rows above ~1e154, bases below _SMALL_BASE)

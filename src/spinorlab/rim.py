@@ -115,7 +115,7 @@ def potentials(cov, params: RimParams) -> Potentials:
     Raises NullCurrent unless J is timelike, naming the first such row.
     """
     one = isinstance(cov, Bilinears)
-    rows = cov.as_batch() if one else cov
+    rows = cov.rows if one else cov
     j2 = minkowski_dot(rows["J"], rows["J"]).real
     null = j2 <= DEFAULT_TOL * np.maximum(1.0, rows["scale"] ** 2)
     raise_first(one_row(null, one), NullCurrent, "J^2 <= 0: potentials need a timelike current")
@@ -212,7 +212,7 @@ def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
     failing row is named.
     """
     one = isinstance(cov, Bilinears)
-    rows = cov.as_batch() if one else cov
+    rows = cov.rows if one else cov
     j2 = minkowski_dot(rows["J"], rows["J"])[:, None, None]
     bound = tol * np.maximum(1.0, rows["scale"] ** 2)[:, None, None]
     null = (np.abs(j2) <= bound)[:, 0, 0]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -8,6 +10,17 @@ from spinorlab.spinor import DEFAULT_TOL
 # mantissas in [1, 10) with all 52 fraction bits drawn, so that products and
 # sums round; short ones (1.5, 9.999) would hide the order of an operation
 MANTISSAS = st.integers(2**52, 10 * 2**52 - 1).map(lambda k: k / 2**52)
+
+
+def strict_json(text: str):
+    """The report of ``text``, refusing NaN and Infinity, which no report
+    holds: the writer names a non-finite value as an error row, or exits 4,
+    before it gets there."""
+
+    def refuse(constant):
+        raise AssertionError(f"the report holds {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture

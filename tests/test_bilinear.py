@@ -374,33 +374,44 @@ def test_compute_is_one_row_of_its_batch(psis, kind):
     b = _record(psis[-1], kind)
     cov, _ = _covariants(psis[-1:], kind)
     want = one_row(cov, True)
-    assert [f.name for f in dataclasses.fields(b)] == [*FIELDS[:5], "dual", "scale"]
+    assert [f.name for f in dataclasses.fields(b)] == ["rows", *FIELDS[:5], "dual", "scale"]
     assert b.dual is kind
     for key in FIELDS:
         got = getattr(b, key)
         assert type(got) is type(want[key]), key
         assert np.shape(got) == np.shape(want[key]), key
         assert_same_bits(got, want[key])
+    # the record holds the one-row dict itself, and its arrays are row views
+    assert list(b.rows) == list(cov)
+    for key in FIELDS:
+        assert_same_array(b.rows[key], cov[key])
+    assert b.rows["A"].base is b.rows["B"].base is b.rows["J"].base is b.rows["K"].base
+    assert b.rows["J"].base.shape == (1, 10)
+    assert all(np.shares_memory(getattr(b, key), b.rows[key]) for key in ("J", "K", "S"))
 
 
 @given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
 @settings(deadline=None, max_examples=100)
-def test_as_batch_of_a_computed_record_is_the_rebuilt_dict(psis, kind):
+def test_from_scalars_of_a_computed_record_has_its_fields_and_rows(psis, kind):
     b = _record(psis[-1], kind)
-    rebuilt = dataclasses.replace(b)  # the same fields, without the kept dict
+    rebuilt = bilinear.from_scalars(b.A, b.B, b.J, b.K, b.S, kind, b.scale)
     assert repr(rebuilt) == repr(b)
-    want = rebuilt.as_batch()
-    for _ in range(2):
-        rows = b.as_batch()
-        assert sorted(rows) == sorted(want)
-        for key in FIELDS:
-            assert rows[key].shape == want[key].shape and rows[key].dtype == want[key].dtype, key
-            assert_same_bits(rows[key], want[key])
-        # what a caller does to its copy does not reach the next call
-        rows["A"] = np.zeros(1)
-        del rows["S"]
+    for key in FIELDS:
+        assert type(getattr(rebuilt, key)) is type(getattr(b, key)), key
+        assert_same_bits(getattr(rebuilt, key), getattr(b, key))
+        assert_same_array(rebuilt.rows[key], b.rows[key])
     with np.errstate(all="ignore"):
-        assert_same_bits(bilinear.fpk_residuals(b), bilinear.fpk_residuals(rebuilt))
+        assert_same_bits(bilinear.fpk_residuals(rebuilt), bilinear.fpk_residuals(b))
+
+
+def test_a_record_field_is_read_from_its_rows_and_cannot_be_replaced():
+    b = bilinear.compute(DENSE[0])
+    same = dataclasses.replace(b)  # the fields are read again from the same rows
+    assert same.rows is b.rows and repr(same) == repr(b)
+    for key in FIELDS:
+        assert_same_bits(getattr(same, key), getattr(b, key))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(b, A=0.0)
 
 
 @given(psis=spinor_stacks())

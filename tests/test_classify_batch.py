@@ -32,14 +32,8 @@ def _spinor(parts):
 
 
 def _row(cov, i):
-    return bilinear.Bilinears(
-        A=complex(cov["A"][i]),
-        B=complex(cov["B"][i]),
-        J=cov["J"][i],
-        K=cov["K"][i],
-        S=cov["S"][i],
-        dual=DualKind.DIRAC,
-        scale=float(cov["scale"][i]),
+    return bilinear.from_scalars(
+        cov["A"][i], cov["B"][i], cov["J"][i], cov["K"][i], cov["S"][i], DualKind.DIRAC, cov["scale"][i]
     )
 
 

@@ -13,7 +13,7 @@ from spinorlab import bilinear, cli, homotopy, io, lounesto, mdo, plane, rim, sp
 from spinorlab.errors import IntegrabilityViolation, NullCurrent, SpinorlabError
 from spinorlab.generators import random_rim_bases
 
-from conftest import assert_class_at_crossing
+from conftest import assert_class_at_crossing, strict_json
 
 
 def write_json(path, obj):
@@ -51,7 +51,7 @@ def base_setup(tmp_path, rng):
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip().startswith("{") else out
+    return code, strict_json(out) if out.strip().startswith("{") else out
 
 
 def test_classify_singular_input(tmp_path, capsys):
@@ -149,7 +149,7 @@ def _streamed_report(argv: list[str], where: Path, capsys, monkeypatch) -> tuple
     of one block over all the rows."""
     code = cli.main(argv + ["--output", str(where / "blocks.json")])
     text = (where / "blocks.json").read_text()
-    assert text == io.dumps_report(json.loads(text))
+    assert text == io.dumps_report(strict_json(text))
     assert cli.main(argv) == code
     assert capsys.readouterr().out == text
     with monkeypatch.context() as one_block:
@@ -176,7 +176,7 @@ def test_classify_rows_across_block_edges(n, tmp_path, capsys, monkeypatch):
     kinds = _edge_rows(n, ["tiny", "overflow", "near"], ["near", "overflow", "tiny"])
     path = _write_csv(tmp_path / "corpus.csv", _classify_rows(n, kinds))
     code, text = _streamed_report(["classify", "--input", path], tmp_path, capsys, monkeypatch)
-    rows = json.loads(text)["rows"]
+    rows = strict_json(text)["rows"]
     assert code == cli.EXIT_FLAGGED
     assert [row["id"] for row in rows] == list(range(n))
     want = {"tiny": "AmbiguousScale", "overflow": "NonFiniteValue"}
@@ -208,7 +208,7 @@ def test_decompose_rows_across_block_edges(n, base_setup, capsys, monkeypatch):
     path = _write_csv(where / "corpus.csv", _plane_rows(n, base, kinds))
     argv = ["decompose", "--input", path, "--base", files["base"]]
     code, text = _streamed_report(argv, where, capsys, monkeypatch)
-    rows = json.loads(text)["rows"]
+    rows = strict_json(text)["rows"]
     assert code == cli.EXIT_FLAGGED
     assert [row["id"] for row in rows] == list(range(n))
     assert [i for i, row in enumerate(rows) if row.get("error")] == sorted(i for i, k in kinds.items() if k == "off")
@@ -338,7 +338,7 @@ def _homotopy(tmp_path, ends, steps):
     out = tmp_path / "report.json"
     argv = ["homotopy", "--from", files[0], "--to", files[1], "--base", str(MIXED_BASE), "--steps", str(steps)]
     code = cli.main(argv + ["--output", str(out)])
-    return code, json.loads(out.read_text())
+    return code, strict_json(out.read_text())
 
 
 def test_homotopy_below_unit_r1_leaves_the_zero_band_without_a_crossing(tmp_path):
@@ -497,7 +497,7 @@ def test_verify_check_whose_value_is_nan_writes_its_report_and_exits_3(monkeypat
     code = cli.main(["verify", "--suite", "plane", "--trials", "10"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_SUITE_FAILURE and captured.err == ""
-    rep = json.loads(captured.out)
+    rep = strict_json(captured.out)
     checks = {c["name"]: c for c in rep["suites"][0]["checks"]}
     assert checks["chi_roundtrip"] == {"name": "chi_roundtrip", "trials": 10, "value": None, "tol": 1e-12, "pass": False}
     # no other check reads the suite's inverse of m_operator
@@ -525,7 +525,7 @@ def test_every_small_report_is_plain_json(command, base_setup, capsys):
     *_, files, tmp_path = base_setup
     assert cli.main(_small_report_argv(command, files, tmp_path)) == cli.EXIT_OK
     text = capsys.readouterr().out
-    assert text == io.dumps_report(json.loads(text))
+    assert text == io.dumps_report(strict_json(text))
 
 
 def test_verify_plane_passes_its_tol_to_the_coefficient_set(monkeypatch):
@@ -1052,16 +1052,6 @@ def _only_error_line(capsys) -> str:
     return captured.err
 
 
-def _strict_json(text: str):
-    """The report of ``text``, refusing NaN and Infinity, which the writer
-    never writes: every overflowing row is an error row before it gets there."""
-
-    def refuse(constant):
-        raise AssertionError(f"the report holds {constant}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.filterwarnings("error")  # no warning may leave cli.main
 def test_classify_overflowing_rows_are_row_errors(tmp_path, capsys):
     # |psi|^2 = 2e400 overflows A; at |psi| ~ 1e100 the covariants are
@@ -1069,7 +1059,7 @@ def test_classify_overflowing_rows_are_row_errors(tmp_path, capsys):
     rows = [[1, 0, 0, 0, 0, 0, 0, 0], [1e200, 0, 0, 0, 1e200, 0, 0, 0], [1e100, 0, 0, 0, 1e100, 0, 0, 0], [1] * 8]
     path = tmp_path / "corpus.csv"
     path.write_text("".join(",".join(map(repr, map(float, row))) + "\n" for row in rows))
-    code, rep = cli.main(["classify", "--input", str(path)]), _strict_json(capsys.readouterr().out)
+    code, rep = cli.main(["classify", "--input", str(path)]), strict_json(capsys.readouterr().out)
     assert code == cli.EXIT_OK
     assert rep["rows"][1] == {"id": 1, "error": "NonFiniteValue", "detail": "A is not finite"}
     assert rep["rows"][2] == {"id": 2, "error": "NonFiniteValue", "detail": "fpk_residuals is not finite"}
@@ -1092,7 +1082,7 @@ def test_decompose_overflowing_rows_are_row_errors(tmp_path, capsys):
     base_path = write_json(tmp_path / "base.json", spinor.to_json(1e-10 * base))
     rows = [base, 1e300 * base, 2.0 * base, -1e299 * base]
     argv = ["decompose", "--input", write_json(tmp_path / "rows.json", {"spinors": list(map(spinor.to_json, rows))})]
-    code, rep = cli.main(argv + ["--base", base_path]), _strict_json(capsys.readouterr().out)
+    code, rep = cli.main(argv + ["--base", base_path]), strict_json(capsys.readouterr().out)
     assert code == cli.EXIT_OK
     assert rep["rows"][1] == {"id": 1, "error": "NonFiniteValue", "detail": "r1 is not finite"}
     assert rep["rows"][3] == {"id": 3, "error": "NonFiniteValue", "detail": "r1 is not finite"}

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from spinorlab import bilinear, cli, errors, plane, spinor, suites
 from spinorlab.generators import random_rim_bases
 
+from conftest import strict_json
+
 _SIGNS = st.sampled_from([1.0, -1.0])
 _MAGNITUDES = st.one_of(
     st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.floats(1e-320, 1e308), st.floats(0.1, 10.0), st.just(0.0)
@@ -134,7 +136,7 @@ def test_any_input_exits_0_to_3_with_at_most_one_error_line(invocation, tmp_path
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if command == "homotopy" and code == cli.EXIT_OK:
-        crossings = json.loads(out.getvalue() if output is None else (where / output).read_text())["crossings"]
+        crossings = strict_json(out.getvalue() if output is None else (where / output).read_text())["crossings"]
         ts = [c["t"] for c in crossings]
         assert ts == sorted(ts) and all(0.0 < t <= 1.0 for t in ts)
         assert {c["lounesto_class"] for c in crossings} <= {2, 3, 6}

@@ -5,10 +5,11 @@ records hold no field that restates another value."""
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import spinorlab
-from spinorlab import homotopy, io, lounesto, mdo, plane, rim
+from spinorlab import bilinear, homotopy, io, lounesto, mdo, plane, rim
 from spinorlab.spinor import DEFAULT_TOL
 
 
@@ -83,3 +84,37 @@ def test_the_coefficient_route_has_one_scalar_reference_row(monkeypatch):
     with pytest.raises(zero[0], match=zero[1]):
         lounesto.classify_by_coefficients(1.0, 2.0, 0.6, 0.8, tol=1e-6)
     assert calls == [(1.0, 2.0, 0.6, 0.8, DEFAULT_TOL)] * 2 + [(1.0, 2.0, 0.6, 0.8, 1e-6)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_decompose_hands_exactly_its_rows_out_of_range_to_the_batch(monkeypatch):
+    """``_rows_in_range`` is ``plane``'s one rescaling: ``decompose`` calls
+    ``decompose_batch`` on a row whose psi or base norm is out of range, and
+    on no other row."""
+    assert not {"_in_range", "_unit_powers", "_divided"} & set(vars(plane))
+    batch, calls = plane.decompose_batch, []
+
+    def spy(psis, base):
+        calls.append((psis.shape, np.shape(base)))
+        return batch(psis, base)
+
+    monkeypatch.setattr(plane, "decompose_batch", spy)
+    base = np.array([0.6 - 0.2j, 0.3 + 0.9j, 0.1, -0.7j])
+    psi = plane.block_scale(base, 2.0 - 0.5j, 0.3 + 1.1j)
+    for scale in (1.0, 1e-300, 2.0**500):
+        plane.decompose(psi * scale, base)
+    with pytest.raises(plane.NotInPlane):
+        plane.decompose(np.array([1.0, 0.5j, 0.0, 1.0]), base)
+    with pytest.raises(plane.DegenerateBasis):
+        plane.decompose(psi, np.array([0.0, 0.0, 0.1, -0.7j]))
+    assert calls == []
+    plane.decompose(psi * 2.0**512, base)  # its squared norm overflows
+    plane.decompose(psi, base * 2.0**-451)  # a base norm of 0.67 * 2^-450
+    assert calls == [((1, 4), (4,))] * 2
+
+
+def test_a_covariant_record_is_built_only_from_its_rows():
+    """``Bilinears(rows, dual)`` is the one constructor; no method rebuilds
+    the one-row dict from the fields."""
+    assert not hasattr(bilinear.Bilinears, "as_batch")
+    assert [f.name for f in dataclasses.fields(bilinear.Bilinears) if f.init] == ["rows", "dual"]

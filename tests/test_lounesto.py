@@ -169,7 +169,7 @@ def test_the_classifiers_read_their_tol():
     b = bilinear.compute(np.array([1, 0.2, 0.9, 0.2 + 5e-7j]))
     assert lounesto.classify(b) == LounestoClass.TYPE1
     assert lounesto.classify(b, tol=1e-6) == LounestoClass.TYPE2
-    assert lounesto.classify_batch(b.as_batch(), tol=1e-6)[0].tolist() == [2]
+    assert lounesto.classify_batch(b.rows, tol=1e-6)[0].tolist() == [2]
     A, B = 0.6, 0.8
     assert lounesto.classify_by_coefficients(1.0, 5e-7, A, B) == LounestoClass.TYPE1
     assert lounesto.classify_by_coefficients(1.0, 5e-7, A, B, tol=1e-6) == LounestoClass.TYPE6

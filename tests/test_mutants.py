@@ -20,7 +20,6 @@ check, whose one-zero rows are type 6, sees types 4 and 6 swapped.
 """
 
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +31,7 @@ from spinorlab import bilinear, cli, clifford, homotopy, lounesto, mdo, plane, s
 
 import test_classify_batch
 import test_homotopy
+from conftest import strict_json
 
 TRIALS = 200
 
@@ -52,7 +52,7 @@ def patch_every_binding(monkeypatch, original, mutant) -> set[str]:
 def failed_checks(tmp_path, suite: str, trials: int) -> tuple[int, list[str]]:
     out = tmp_path / f"{suite}.json"
     code = cli.main(["verify", "--suite", suite, "--trials", str(trials), "--output", str(out)])
-    report = json.loads(out.read_text())
+    report = strict_json(out.read_text())
     return code, [c["name"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
 
 

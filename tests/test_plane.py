@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, lounesto, plane, rim, spinor
@@ -420,7 +420,10 @@ HUGE = 2.0**700
 def _routes(psi, base):
     """(coordinates, residuals, error message) of one row from
     decompose_batch, after checking that decompose gives the same
-    coordinates bit for bit, or raises the same error."""
+    coordinates bit for bit, or raises the same error.  decompose hands a
+    row out of range to decompose_batch, so there this compares the batch
+    with itself; the ``* HUGE`` assertions and the scaled referee below
+    check such rows."""
     coords, residuals, failures = plane.decompose_batch(psi[None], base)
     try:
         c = plane.decompose(psi, base)
@@ -470,6 +473,74 @@ def test_decompose_rejects_an_off_plane_row_whose_norm_overflows():
     assert error.startswith("block residual") and big_error.startswith("block residual")
     with pytest.raises(NotInPlane):
         plane.decompose(np.array([1e200, 5e199j, 0.0, 1e200]), base)
+
+
+def _times_power_of_two(x, k):
+    """x * 2^k part by part, exact while every part stays a normal float;
+    k is an integer, or one per row as a (n, 1) array."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
+
+
+@st.composite
+def out_of_range_cases(draw):
+    """(psis, base, k, j): in-plane, noisy and off-plane rows of a base that
+    is valid or has a vanishing block, all with norms in range, and powers
+    k (one per row) and j >= 0 such that on every row 2^k psi's norm
+    overflows or 2^-j base's norm is below ``_SMALL_BASE``, while every
+    scaled part, coordinate and residual stays a normal float (or zero)."""
+    gen = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(min_value=1, max_value=12))
+    base = random_rim_bases(gen, 1)[0]
+    cov = bilinear.compute(base)
+    r1, r2, _ = coordinate_rows(gen, float(np.real(cov.A)), float(np.real(cov.B)), n)
+    psis = plane.block_scale(base, r1, r2)
+    noise = plane.block_scale(random_spinor(gen, n), 1e-10 * np.abs(r1), 1e-10 * np.abs(r2))
+    psis[1::4] += noise[1::4]
+    psis[::4] = random_spinor(gen, n)[::4]  # off the plane
+    vanishing = draw(st.sampled_from([None, slice(0, 2), slice(2, 4)]))
+    if vanishing is not None:
+        base[vanishing] = 0.0
+    exponent = lambda x: np.frexp(x)[1]  # x = m 2^e with m in [0.5, 1)
+    parts = np.abs(base.view(float))
+    j_lo = exponent(spinor.row_norms(base)) + 450  # the first j that puts 2^-j base below _SMALL_BASE
+    j_hi = min(exponent(parts[parts > 0].min()) + 1021, 900)  # 2^-j base's parts stay normal
+    zero_row = not np.all(spinor.row_norms(psis) > 0)  # no k takes a zero row out of range
+    base_out = draw(st.booleans()) or zero_row
+    j = draw(st.integers(j_lo, j_hi) if base_out else st.integers(0, j_lo - 1))
+    # from k_lo on, 2^k psi's squared norm is at least 2^1025; up to k_hi its
+    # parts, coordinates and residuals stay 2^40 below the largest double
+    k_lo = (1027 - exponent((np.abs(psis) ** 2).sum(axis=1))) // 2
+    k_hi = 980 - j - np.maximum(exponent(np.abs(psis.view(float)).max(axis=1)), 0)
+    k_lo = np.where(base_out, 0, k_lo)
+    assume(np.all(k_lo <= k_hi))
+    k = np.array([draw(st.integers(lo, hi)) for lo, hi in zip(k_lo.tolist(), k_hi.tolist())])
+    return psis, base, k, j
+
+
+@given(case=out_of_range_cases())
+@settings(deadline=None, max_examples=150)
+def test_decompose_batch_of_rows_out_of_range_is_the_exactly_scaled_decompose(case):
+    """Scaling by a power of two is exact, so the scalar route on rows in
+    range referees the batch's rescaling: the batch's coordinates on
+    (2^k psi, 2^-j base) are 2^(k+j) times, and its residuals 2^k times,
+    decompose's on (psi, base), bit for bit, and it fails on the same rows
+    with the same error types."""
+    psis, base, k, j = case
+    big, small = _times_power_of_two(psis, k[:, None]), _times_power_of_two(base, -j)
+    with np.errstate(over="ignore"):
+        out = np.isinf(spinor.row_norms(big)) | (spinor.row_norms(small) < plane._SMALL_BASE)
+    assert out.all()
+    coords, residuals, failures = plane.decompose_batch(big, small)
+    for i, psi in enumerate(psis):
+        try:
+            c = plane.decompose(psi, base)
+        except (NotInPlane, DegenerateBasis) as exc:
+            assert type(failures[i]) is type(exc), f"row {i}"
+            continue
+        assert i not in failures, f"row {i}: batch error {failures[i]!r}"
+        want = [np.linalg.norm(blk(psi) - r * blk(base)) for blk, r in ((block1, c.r1), (block2, c.r2))]
+        assert coords[i].tobytes() == _times_power_of_two([c.r1, c.r2], k[i] + j).tobytes(), f"row {i}"
+        assert residuals[i].tobytes() == np.ldexp(want, k[i]).tobytes(), f"row {i}"
 
 
 # ---------------------------------------------------------------------------
