@@ -115,6 +115,13 @@ def _sandwich(psis: np.ndarray, dual: DualKind, xi: np.ndarray | None, abjk: np.
     return vals.take(at[10:], axis=0).T
 
 
+def dirac_ab(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) Dirac-dual A and B of an (n, 4) stack with the bits of
+    ``compute_batch``'s, from its two shift-0 forms (identity and gamma5) alone."""
+    a, b_over_i = np.einsum("in,gi,in->gn", dirac_dual(psis).T, _sandwich_tables()[1][0, :2], psis.T)
+    return a, 1j * b_over_i
+
+
 def _blocks(n: int):
     """Row slices of the blocks of an n-row pass."""
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))

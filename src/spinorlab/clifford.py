@@ -26,6 +26,8 @@ SIGMA = (
 )
 ETA = np.array([1.0, -1.0, -1.0, -1.0])  # the metric's diagonal, which lowers an index
 ETA.setflags(write=False)
+GAMMA5_DIAG = np.array([-1.0, -1.0, 1.0, 1.0])  # gamma5's diagonal: a product with gamma5 is a sign per component
+GAMMA5_DIAG.setflags(write=False)
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

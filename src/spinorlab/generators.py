@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bilinear import by_row_blocks, compute_batch
-from .spinor import complex_view
+from .bilinear import by_row_blocks, dirac_ab
+from .spinor import complex_view, norm_sq
 
 
 def random_spinors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -28,7 +28,7 @@ BASE_MARGIN = 1e-2
 
 def random_rim_bases(rng: np.random.Generator, n: int) -> np.ndarray:
     """Valid reference spinors with |A|, |B| and ||A|-|B|| above
-    ``BASE_MARGIN`` times the norm.
+    ``BASE_MARGIN`` times the squared norm |psi|^2, the covariants' scale.
 
     The last margin keeps the Dirac image away from the type-3 surface,
     which is hit exactly when A^2 = B^2.
@@ -44,9 +44,9 @@ def random_rim_bases(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _clear_of_margin(cand: np.ndarray) -> tuple[np.ndarray]:
-    """Whether each candidate's |A|, |B| and ||A| - |B|| exceed BASE_MARGIN * scale."""
-    cov = compute_batch(cand)
-    a, b, s = np.abs(cov["A"].real), np.abs(cov["B"].real), BASE_MARGIN * cov["scale"]
+    """Whether each candidate's |A|, |B| and ||A| - |B|| exceed BASE_MARGIN * |psi|^2."""
+    A, B = dirac_ab(cand)
+    a, b, s = np.abs(A.real), np.abs(B.real), BASE_MARGIN * norm_sq(cand)
     return ((a > s) & (b > s) & (np.abs(a - b) > s),)
 
 

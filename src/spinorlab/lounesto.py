@@ -25,7 +25,7 @@ import numpy as np
 
 from .bilinear import Bilinears
 from .errors import AmbiguousScale, InconsistentBilinears, InvalidBase, NullCurrent, ZeroDecomposition
-from .spinor import DEFAULT_TOL, DualKind
+from .spinor import DEFAULT_TOL, DualKind, row_max_abs
 
 
 class LounestoClass(enum.IntEnum):
@@ -104,15 +104,15 @@ def classify_batch(
         [
             np.abs(cov["A"]),
             np.abs(cov["B"]),
-            np.max(np.abs(cov["K"]), axis=1),
-            np.max(np.abs(cov["S"]), axis=(1, 2)),
+            row_max_abs(cov["K"]),
+            row_max_abs(cov["S"]),
         ],
         axis=1,
     )
     index = (mags < thr) @ np.array([8, 4, 2, 1])
     classes = _CLASS_CODES[index]
     errors = _ERROR_CODES[index]
-    errors[np.max(np.abs(cov["J"]), axis=1) < thr[:, 0]] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
+    errors[row_max_abs(cov["J"]) < thr[:, 0]] = 1 + ROW_ERRORS.index(_NULL_CURRENT)
     errors[scale < tol] = 1 + ROW_ERRORS.index(_AMBIGUOUS_SCALE)
     classes[errors != 0] = 0
     # near: a zero-test input within NEAR_BAND thresholds above its threshold

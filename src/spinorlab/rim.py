@@ -17,13 +17,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import bilinear
 from .bilinear import Bilinears, by_row_blocks, compute_batch
-from .clifford import ETA, build, minkowski_dot, slash
+from .clifford import ETA, GAMMA5_DIAG, minkowski_dot, slash
 from .errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent, one_row, raise_first
-from .spinor import DEFAULT_TOL, chiral_overlaps
+from .spinor import DEFAULT_TOL, chiral_overlaps, dirac_dual, row_max_abs
 
 _TWO_PI = 2.0 * math.pi
 # edges of the (open) quarter-turn intervals for the polar angles of a and b
@@ -75,8 +77,9 @@ class BaseValidation:
 
 def _quarter(phi):
     """Number 1..4 of the open quarter that holds an angle in [0, 2 pi), or 0
-    on a quarter edge; elementwise on arrays."""
-    return sum(i * ((lo < phi) & (phi < hi)) for i, (lo, hi) in enumerate(zip(_EDGES, _EDGES[1:]), start=1))
+    on a quarter edge, outside [0, 2 pi) or NaN; elementwise on arrays."""
+    count = sum((phi > lo).view(np.int8) for lo in _EDGES[:4])  # the lower edges below phi
+    return count * ((phi < _TWO_PI) & (phi != _EDGES[1]) & (phi != _EDGES[2]) & (phi != _EDGES[3]))
 
 
 def domain_of(phi1, phi2):
@@ -154,28 +157,33 @@ def _residuals(psis: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) ->
     """``pointwise_residuals`` of one block and its (m,) couplings, from the
     (m, 4mu, 4) stack D_mu psi = (a J_mu - b K_mu gamma5) psi, J_mu and K_mu lowered by eta."""
     cov = compute_batch(psis)
-    g = build()
-    g5psi = psis @ g.gamma5.T
+    g5psi = psis * GAMMA5_DIAG
     a, b = a.astype(complex), b.astype(complex)
     jl = cov["J"] * ETA
     kl = cov["K"] * ETA
     d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
-    lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
+    at, coef = _gamma_rows()
+    lhs = 1j * np.einsum("mi,nmi->ni", coef, d.reshape(-1, 16)[:, at])  # one product per gamma^mu row
     rhs = 2.0 * s[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
     heisenberg = np.linalg.norm(lhs - rhs, axis=1)
-    g0 = g.gamma[0]
-    dbar = np.conj(d) @ g0  # (n, 4mu, 4)
-    dual = np.conj(psis) @ g0
+    dbar = dirac_dual(d)  # (n, 4mu, 4)
+    dual = dirac_dual(psis)
     da = np.einsum("nmj,nj->nm", dbar, psis) + np.einsum("nj,nmj->nm", dual, d)
-    g5d = np.einsum("ij,nmj->nmi", g.gamma5, d)
+    g5d = d * GAMMA5_DIAG
     db = 1j * (np.einsum("nmj,nj->nm", dbar, g5psi) + np.einsum("nj,nmj->nm", dual, g5d))
     two_re_a = (a + np.conj(a))[:, None]
     i_two_im_b = (1j * (b - np.conj(b)))[:, None]
     rhs_a = two_re_a * cov["A"][:, None] * jl + i_two_im_b * cov["B"][:, None] * kl
     rhs_b = two_re_a * cov["B"][:, None] * jl - i_two_im_b * cov["A"][:, None] * kl
-    del_a = np.max(np.abs(da - rhs_a), axis=1)
-    del_b = np.max(np.abs(db - rhs_b), axis=1)
-    return heisenberg, del_a, del_b
+    return heisenberg, row_max_abs(da - rhs_a), row_max_abs(db - rhs_b)
+
+
+@lru_cache(maxsize=1)
+def _gamma_rows() -> tuple[np.ndarray, np.ndarray]:
+    """(at, coef) of ``bilinear._sandwich_tables``' forms 2-5: row i of gamma^mu
+    holds coef[mu, i] at flat place at[mu, i] = 4 mu + its column of a (4, 4) stack."""
+    xor, coef, at = bilinear._sandwich_tables()
+    return 4 * np.arange(4)[:, None] + xor[at[2:6] // 4], coef[at[2:6] // 4, at[2:6] % 4]
 
 
 def validate_rim_base(psi: np.ndarray, tol: float = DEFAULT_TOL) -> BaseValidation:
@@ -217,11 +225,10 @@ def restriction_operator(cov, tol: float = DEFAULT_TOL) -> np.ndarray:
     bound = tol * np.maximum(1.0, rows["scale"] ** 2)[:, None, None]
     null = (np.abs(j2) <= bound)[:, 0, 0]
     raise_first(one_row(null, one), NullCurrent, "J^2 = 0: restriction operator undefined")
-    g5 = build().gamma5
     sk = slash(rows["K"])
     sj = slash(rows["J"])
-    g_comm = (sk @ sj - sj @ sk) @ g5 / (2.0 * j2)
-    g_raw = sk @ sj @ g5 / j2
+    g_comm = ((sk @ sj - sj @ sk) * GAMMA5_DIAG + 0.0) / (2.0 * j2)  # + 0.0: zeros are +0, as "@ gamma5" made them
+    g_raw = ((sk @ sj) * GAMMA5_DIAG + 0.0) / j2
     # the forms differ by (J.K / J^2) gamma5, so this bounds |J.K|
     apart = (np.max(np.abs(g_comm - g_raw), axis=(1, 2), keepdims=True) > bound / np.abs(j2))[:, 0, 0]
     raise_first(one_row(apart, one), InconsistentBilinears, "J.K != 0: the two operator forms disagree")

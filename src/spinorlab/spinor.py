@@ -71,6 +71,12 @@ def chiral_overlaps(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c[..., 2] * psi[..., 0] + c[..., 3] * psi[..., 1], c[..., 0] * psi[..., 2] + c[..., 1] * psi[..., 3]
 
 
+def row_max_abs(x: np.ndarray) -> np.ndarray:
+    """np.max(np.abs(x)) over every axis but the first, bit for bit, taken across
+    the rows of a transposed contiguous copy: one pass per column, not per row."""
+    return np.ascontiguousarray(np.abs(x).reshape(len(x), int(np.prod(np.shape(x)[1:]))).T).max(axis=0)
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm over the last axis of a complex array, bit for bit:
     one dot product per row, the call the 1-D norm makes, where a reduction

@@ -15,7 +15,7 @@ Every randomised check is one array pass over its draws.  Draws that a
 check once took trial by trial are taken in bulk in the same order, except
 the synthetic rejections of ``props``, which draw all coordinates and then
 all scales.  The large covariant passes of ``fpk``, ``props`` and ``rim``,
-the base scalars of ``plane`` and ``homotopy`` and ``clifford``'s
+the base scalars (A and B alone, ``bilinear.dirac_ab``) and ``clifford``'s
 slash_contraction run in row blocks (``bilinear.by_row_blocks``) and keep
 only the per-trial arrays their checks read.
 
@@ -87,7 +87,7 @@ def _rel(diff, scale) -> np.ndarray:
 
 def _row_max(*arrays) -> np.ndarray:
     """Each row's largest |value| over (n, ...) arrays, NaN where one is NaN."""
-    return np.max([np.max(np.abs(a), axis=tuple(range(1, a.ndim))) for a in arrays], axis=0)
+    return np.max([spinor.row_max_abs(a) for a in arrays], axis=0)
 
 
 def _cov_rows(fn, psis: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -96,8 +96,8 @@ def _cov_rows(fn, psis: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _base_scalars(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real A and B of each base, in row blocks."""
-    return _cov_rows(lambda cov: (cov["A"].real, cov["B"].real), bases)
+    """The real A and B of each base, in row blocks, without the other covariants."""
+    return bilinear.by_row_blocks(lambda rows: tuple(x.real for x in bilinear.dirac_ab(rows)), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def suite_props(cfg: SuiteConfig) -> dict:
     def lemma4_rows(cov6):  # brute-force type 6 with K nonzero and S zero
         thr6 = cfg.tol * np.maximum(1.0, cov6["scale"])
         type6 = lounesto.classify_batch(cov6, cfg.tol)[0] == T6
-        return (type6 & (np.max(np.abs(cov6["K"]), axis=1) > thr6) & (np.max(np.abs(cov6["S"]), axis=(1, 2)) <= thr6),)
+        return (type6 & (spinor.row_max_abs(cov6["K"]) > thr6) & (spinor.row_max_abs(cov6["S"]) <= thr6),)
 
     def valid_rows(rows):  # one covariant pass for the base checks and the class
         cov = bilinear.compute_batch(rows)
@@ -306,16 +306,18 @@ def suite_rim(cfg: SuiteConfig) -> dict:
     checks.append(_check("domain_samples", 0, tags != [dom.value for dom in expected]))
 
     nd = max(n, 100000)
-    phi1 = gen.uniform(0.0, 2.0 * np.pi, nd)
-    phi2 = gen.uniform(0.0, 2.0 * np.pi, nd)
+    phi1, phi2 = phis = np.stack([gen.uniform(0.0, 2.0 * np.pi, nd), gen.uniform(0.0, 2.0 * np.pi, nd)])
     tags = rim.domain_of(phi1, phi2)
-    # the bounding box of each domain's samples may hold no other domain's
+    # the bounding box of each domain's samples may hold no other domain's; a sample
+    # lies in two boxes only if they meet, so the samples are scanned only then
+    boxes = np.array([(*p.min(1), *p.max(1)) for p in (phis.compress(tags == d, axis=1) for d in range(1, 7))])
+    x0, y0, x1, y1 = boxes.T[:, :, None]
+    meet = (x0 <= x1.T) & (x0.T <= x1) & (y0 <= y1.T) & (y0.T <= y1)  # each box meets itself
     membership = np.zeros(nd, dtype=int)
-    for dom in set(rim.DOMAIN_PAIRS.values()):
-        x, y = phi1[tags == dom], phi2[tags == dom]
-        membership += (x.min() <= phi1) & (phi1 <= x.max()) & (y.min() <= phi2) & (phi2 <= y.max())
+    for lo1, lo2, hi1, hi2 in boxes if np.count_nonzero(meet) > len(boxes) else ():
+        membership += (lo1 <= phi1) & (phi1 <= hi1) & (lo2 <= phi2) & (phi2 <= hi2)
     checks.append(_check("domain_disjointness", 0, membership > 1))
-    del phi1, phi2, tags, membership  # at least 10^5 rows each
+    del phis, phi1, phi2, tags, membership  # at least 10^5 rows each
 
     psis = generators.random_spinors(gen, n)
     quartic = quartic_scale(psis)

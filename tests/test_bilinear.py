@@ -287,6 +287,19 @@ def test_compute_batch_is_the_full_sandwich_bit_for_bit(psis, kind):
         assert_same_bits(one[key][0], cov[key][-1])
 
 
+@given(psis=spinor_stacks())
+@example(psis=DENSE)
+@settings(deadline=None, max_examples=150)
+def test_dirac_ab_is_compute_batch_a_and_b_bit_for_bit(psis):
+    """The A/B-only kernel behind the base scalars and the base margins has
+    the bits of the full pass's A and B, inf and NaN placement included."""
+    cov, _ = _covariants(psis, DualKind.DIRAC)
+    with np.errstate(all="ignore"):
+        A, B = bilinear.dirac_ab(psis)
+    assert_same_array(A, cov["A"].copy())
+    assert_same_array(B, cov["B"].copy())
+
+
 @given(psis=spinor_stacks(), kind=st.sampled_from(DualKind))
 @example(psis=DENSE, kind=DualKind.DIRAC)
 @example(psis=DENSE, kind=DualKind.MDO)

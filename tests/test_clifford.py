@@ -8,6 +8,8 @@ from conftest import random_spinor
 
 def test_gamma5_is_fixed_diagonal(gamma):
     assert np.allclose(gamma.gamma5, np.diag([-1, -1, 1, 1]), atol=1e-15)
+    # the sign vector that stands for a product with gamma5 is exactly its diagonal
+    assert np.array_equal(gamma.gamma5, np.diag(clifford.GAMMA5_DIAG))
 
 
 def test_gamma5_matches_quadruple_product(gamma):

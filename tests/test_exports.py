@@ -4,12 +4,13 @@ records hold no field that restates another value."""
 
 import dataclasses
 import inspect
+import sys
 
 import numpy as np
 import pytest
 
 import spinorlab
-from spinorlab import bilinear, homotopy, io, lounesto, mdo, plane, rim
+from spinorlab import bilinear, generators, homotopy, io, lounesto, mdo, plane, rim, suites
 from spinorlab.spinor import DEFAULT_TOL
 
 
@@ -118,3 +119,51 @@ def test_a_covariant_record_is_built_only_from_its_rows():
     the one-row dict from the fields."""
     assert not hasattr(bilinear.Bilinears, "as_batch")
     assert [f.name for f in dataclasses.fields(bilinear.Bilinears) if f.init] == ["rows", "dual"]
+
+
+def test_base_scalars_and_margins_take_no_full_covariant_pass(monkeypatch):
+    """``generators.random_rim_bases`` and ``suites._base_scalars`` read A and B
+    from ``bilinear.dirac_ab`` alone: a spy on ``compute_batch``, at every
+    binding the package holds, sees no call from either."""
+    original, calls = bilinear.compute_batch, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        for attr, value in list(vars(module).items()) if name.split(".")[0] == "spinorlab" else ():
+            if value is original:
+                monkeypatch.setattr(module, attr, spy)
+    bases = generators.random_rim_bases(np.random.default_rng(0), 2500)  # three row blocks
+    A, B = suites._base_scalars(bases)
+    assert calls == []
+    cov = bilinear.compute_batch(bases)  # the spy sees a covariant pass
+    assert calls == [2500]
+    assert A.tobytes() == cov["A"].real.tobytes() and B.tobytes() == cov["B"].real.tobytes()
+
+
+def test_domain_disjointness_counts_an_overlap(monkeypatch):
+    """The check scans its samples only when two domain boxes meet, which on a
+    correct ``domain_of`` they never do: with one domain-1 sample labelled
+    domain 2, so that box 2 stretches over box 1, its value is the full scan's
+    count of samples in two boxes."""
+    domain_of, seen = rim.domain_of, {}
+
+    def mislabel(phi1, phi2):
+        tags = domain_of(phi1, phi2)
+        if np.ndim(tags) and len(tags) >= 10**5:  # the check's draws, not validate's couplings
+            tags[np.argmax(tags == 1)] = 2
+            seen.update(phi1=phi1, phi2=phi2, tags=tags)
+        return tags
+
+    monkeypatch.setattr(rim, "domain_of", mislabel)
+    report = suites.suite_rim(suites.SuiteConfig(trials=10))
+    (row,) = [c for c in report["checks"] if c["name"] == "domain_disjointness"]
+    phi1, phi2, tags = seen["phi1"], seen["phi2"], seen["tags"]
+    membership = np.zeros(len(tags), dtype=int)
+    for dom in range(1, 7):
+        x, y = phi1[tags == dom], phi2[tags == dom]
+        membership += (x.min() <= phi1) & (phi1 <= x.max()) & (y.min() <= phi2) & (phi2 <= y.max())
+    assert row["value"] == np.count_nonzero(membership > 1) > 0
+    assert not row["pass"]

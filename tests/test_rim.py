@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import bilinear, clifford, rim
-from spinorlab.errors import DegenerateB, IntegrabilityViolation, NullCurrent
+from spinorlab.errors import DegenerateB, InconsistentBilinears, IntegrabilityViolation, NullCurrent
 from spinorlab.generators import random_rim_bases, random_valid_params
 from spinorlab.spinor import chiral_overlaps, quartic_scale
 
 from conftest import random_spinor
+from test_bilinear import DENSE, spinor_stacks
 
 FIXED_SPINORS = [
     np.array([1.0, 0.0, 1.0, 0.0]),
@@ -336,3 +337,97 @@ def test_validate_names_the_first_invalid_row():
         rim.validate(a, b)
     with pytest.raises(DegenerateB, match=r"^row 3: Im\(b\) = 0 makes the axial potential diverge$"):
         rim.validate(a[[0, 1, 0, 3]], b[[0, 1, 0, 3]])
+
+
+def _dense_residuals(psis, a, b, s):
+    """``rim._residuals`` as it was written with dense 4x4 gamma products: the
+    reference its monomial rows, signs and block swaps must reproduce."""
+    cov = bilinear.compute_batch(psis)
+    g = clifford.build()
+    g5psi = psis @ g.gamma5.T
+    a, b = a.astype(complex), b.astype(complex)
+    jl = cov["J"] * clifford.ETA
+    kl = cov["K"] * clifford.ETA
+    d = a[:, None, None] * jl[:, :, None] * psis[:, None, :] - b[:, None, None] * kl[:, :, None] * g5psi[:, None, :]
+    lhs = 1j * np.einsum("mij,nmj->ni", np.stack(g.gamma), d)
+    rhs = 2.0 * s[:, None] * (cov["A"][:, None] * psis + 1j * cov["B"][:, None] * g5psi)
+    heisenberg = np.linalg.norm(lhs - rhs, axis=1)
+    dbar = np.conj(d) @ g.gamma[0]
+    dual = np.conj(psis) @ g.gamma[0]
+    da = np.einsum("nmj,nj->nm", dbar, psis) + np.einsum("nj,nmj->nm", dual, d)
+    g5d = np.einsum("ij,nmj->nmi", g.gamma5, d)
+    db = 1j * (np.einsum("nmj,nj->nm", dbar, g5psi) + np.einsum("nj,nmj->nm", dual, g5d))
+    two_re_a = (a + np.conj(a))[:, None]
+    i_two_im_b = (1j * (b - np.conj(b)))[:, None]
+    rhs_a = two_re_a * cov["A"][:, None] * jl + i_two_im_b * cov["B"][:, None] * kl
+    rhs_b = two_re_a * cov["B"][:, None] * jl - i_two_im_b * cov["A"][:, None] * kl
+    return heisenberg, np.max(np.abs(da - rhs_a), axis=1), np.max(np.abs(db - rhs_b), axis=1)
+
+
+def _dense_restriction(cov, tol=1e-9):
+    """``rim.restriction_operator`` of a ``compute_batch`` dict as it was
+    written with dense products by gamma5."""
+    j2 = clifford.minkowski_dot(cov["J"], cov["J"])[:, None, None]
+    bound = tol * np.maximum(1.0, cov["scale"] ** 2)[:, None, None]
+    if (np.abs(j2) <= bound).any():
+        raise NullCurrent("J^2 = 0")
+    g5 = clifford.build().gamma5
+    sk, sj = clifford.slash(cov["K"]), clifford.slash(cov["J"])
+    g_comm = (sk @ sj - sj @ sk) @ g5 / (2.0 * j2)
+    g_raw = sk @ sj @ g5 / j2
+    if (np.max(np.abs(g_comm - g_raw), axis=(1, 2), keepdims=True) > bound / np.abs(j2)).any():
+        raise InconsistentBilinears("J.K != 0")
+    return g_comm
+
+
+def assert_same_where_finite(got, want):
+    """Equal bits on every row where ``want`` is finite, and a non-finite value
+    in ``got``'s row wherever ``want``'s row holds one; an overflowing row may
+    read inf where a dense product by a zero entry gave NaN (inf * 0)."""
+    finite = np.isfinite(want).reshape(len(want), -1).all(axis=1)
+    got_finite = np.isfinite(got).reshape(len(got), -1).all(axis=1)
+    assert np.array_equal(got_finite, finite)
+    assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
+@given(psis=spinor_stacks(), seed=st.integers(0, 2**32 - 1))
+@example(psis=DENSE, seed=0)
+@settings(deadline=None, max_examples=150)
+def test_residuals_are_the_dense_gamma_products_bit_for_bit(psis, seed):
+    a, b = random_valid_params(np.random.default_rng(seed), len(psis))
+    s = rim.validate(a, b).s
+    with np.errstate(all="ignore"):
+        got, want = rim._residuals(psis, a, b, s), _dense_residuals(psis, a, b, s)
+    for g, w in zip(got, want):
+        assert_same_where_finite(g, w)
+
+
+@given(psis=spinor_stacks())
+@example(psis=DENSE)
+@example(psis=random_rim_bases(np.random.default_rng(5), 64))
+@settings(deadline=None, max_examples=150)
+def test_restriction_operator_is_the_dense_gamma5_product_bit_for_bit(psis):
+    with np.errstate(all="ignore"):
+        cov = bilinear.compute_batch(psis)
+        try:
+            want = _dense_restriction(cov)
+        except (NullCurrent, InconsistentBilinears) as exc:
+            with pytest.raises(type(exc)):
+                rim.restriction_operator(cov)
+            return
+        got = rim.restriction_operator(cov)
+    assert_same_where_finite(got.view(float), want.view(float))
+
+
+def _quarter_by_intervals(phi):
+    """The open-interval quarter number, the formula ``rim._quarter`` replaced."""
+    return sum(i * ((lo < phi) & (phi < hi)) for i, (lo, hi) in enumerate(zip(_EDGES, _EDGES[1:]), start=1))
+
+
+def test_quarter_is_the_open_interval_formula():
+    edges = np.concatenate([_EDGES, np.nextafter(_EDGES, -np.inf), np.nextafter(_EDGES, np.inf)])
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 7.0, -1.0])
+    phi = np.concatenate([edges, special, np.random.default_rng(3).uniform(0.0, 2 * np.pi, 10**5)])
+    assert np.array_equal(rim._quarter(phi), _quarter_by_intervals(phi))
+    # the angles domain_of takes are in [0, 2 pi] after % 2 pi, 2 pi itself included
+    assert (-1e-20) % (2 * np.pi) == 2 * np.pi and rim._quarter(np.array([2 * np.pi]))[0] == 0

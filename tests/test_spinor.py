@@ -148,3 +148,33 @@ def test_an_integer_beyond_float_range_is_named_by_its_first_digits(x, got):
     with pytest.raises(TypeError) as exc:
         spinor.as_number(x, "p")
     assert str(exc.value) == f"p must be a number in float range, got {got}"
+
+
+# every class of float a covariant may hold: signed zeros, subnormals, normals and the non-finite
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -3.5, 1e308, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def row_stacks(draw):
+    """(n,), (n, 4) and (n, 4, 4) stacks, n = 0..5, real or complex."""
+    shape = (draw(st.integers(0, 5)),) + draw(st.sampled_from([(), (4,), (4, 4)]))
+    size = int(np.prod(shape))
+    parts = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+    re = np.array(draw(st.lists(parts, min_size=size, max_size=size)), dtype=float).reshape(shape)
+    if not draw(st.booleans()):
+        return re
+    z = re.astype(complex)  # parts set in place, as 1j * inf would make a NaN
+    z.imag = np.array(draw(st.lists(parts, min_size=size, max_size=size)), dtype=float).reshape(shape)
+    return z
+
+
+@given(x=row_stacks())
+@settings(deadline=None, max_examples=300)
+def test_row_max_abs_is_the_reduction_over_every_axis_but_the_first(x):
+    with np.errstate(all="ignore"):
+        want = np.max(np.abs(x), axis=tuple(range(1, x.ndim)))
+        got = spinor.row_max_abs(x)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(np.where(nan, 0.0, got).view(np.uint64), np.where(nan, 0.0, want).view(np.uint64))
